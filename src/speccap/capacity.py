@@ -67,7 +67,9 @@ class ErasureBounds:
 def _clip_bits(value, upper):
     if value < -1e-9 or value > upper + 1e-9:
         raise ComputationError(f"capacity {value!r} outside [0, {upper}]")
-    return min(max(value, 0.0), upper)
+    if value <= 0.0:
+        return 0.0  # also turns -0.0 into +0.0, which the CSV would print as "-0"
+    return min(value, upper)
 
 
 def holevo_bound(gram_data):
@@ -143,33 +145,40 @@ def two_state_exact(delta, lam, p_peak=1.0):
 def two_state_max(lam, p_peak=1.0, coarse_points=128, iterations=200, tol=1e-12):
     """Maximise :func:`two_state_exact` over the letter separation.
 
-    Coarse grid on [1e-6, 50] to bracket the (unimodal) maximum, then
-    golden-section refinement.  Returns ``(best_bits, best_separation)``.
+    Coarse grid on [1e-6, max(50, 10 * lam)] to bracket the (unimodal)
+    maximum, then golden-section refinement.  The best separation, about
+    2.83 * lam, does not depend on ``p_peak`` (the capacity is proportional
+    to it), so the search runs at unit peak.  A coarse maximum on either
+    edge of the window raises ConvergenceError.  Returns
+    ``(best_bits, best_separation)``.
     """
     if not lam > 0:
         raise ValidationError("width ratio must be positive")
-    grid = np.linspace(1e-6, 50.0, coarse_points)
-    values = [two_state_exact(d, lam, p_peak) for d in grid]
+    grid = np.linspace(1e-6, max(50.0, 10.0 * lam), coarse_points)
+    values = [two_state_exact(d, lam) for d in grid]
     best = int(np.argmax(values))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, coarse_points - 1)]
+    if best in (0, coarse_points - 1):
+        raise ConvergenceError(
+            f"separation maximum lies on the search window edge {float(grid[best])!r}",
+            error_estimate=float(grid[1] - grid[0]),
+        )
 
-    a, b = float(lo), float(hi)
+    a, b = float(grid[best - 1]), float(grid[best + 1])
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1 = two_state_exact(x1, lam, p_peak)
-    f2 = two_state_exact(x2, lam, p_peak)
+    f1 = two_state_exact(x1, lam)
+    f2 = two_state_exact(x2, lam)
     for _ in range(iterations):
         if b - a <= tol:
             break
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = two_state_exact(x2, lam, p_peak)
+            f2 = two_state_exact(x2, lam)
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = two_state_exact(x1, lam, p_peak)
+            f1 = two_state_exact(x1, lam)
     else:
         raise ConvergenceError(
             f"separation search stalled on bracket [{a}, {b}]", error_estimate=b - a

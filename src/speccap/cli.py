@@ -1,8 +1,9 @@
 """Command-line front end: parameter sweeps, curves, and plots as flat files.
 
 Exit codes: 0 success, 1 usage or validation, 2 computation failure, 3 I/O.
-Worker threads (SPECCAP_THREADS, default all cores) never change output
-bytes; grid points are independent and rows are emitted in grid order.
+Grid points are computed one after another and rows are emitted in grid
+order.  SPECCAP_THREADS is still validated (a bad value exits 1) but
+schedules nothing, so output never depends on it.
 """
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -76,6 +76,7 @@ def parse_int_list(text):
 
 
 def _thread_count():
+    """Validated SPECCAP_THREADS; commands call it only to reject bad values."""
     raw = os.environ.get("SPECCAP_THREADS", "").strip()
     if not raw:
         return os.cpu_count() or 1
@@ -88,23 +89,11 @@ def _thread_count():
     return count
 
 
-def _parallel_map(fn, items):
-    items = list(items)
-    workers = _thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _write_csv(path, header, rows):
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise exc
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_sweep(args):
@@ -157,7 +146,8 @@ def cmd_sweep(args):
             "",
         ]
 
-    rows = _parallel_map(one_point, points)
+    _thread_count()
+    rows = [one_point(point) for point in points]
     _write_csv(args.out, header, rows)
     return EXIT_OK
 
@@ -207,7 +197,8 @@ def cmd_two_state(args):
                 return [_fmt(lam), "", "", str(exc)]
             return [_fmt(lam), _fmt(bits), _fmt(separation), ""]
 
-    rows = _parallel_map(one_point, points)
+    _thread_count()
+    rows = [one_point(point) for point in points]
     _write_csv(args.out, header, rows)
     return EXIT_OK
 

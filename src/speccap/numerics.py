@@ -1,26 +1,22 @@
 """Numerical primitives: adaptive quadrature on the line and small Hermitian eigenproblems.
 
-Both routines are deliberately simple and fully deterministic: fixed-order
-Gauss-Legendre panels refined by bisection, and cyclic Jacobi rotations.
-Problem sizes here are tiny (matrices up to ~128, smooth rapidly decaying
-integrands), so robustness and reproducibility win over asymptotic speed.
+Quadrature uses fixed-order Gauss-Legendre panels refined by bisection,
+which is deterministic and robust for the smooth, rapidly decaying
+integrands here.  Eigenvalues come from LAPACK through
+``numpy.linalg.eigvalsh``; matrices are small (N up to ~128).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, PsdViolationError, ValidationError
+from .errors import ComputationError, ConvergenceError, PsdViolationError, ValidationError
 
 # Fixed panel rule. 21 points integrate smooth Gaussian-type factors to
 # machine precision on panels comparable to the integrand width.
 _GL_ORDER = 21
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
-
-_JACOBI_MAX_SWEEPS = 100
-_JACOBI_OFFDIAG_FACTOR = 1e-13
 
 PSD_FLOOR = -1e-10
 
@@ -105,8 +101,8 @@ def integrate(f, center, width, spec=DEFAULT_QUADRATURE):
 class HermitianMatrix:
     """A square complex matrix symmetrized to be exactly Hermitian.
 
-    Construction rejects inputs whose asymmetry ``|A - A^H|`` exceeds 1e-12
-    anywhere; smaller asymmetry is averaged away.
+    Construction rejects non-finite entries and inputs whose asymmetry
+    ``|A - A^H|`` exceeds 1e-12 anywhere; smaller asymmetry is averaged away.
     """
 
     entries: np.ndarray
@@ -115,6 +111,8 @@ class HermitianMatrix:
         arr = np.array(self.entries, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError("matrix must be square")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError("matrix entries must be finite")
         deviation = np.max(np.abs(arr - arr.conj().T)) if arr.size else 0.0
         if deviation > 1e-12:
             raise ValidationError(
@@ -130,59 +128,12 @@ class HermitianMatrix:
 
 
 def hermitian_eigenvalues(matrix: HermitianMatrix) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, sorted descending.
-
-    Cyclic Jacobi: each sweep zeroes every off-diagonal pair through a
-    phase-absorbing plane rotation.  Converged when the off-diagonal
-    Frobenius norm drops below 1e-13 of the (conserved) Frobenius norm.
-    """
-    a = matrix.entries.astype(complex, copy=True)
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real])
-
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return np.zeros(n)
-    threshold = _JACOBI_OFFDIAG_FACTOR * norm
-    # Entries this small cannot lift the off-diagonal norm above the
-    # threshold; rotating them would also risk denormal-division overflow.
-    skip = threshold / n
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                pivot = a[p, q]
-                r = abs(pivot)
-                if r <= skip:
-                    continue
-                phase = pivot / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # Unitary plane rotation J with block [[c, s], [-s*conj(phase), c*conj(phase)]].
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(phase) * col_q
-                a[:, q] = s * col_p + c * np.conj(phase) * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * row_p + c * phase * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-    else:
-        raise ConvergenceError(
-            f"Jacobi eigensolver did not converge in {_JACOBI_MAX_SWEEPS} sweeps",
-            error_estimate=off,
-        )
-    return np.sort(np.real(np.diag(a)))[::-1]
+    """All eigenvalues of a Hermitian matrix, sorted descending (LAPACK ``eigvalsh``)."""
+    try:
+        values = np.linalg.eigvalsh(matrix.entries)
+    except np.linalg.LinAlgError as exc:
+        raise ComputationError(f"Hermitian eigensolve failed: {exc}") from exc
+    return values[::-1]
 
 
 def clamp_spectrum(values, floor=PSD_FLOOR):

@@ -33,7 +33,7 @@ class GaussianAmplitude:
         return norm * np.exp(-((omega - self.center) ** 2) / (4.0 * self.width**2))
 
     def _extent(self):
-        return self.center, self.width, False
+        return self.center, self.width
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class TabulatedAmplitude:
 
     def _extent(self):
         lo, hi = float(self.grid[0]), float(self.grid[-1])
-        return 0.5 * (lo + hi), 0.5 * (hi - lo), True
+        return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
 def _interp_norm_squared(grid, values):
@@ -121,7 +121,7 @@ class GaussianPeakResponse:
         )
 
     def _extent(self):
-        return 0.0, self.width, False
+        return 0.0, self.width
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ class TabulatedResponse:
 
     def _extent(self):
         lo, hi = float(self.grid[0]), float(self.grid[-1])
-        return 0.5 * (lo + hi), 0.5 * (hi - lo), True
+        return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
 def _integration_window(parts, truncation_sigmas):
@@ -163,7 +163,7 @@ def _integration_window(parts, truncation_sigmas):
         extent = part._extent()
         if extent is None:
             continue
-        center, width, _hard = extent
+        center, width = extent
         centers.append(center)
         widths.append(width)
     lo = min(centers) - truncation_sigmas * max(widths)

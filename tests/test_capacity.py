@@ -14,7 +14,7 @@ from speccap.capacity import (
     two_state_max,
 )
 from speccap.channel import EncodingEnsemble, compute_gram
-from speccap.errors import ValidationError
+from speccap.errors import ConvergenceError, ValidationError
 from speccap.spectral import (
     FlatResponse,
     GaussianAmplitude,
@@ -164,6 +164,40 @@ def test_two_state_max_linear_in_peak_probability():
     half, sep_half = two_state_max(0.7, 0.5)
     assert half == pytest.approx(0.5 * full, abs=0)
     assert sep_half == sep_full
+
+
+def _dense_scan_two_state_max(lam, points=20001):
+    grid = np.linspace(1e-6, 1000.0, points)
+    values = [two_state_exact(float(d), lam) for d in grid]
+    i = int(np.argmax(values))
+    fine = np.linspace(grid[i - 1], grid[i + 1], 2001)
+    return max(two_state_exact(float(d), lam) for d in fine)
+
+
+@pytest.mark.parametrize("lam", [18.0, 20.0, 50.0])
+def test_two_state_max_wide_photon_matches_dense_scan(lam):
+    # The best separation (about 2.83 * lam) lies beyond 50 from lam ~ 18 on.
+    best, separation = two_state_max(lam)
+    assert best == pytest.approx(_dense_scan_two_state_max(lam), rel=1e-9)
+    assert separation == pytest.approx(2.83 * lam, rel=0.01)
+
+
+def test_two_state_max_raises_on_window_edge():
+    # Best separation ~2.8e-7 lies below the window start 1e-6.
+    with pytest.raises(ConvergenceError, match="window edge"):
+        two_state_max(1e-7)
+
+
+def test_two_state_max_opaque_peak_is_zero():
+    bits, separation = two_state_max(1.0, 0.0)
+    assert bits == 0.0
+    assert separation == two_state_max(1.0)[1]
+
+
+def test_opaque_channel_reports_positive_zero():
+    report = uniform_report(4, 2.0, 1.0, FlatResponse(0.0))
+    for bits in (report.holevo_bits, report.post_selected_bits):
+        assert bits == 0.0 and math.copysign(1.0, bits) == 1.0
 
 
 def test_optimize_priors_symmetric_pair_is_uniform():

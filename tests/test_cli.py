@@ -334,6 +334,15 @@ def test_plot_unknown_column_lists_available(tmp_path, capsys):
     assert "lambda" in captured.err and "c_max_bits" in captured.err
 
 
+def test_sweep_opaque_channel_writes_positive_zero(tmp_path):
+    out = tmp_path / "opaque.csv"
+    code = main(["sweep", "--mode", "flat", "--n", "4", "--delta-omega", "0:2:1", "--eta", "0", "--out", str(out)])
+    assert code == EXIT_OK
+    rows = read_rows(out)
+    assert len(rows) == 3
+    assert all(r["holevo_bits"] == "0" and r["post_selected_bits"] == "0" for r in rows)
+
+
 def test_unwritable_output_is_io_error(tmp_path):
     code = main(["sweep", "--mode", "flat", "--n", "2", "--delta-omega", "1", "--eta", "1", "--out", str(tmp_path / "missing" / "out.csv")])
     assert code == EXIT_IO

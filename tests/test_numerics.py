@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from speccap.errors import ConvergenceError, PsdViolationError, ValidationError
+from speccap.errors import ComputationError, ConvergenceError, PsdViolationError, ValidationError
 from speccap.numerics import (
     DEFAULT_QUADRATURE,
     HermitianMatrix,
@@ -194,6 +194,29 @@ def test_non_hermitian_rejected():
 def test_non_square_rejected():
     with pytest.raises(ValidationError):
         HermitianMatrix(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[math.nan]],
+        [[math.inf]],
+        [[1.0, complex(0.0, math.nan)], [complex(0.0, math.nan), 1.0]],
+        [[1.0, -math.inf], [-math.inf, 1.0]],
+    ],
+)
+def test_non_finite_entries_rejected(entries):
+    with pytest.raises(ValidationError):
+        HermitianMatrix(entries)
+
+
+def test_eigensolver_failure_is_computation_error(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(ComputationError, match="did not converge"):
+        hermitian_eigenvalues(HermitianMatrix(np.eye(2)))
 
 
 def test_small_asymmetry_is_symmetrized():
