@@ -19,7 +19,6 @@ from .numerics import (
     QuadratureSpec,
     clamp_spectrum,
     hermitian_eigenvalues,
-    integrate,
 )
 from .spectral import (
     FlatResponse,
@@ -73,7 +72,6 @@ __all__ = [
     "erasure_bounds",
     "hermitian_eigenvalues",
     "holevo_bound",
-    "integrate",
     "load_tabulated_amplitude",
     "load_tabulated_response",
     "make_gaussian_basis",

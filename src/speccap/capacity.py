@@ -212,8 +212,9 @@ def optimize_priors(ensemble, response, tol=1e-9, spec=DEFAULT_QUADRATURE, max_i
     The Holevo quantity is concave over the probability simplex, so ascent
     from the uniform prior with a backtracking step reaches the global
     maximum.  Gradients come from central finite differences of the
-    weight-extended objective.  Returns ``(priors, report)``; the result is
-    never worse than the uniform prior.
+    weight-extended objective, one-sided where a weight has reached zero.
+    Returns ``(priors, report)``; the result is never worse than the uniform
+    prior.
     """
     if ensemble.n < 2:
         raise ValidationError("prior optimization needs at least two letters")
@@ -234,11 +235,12 @@ def optimize_priors(ensemble, response, tol=1e-9, spec=DEFAULT_QUADRATURE, max_i
             up = weights.copy()
             down = weights.copy()
             up[i] += h
-            down[i] -= h
+            # One-sided at zero weight: a negative weight has no square root.
+            down[i] = max(weights[i] - h, 0.0)
             gradient[i] = (
                 _holevo_from_weights(entries, loss, up)
                 - _holevo_from_weights(entries, loss, down)
-            ) / (2.0 * h)
+            ) / (up[i] - down[i])
 
         improved = False
         while step > 1e-14:

@@ -12,14 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationError, ConvergenceError, ValidationError
+from .errors import ComputationError, ValidationError
 from .numerics import (
     DEFAULT_QUADRATURE,
     HermitianMatrix,
     clamp_spectrum,
     hermitian_eigenvalues,
 )
-from .spectral import modulated_overlap
+from .spectral import closed_form_applies, modulated_overlap, quadrature_gram
 
 
 def _validated_priors(priors, n):
@@ -106,22 +106,21 @@ def _weighted_from_gram(gram_entries, priors):
 def compute_gram(ensemble, response, spec=DEFAULT_QUADRATURE):
     """Gram data of an ensemble pushed through a channel response.
 
-    Only the upper triangle is integrated; the mirror image keeps the matrix
-    exactly Hermitian regardless of quadrature roundoff.
+    Gaussian letters through a flat or Gaussian channel take the closed form
+    pair by pair; only the upper triangle is computed and its mirror image
+    keeps the matrix exactly Hermitian.  Every other ensemble goes through
+    one quadrature node rule for the whole matrix.
     """
     n = ensemble.n
-    entries = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            try:
+    if closed_form_applies(ensemble.letters, response):
+        entries = np.zeros((n, n), dtype=complex)
+        for i in range(n):
+            for j in range(i, n):
                 value = modulated_overlap(ensemble.letters[i], ensemble.letters[j], response, spec=spec)
-            except ConvergenceError as exc:
-                raise ConvergenceError(
-                    f"overlap of letters ({i}, {j}) did not converge: {exc}",
-                    error_estimate=exc.error_estimate,
-                ) from exc
-            entries[i, j] = value
-            entries[j, i] = np.conj(value)
+                entries[i, j] = value
+                entries[j, i] = np.conj(value)
+    else:
+        entries = quadrature_gram(ensemble.letters, response, spec)
     survival = entries.diagonal().real.copy()
     if np.any(survival < -1e-10) or np.any(survival > 1.0 + 1e-10):
         raise ComputationError(f"survival probabilities outside [0, 1]: {survival!r}")

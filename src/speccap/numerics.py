@@ -1,9 +1,12 @@
-"""Numerical primitives: adaptive quadrature on the line and small Hermitian eigenproblems.
+"""Numerical primitives: quadrature Gram matrices and small Hermitian eigenproblems.
 
-Quadrature uses fixed-order Gauss-Legendre panels refined by bisection,
-which is deterministic and robust for the smooth, rapidly decaying
-integrands here.  Eigenvalues come from LAPACK through
-``numpy.linalg.eigvalsh``; matrices are small (N up to ~128).
+Quadrature is one node rule for a whole set of functions: a fixed-order
+Gauss-Legendre rule on every segment between given breakpoints, so each
+panel's matrix of weighted overlaps is one matmul, with the segments whose
+whole-panel and half-panel matrices disagree bisected level by level.  It is
+deterministic and robust for the smooth, rapidly decaying integrands here.
+Eigenvalues come from LAPACK through ``numpy.linalg.eigvalsh``; matrices are
+small (N up to ~128).
 """
 from __future__ import annotations
 
@@ -17,13 +20,15 @@ from .errors import ComputationError, ConvergenceError, PsdViolationError, Valid
 # machine precision on panels comparable to the integrand width.
 _GL_ORDER = 21
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
+# Segments whose panel matrices are formed together; bounds the sampled block.
+_SEGMENT_BLOCK = 16
 
 PSD_FLOOR = -1e-10
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Accuracy targets and domain truncation for :func:`integrate`."""
+    """Accuracy targets, subdivision budget and domain truncation for :func:`weighted_gram`."""
 
     rel_tolerance: float = 1e-10
     abs_tolerance: float = 1e-14
@@ -42,59 +47,88 @@ class QuadratureSpec:
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
-def _panel(f, a, b):
-    """Fixed-order Gauss-Legendre estimate of the integral over [a, b]."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    values = np.asarray(f(mid + half * _GL_NODES))
-    return complex(half * np.dot(_GL_WEIGHTS, values))
+def _panel_matrices(sample, lo, hi):
+    """Fixed-order Gauss-Legendre Gram matrices, one per panel ``[lo[k], hi[k]]``."""
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES
+    columns, weight = sample(nodes.ravel())
+    # sqrt(weights * w) goes into both factors, so only the conjugate is copied.
+    scale = np.sqrt(np.reshape(weight, nodes.shape) * half[:, None] * _GL_WEIGHTS)
+    columns = np.reshape(columns, (*nodes.shape, -1)) * scale[:, :, None]
+    return np.matmul(columns.conj().transpose(0, 2, 1), columns)
 
 
-def integrate(f, center, width, spec=DEFAULT_QUADRATURE):
-    """Integrate ``f`` over ``center +- truncation_sigmas * width``.
+def weighted_gram(sample, edges, spec=DEFAULT_QUADRATURE):
+    """Gram matrix ``G[i, j] = integral w conj(f_i) f_j`` over ``[edges[0], edges[-1]]``.
 
-    ``f`` must accept a numpy array of abscissae and return complex (or real)
-    values of the same shape.  The domain is subdivided adaptively until the
-    bisection error estimate of every panel is below its share of
-    ``max(rel_tolerance * |integral|, abs_tolerance)``.
+    ``sample(omega)`` takes a 1-D array of abscissae and returns
+    ``(columns, weight)``: the N functions there as an array of shape
+    ``(omega.size, N)`` and the non-negative weight ``w`` as an array of
+    shape ``(omega.size,)``.  ``edges`` are the ascending ends of the segments on
+    which the integrand is smooth.
 
-    Raises ConvergenceError (carrying the worst error estimate) when the
-    subdivision budget runs out.
+    Every segment gets the same fixed Gauss-Legendre rule, so a panel's matrix
+    is ``X^H diag(weights * w) X``, formed for a block of segments by one
+    batched matmul.  A segment is accepted when, in every entry, its
+    whole-panel matrix and the sum of its two halves agree within the
+    segment's share of ``max(rel_tolerance * |G_ij|, abs_tolerance)``; the
+    other segments are bisected, level by level, and ``|G_ij|`` is
+    re-estimated at every level.  The upper triangle is mirrored, so the
+    result is exactly Hermitian.
+
+    Raises ConvergenceError naming the worst entry, and carrying its error
+    estimate, when more than ``max_subdivisions`` bisections are needed.
     """
-    if not width > 0:
-        raise ValidationError("width must be positive")
-    lo = center - spec.truncation_sigmas * width
-    hi = center + spec.truncation_sigmas * width
-
-    whole = _panel(f, lo, hi)
-    tolerance = max(spec.rel_tolerance * abs(whole), spec.abs_tolerance)
-
-    splits_left = spec.max_subdivisions
-    total = 0.0 + 0.0j
-    worst_error = 0.0
-    # Work stack of (a, b, parent_estimate, tolerance_share); LIFO with the
-    # left half pushed last so panels are accepted left to right.
-    stack = [(lo, hi, whole, tolerance)]
-    while stack:
-        a, b, parent, tol = stack.pop()
-        mid = 0.5 * (a + b)
-        left = _panel(f, a, mid)
-        right = _panel(f, mid, b)
-        err = abs(left + right - parent)
-        if err <= tol or (b - a) <= 1e-14 * (hi - lo):
-            total += left + right
-            worst_error = max(worst_error, err)
-            continue
-        if splits_left <= 0:
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
+        raise ValidationError("quadrature edges must be at least two ascending points")
+    lo, hi = edges[:-1], edges[1:]
+    # Fraction of each entry's tolerance a segment may spend; halved on bisection.
+    share = np.full(lo.size, 1.0 / lo.size)
+    blocks = range(0, lo.size, _SEGMENT_BLOCK)
+    # Whole-panel matrices of the active segments, one array per block.
+    wholes = [_panel_matrices(sample, lo[k : k + _SEGMENT_BLOCK], hi[k : k + _SEGMENT_BLOCK]) for k in blocks]
+    min_width = 1e-14 * (edges[-1] - edges[0])
+    total = np.zeros_like(wholes[0][0])
+    splits = 0
+    while lo.size:
+        estimate = total + sum(whole.sum(axis=0) for whole in wholes)
+        tolerance = np.maximum(spec.rel_tolerance * np.abs(estimate), spec.abs_tolerance)
+        mid = 0.5 * (lo + hi)
+        done = np.empty(lo.size, dtype=bool)
+        pending = np.zeros(tolerance.shape)
+        lefts, rights = [], []
+        for k, whole in zip(blocks, wholes):
+            block = slice(k, k + _SEGMENT_BLOCK)
+            a, m, b = lo[block], mid[block], hi[block]
+            halves = _panel_matrices(sample, np.concatenate([a, m]), np.concatenate([m, b]))
+            left, right = halves[: a.size], halves[a.size :]
+            refined = left + right
+            error = np.abs(refined - whole)
+            ok = np.all(error <= share[block, None, None] * tolerance, axis=(1, 2)) | (b - a <= min_width)
+            total += refined[ok].sum(axis=0)
+            pending += error[~ok].sum(axis=0)
+            # The halves of a bisected segment are the whole panels of its children.
+            lefts.append(left[~ok])
+            rights.append(right[~ok])
+            done[block] = ok
+        keep = ~done
+        splits += np.count_nonzero(keep)
+        if splits > spec.max_subdivisions:
+            i, j = np.unravel_index(np.argmax(np.triu(pending / tolerance)), tolerance.shape)
             raise ConvergenceError(
-                f"quadrature did not converge within {spec.max_subdivisions} "
-                f"subdivisions (error estimate {err:.3e})",
-                error_estimate=err,
+                f"Gram entry ({i}, {j}) did not converge within {spec.max_subdivisions} "
+                f"subdivisions (error estimate {pending[i, j]:.3e})",
+                error_estimate=float(pending[i, j]),
             )
-        splits_left -= 1
-        stack.append((mid, b, right, 0.5 * tol))
-        stack.append((a, mid, left, 0.5 * tol))
-    return total
+        lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
+        share = 0.5 * np.concatenate([share[keep], share[keep]])
+        blocks = range(0, lo.size, _SEGMENT_BLOCK)
+        children = np.concatenate(lefts + rights)
+        wholes = [children[k : k + _SEGMENT_BLOCK] for k in blocks]
+    gram = np.triu(total) + np.triu(total, 1).conj().T
+    np.fill_diagonal(gram, total.diagonal().real)
+    return gram
 
 
 @dataclass(frozen=True)

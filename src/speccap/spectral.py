@@ -3,8 +3,10 @@
 Frequencies are dimensionless offsets from a carrier; amplitudes are
 unit-normalized (``integral |psi|^2 = 1``) and channels are amplitude
 transmissions in [0, 1].  Overlaps of Gaussian amplitudes through flat or
-Gaussian-passband channels have closed forms; everything else falls back to
-adaptive quadrature.
+Gaussian-passband channels have closed forms.  Everything else goes through
+one quadrature node rule for a whole set of letters: fixed Gauss-Legendre
+panels on the segments between the merged grid points of the tabulated
+factors, bisected where the panel matrices disagree with their halves.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import DEFAULT_QUADRATURE, integrate
+from .numerics import DEFAULT_QUADRATURE, weighted_gram
 
 
 @dataclass(frozen=True)
@@ -191,6 +193,37 @@ def _gaussian_pair_overlap(amp_a, amp_b, response):
     return complex(power * norm * math.sqrt(math.pi / quad_a) * math.exp(lin_b**2 / quad_a - const_d))
 
 
+def closed_form_applies(letters, response):
+    """Whether every overlap of ``letters`` through ``response`` has the Gaussian closed form."""
+    return isinstance(response, (FlatResponse, GaussianPeakResponse)) and all(
+        isinstance(letter, GaussianAmplitude) for letter in letters
+    )
+
+
+def quadrature_gram(letters, response, spec=DEFAULT_QUADRATURE):
+    """All overlaps ``integral eta^2 conj(psi_i) psi_j`` of ``letters`` by one node rule.
+
+    The window covers every letter and the channel to ``truncation_sigmas``
+    widths.  Tabulated factors kink the integrand at their grid points, so
+    the merged grid points inside the window split it into segments on
+    which the fixed Gauss-Legendre panels see a smooth integrand.
+    """
+    parts = (*letters, response)
+    center, width = _integration_window(parts, spec.truncation_sigmas)
+    lo = center - spec.truncation_sigmas * width
+    hi = center + spec.truncation_sigmas * width
+    grids = [part.grid for part in parts if isinstance(part, (TabulatedAmplitude, TabulatedResponse))]
+    points = np.sort(np.concatenate([[lo, hi], *grids]))
+    points = points[(points >= lo) & (points <= hi)]
+    edges = points[np.concatenate([[True], np.diff(points) > 0])]
+
+    def sample(omega):
+        eta = response.value(omega)
+        return np.stack([letter.value(omega) for letter in letters], axis=-1), eta * eta
+
+    return weighted_gram(sample, edges, spec)
+
+
 def modulated_overlap(amp_a, amp_b, response, spec=DEFAULT_QUADRATURE, method="auto"):
     """Inner product of two channel-modulated amplitudes.
 
@@ -198,7 +231,8 @@ def modulated_overlap(amp_a, amp_b, response, spec=DEFAULT_QUADRATURE, method="a
     ``method="auto"`` the Gaussian closed form is used whenever both
     amplitudes are Gaussian and the channel is flat or a Gaussian peak;
     ``"analytic"`` and ``"quadrature"`` force one route (mainly for
-    cross-validation).
+    cross-validation).  Quadrature is the one- or two-letter case of
+    :func:`quadrature_gram`.
     """
     analytic_ok = (
         isinstance(amp_a, GaussianAmplitude)
@@ -211,34 +245,8 @@ def modulated_overlap(amp_a, amp_b, response, spec=DEFAULT_QUADRATURE, method="a
         raise ValidationError("analytic overlap requires Gaussian amplitudes and a flat or Gaussian channel")
     if analytic_ok and method != "quadrature":
         return _gaussian_pair_overlap(amp_a, amp_b, response)
-
-    def integrand(omega):
-        eta = response.value(omega)
-        return eta * eta * np.conj(amp_a.value(omega)) * amp_b.value(omega)
-
-    parts = (amp_a, amp_b, response)
-    center, width = _integration_window(parts, spec.truncation_sigmas)
-    sigmas = spec.truncation_sigmas
-    lo, hi = center - sigmas * width, center + sigmas * width
-    # Tabulated factors kink the integrand at every grid point; integrating
-    # span by span keeps each piece smooth for the Gauss-Legendre panels.
-    kinks = sorted(
-        {
-            float(point)
-            for part in parts
-            if isinstance(part, (TabulatedAmplitude, TabulatedResponse))
-            for point in part.grid
-            if lo < point < hi
-        }
-    )
-    if not kinks:
-        return integrate(integrand, center, width, spec)
-    total = 0.0 + 0.0j
-    edges = [lo, *kinks, hi]
-    for left, right in zip(edges, edges[1:]):
-        if right > left:
-            total += integrate(integrand, 0.5 * (left + right), (right - left) / (2.0 * sigmas), spec)
-    return total
+    letters = (amp_a,) if amp_a is amp_b else (amp_a, amp_b)
+    return complex(quadrature_gram(letters, response, spec)[0, -1])
 
 
 def survival_probability(amp, response, spec=DEFAULT_QUADRATURE, method="auto"):

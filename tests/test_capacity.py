@@ -225,6 +225,25 @@ def test_optimize_priors_noiseless_binary_limit():
     assert report.holevo_bits == pytest.approx(1.0, abs=1e-9)
 
 
+def test_optimize_priors_survives_a_weight_reaching_zero():
+    # Some weights of this ensemble underflow to exactly 0; a central
+    # difference there used to step to a negative weight and a NaN matrix.
+    centers = [
+        -0.555589156825707, 2.17092814875397, -0.8678548374084185, 1.0938455721269813,
+        -0.029483202819451826, 2.243244758876581, 1.994665347246122, 1.3927786083665108,
+    ]
+    widths = [
+        0.6717377037519929, 1.3892721064332911, 0.685876422062587, 1.0579234301126366,
+        0.7423657787541658, 0.8087398751172872, 1.0191604857700496, 0.5843000302551501,
+    ]
+    ensemble = EncodingEnsemble.uniform([GaussianAmplitude(c, w) for c, w in zip(centers, widths)])
+    response = GaussianPeakResponse(0.9, 1.5)
+    uniform = holevo_bound(compute_gram(ensemble, response))
+    priors, report = optimize_priors(ensemble, response)
+    assert np.all(priors >= 0.0) and priors.sum() == pytest.approx(1.0, abs=1e-12)
+    assert report.holevo_bits >= uniform.holevo_bits
+
+
 def test_optimize_priors_needs_two_letters():
     ensemble = EncodingEnsemble.uniform(make_gaussian_basis(1, 0.0, 1.0))
     with pytest.raises(ValidationError):

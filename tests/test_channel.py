@@ -11,6 +11,7 @@ from speccap.spectral import (
     GaussianPeakResponse,
     TabulatedResponse,
     make_gaussian_basis,
+    modulated_overlap,
 )
 
 
@@ -141,6 +142,18 @@ def test_convergence_failure_names_the_letter_pair():
     with pytest.raises(ConvergenceError, match=r"\(0, 0\)") as excinfo:
         compute_gram(EncodingEnsemble.uniform(letters), response, spec=tight)
     assert excinfo.value.error_estimate is not None
+
+
+def test_narrow_letters_under_a_wide_tabulated_response_converge():
+    # The first panels over [-8, 8] all but miss the narrow peaks.  The
+    # tolerance must follow the estimate as the peaks are found, not stay at
+    # abs_tolerance while the segments are halved below roundoff.
+    letters = [GaussianAmplitude(-3.0, 0.05), GaussianAmplitude(3.0, 0.05)]
+    response = TabulatedResponse([-8.0, 8.0], [1.0, 1.0])
+    for letter in letters:
+        assert modulated_overlap(letter, letter, response) == pytest.approx(1.0, abs=1e-12)
+    data = compute_gram(EncodingEnsemble.uniform(letters), response)
+    assert data.gram.entries.diagonal() == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 def test_reweight_keeps_gram_and_updates_statistics():

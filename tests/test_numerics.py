@@ -10,7 +10,7 @@ from speccap.numerics import (
     QuadratureSpec,
     clamp_spectrum,
     hermitian_eigenvalues,
-    integrate,
+    weighted_gram,
 )
 
 
@@ -18,59 +18,111 @@ def gaussian_pdf(omega):
     return np.exp(-0.5 * omega**2) / math.sqrt(2.0 * math.pi)
 
 
+def window(center, width):
+    sigmas = DEFAULT_QUADRATURE.truncation_sigmas
+    return [center - sigmas * width, center + sigmas * width]
+
+
+def sampler(weight, *functions):
+    """``sample`` for weighted_gram: the functions as columns, with one weight."""
+    return lambda omega: (np.stack([f(omega) for f in functions], axis=-1), weight(omega))
+
+
+def one(omega):
+    return np.ones_like(omega)
+
+
 def test_integrate_normalized_gaussian_density():
-    assert integrate(gaussian_pdf, 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
+    gram = weighted_gram(sampler(gaussian_pdf, one), window(0.0, 1.0))
+    assert gram[0, 0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_integrate_gaussian_amplitude_product():
     # Two unit-width normalized Gaussian amplitudes two units apart.
     norm = (2.0 * math.pi) ** -0.25
-
-    def product(omega):
-        return norm**2 * np.exp(-((omega + 1.0) ** 2) / 4.0 - ((omega - 1.0) ** 2) / 4.0)
-
-    value = integrate(product, 0.0, 1.0)
-    assert value == pytest.approx(0.606530659712633424, abs=1e-12)
+    left = lambda w: norm * np.exp(-((w + 1.0) ** 2) / 4.0)  # noqa: E731
+    right = lambda w: norm * np.exp(-((w - 1.0) ** 2) / 4.0)  # noqa: E731
+    gram = weighted_gram(sampler(one, left, right), window(0.0, 1.0))
+    assert gram[0, 1] == pytest.approx(0.606530659712633424, abs=1e-12)
+    assert gram[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert gram[1, 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_integrate_odd_function_vanishes():
-    value = integrate(lambda w: w * np.exp(-(w**2)), 0.0, 1.0)
-    assert abs(value) <= 1e-12
+    gram = weighted_gram(sampler(lambda w: np.exp(-(w**2)), one, lambda w: w), window(0.0, 1.0))
+    assert abs(gram[0, 1]) <= 1e-12
 
 
 def test_integrate_is_linear():
     f = gaussian_pdf
     g = lambda w: np.cos(w) * np.exp(-(w**2))  # noqa: E731
-    combined = integrate(lambda w: 2.5 * f(w) - 1.25 * g(w), 0.0, 1.0)
-    separate = 2.5 * integrate(f, 0.0, 1.0) - 1.25 * integrate(g, 0.0, 1.0)
-    assert combined == pytest.approx(separate, abs=1e-12)
+    combined = lambda w: 2.5 * f(w) - 1.25 * g(w)  # noqa: E731
+    gram = weighted_gram(sampler(one, one, f, g, combined), window(0.0, 1.0))
+    assert gram[:, 3] == pytest.approx(2.5 * gram[:, 1] - 1.25 * gram[:, 2], abs=1e-12)
 
 
 @pytest.mark.parametrize("shift", [-17.0, -3.5, 0.0, 2.25, 40.0])
 def test_integrate_translation_invariant(shift):
-    value = integrate(lambda w: gaussian_pdf(w - shift), shift, 1.0)
-    assert value == pytest.approx(1.0, abs=1e-10)
+    gram = weighted_gram(sampler(lambda w: gaussian_pdf(w - shift), one), window(shift, 1.0))
+    assert gram[0, 0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_integrate_handles_complex_integrands():
-    value = integrate(lambda w: np.exp(1j * w) * gaussian_pdf(w), 0.0, 1.0)
+    gram = weighted_gram(sampler(gaussian_pdf, one, lambda w: np.exp(1j * w)), window(0.0, 1.0))
     # Characteristic function of a standard normal at t = 1.
-    assert value == pytest.approx(math.exp(-0.5), abs=1e-10)
-    assert abs(value.imag) <= 1e-12
+    assert gram[0, 1] == pytest.approx(math.exp(-0.5), abs=1e-10)
+    assert abs(gram[0, 1].imag) <= 1e-12
+    assert gram[1, 0] == np.conj(gram[0, 1])
+    assert gram[1, 1] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_integrate_rejects_bad_width():
-    with pytest.raises(ValidationError):
-        integrate(gaussian_pdf, 0.0, 0.0)
+    sample = sampler(gaussian_pdf, one)
+    for edges in ([0.0, 0.0], [1.0, 0.0], [0.0], [0.0, 2.0, 1.0]):
+        with pytest.raises(ValidationError):
+            weighted_gram(sample, edges)
 
 
 def test_integrate_convergence_error_carries_estimate():
     tight = QuadratureSpec(max_subdivisions=1)
     spike = lambda w: np.exp(-((w / 0.05) ** 2))  # noqa: E731
-    with pytest.raises(ConvergenceError) as excinfo:
-        integrate(spike, 0.0, 1.0, tight)
+    with pytest.raises(ConvergenceError, match=r"\(0, 0\)") as excinfo:
+        weighted_gram(sampler(one, spike), window(0.0, 1.0), tight)
     assert excinfo.value.error_estimate is not None
     assert excinfo.value.error_estimate > 0
+
+
+def test_gram_is_exactly_hermitian_and_segments_add_up():
+    # A kinked, complex integrand: splitting at the kink changes nothing but accuracy.
+    functions = (one, lambda w: np.abs(w - 0.3) * np.exp(-(w**2) + 0.7j * w), np.cos)
+    sample = sampler(gaussian_pdf, *functions)
+    split = weighted_gram(sample, [-10.0, 0.3, 10.0])
+    assert np.array_equal(split, split.conj().T)
+    assert np.all(split.diagonal().imag == 0.0)
+    halves = weighted_gram(sample, [-10.0, 0.3]) + weighted_gram(sample, [0.3, 10.0])
+    assert np.max(np.abs(split - halves)) <= 1e-12
+
+
+def test_subdivision_budget_counts_every_split():
+    # A narrow spike away from every bisection point costs one split per
+    # level, so a budget that counted levels would let one split through.
+    # The budget is shared by the whole matrix: a second spike in another
+    # column does not fit in what the first one alone needs.
+    spike = lambda c: lambda w: np.exp(-(((w - c) / 0.05) ** 2))  # noqa: E731
+    one_spike, two_spikes = sampler(one, spike(-3.0)), sampler(one, spike(-3.0), spike(3.0))
+    edges = [-10.0, 0.0, 10.0]
+    assert weighted_gram(one_spike, edges)[0, 0] == pytest.approx(0.05 * math.sqrt(math.pi / 2.0), rel=1e-10)
+
+    def converges(sample, budget):
+        try:
+            weighted_gram(sample, edges, QuadratureSpec(max_subdivisions=budget))
+        except ConvergenceError:
+            return False
+        return True
+
+    needed = next(budget for budget in range(1, 200) if converges(one_spike, budget))
+    assert needed > 1
+    assert not converges(two_spikes, needed)
 
 
 @pytest.mark.parametrize(
