@@ -150,7 +150,10 @@ def two_state_max(lam, p_peak=1.0, coarse_points=128, iterations=200, tol=1e-12)
     2.83 * lam, does not depend on ``p_peak`` (the capacity is proportional
     to it), so the search runs at unit peak.  A coarse maximum on either
     edge of the window raises ConvergenceError.  Returns
-    ``(best_bits, best_separation)``.
+    ``(best_bits, best_separation)``.  The maximum is flat, so rounding
+    decides the golden-section comparisons near it: ``best_separation`` is
+    located only to about 1e-8 relative, whatever ``tol`` says, and the last
+    3-4 of 12 printed digits of ``delta_star`` are noise.
     """
     if not lam > 0:
         raise ValidationError("width ratio must be positive")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 
@@ -296,7 +297,9 @@ def cmd_plot(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The CLI parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="speccap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -56,6 +56,7 @@ class TabulatedAmplitude:
             raise ValidationError("tabulated grid needs at least 2 points")
         if values.shape != grid.shape:
             raise ValidationError("grid and values must have equal length")
+        _require_finite(grid, values)
         if not np.all(np.diff(grid) > 0):
             raise ValidationError("tabulated grid must be strictly ascending")
         norm_sq = _interp_norm_squared(grid, values)
@@ -68,13 +69,16 @@ class TabulatedAmplitude:
         object.__setattr__(self, "values", values)
 
     def value(self, omega):
-        re = np.interp(omega, self.grid, self.values.real, left=0.0, right=0.0)
-        im = np.interp(omega, self.grid, self.values.imag, left=0.0, right=0.0)
-        return re + 1j * im
+        return np.interp(omega, self.grid, self.values, left=0.0, right=0.0)
 
     def _extent(self):
         lo, hi = float(self.grid[0]), float(self.grid[-1])
         return 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
+def _require_finite(grid, values):
+    if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+        raise ValidationError("tabulated grid and values must be finite")
 
 
 def _interp_norm_squared(grid, values):
@@ -140,6 +144,7 @@ class TabulatedResponse:
             raise ValidationError("tabulated grid needs at least 2 points")
         if values.shape != grid.shape:
             raise ValidationError("grid and values must have equal length")
+        _require_finite(grid, values)
         if not np.all(np.diff(grid) > 0):
             raise ValidationError("tabulated grid must be strictly ascending")
         if np.any(values < 0.0) or np.any(values > 1.0):
@@ -279,31 +284,53 @@ def make_gaussian_basis(n, spacing, width, centering="symmetric"):
 
 
 def _parse_table(path, columns):
-    rows = []
+    """Rows of ``columns`` comma-separated floats; blank and ``#`` lines are skipped.
+
+    Every field is converted in one pass.  A file that fails that pass is
+    converted again line by line, which names its first bad line (and
+    accepts fields padded with characters that ``str.strip`` removes but
+    ``float`` rejects, such as U+001C).  Lines are counted at newline
+    characters only, as iterating the file does.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = [field.strip() for field in line.split(",")]
-            if len(fields) != columns:
-                raise ValidationError(
-                    f"{path}:{lineno}: expected {columns} comma-separated values, got {len(fields)}"
-                )
-            try:
-                rows.append([float(field) for field in fields])
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
-    if len(rows) < 2:
+        lines = [line.strip() for line in handle.read().split("\n")]
+    data = [line for line in lines if line and not line.startswith("#")]
+    try:
+        if any(line.count(",") != columns - 1 for line in data):
+            raise ValueError("wrong column count")
+        values = list(map(float, ",".join(data).split(",")))
+    except ValueError:
+        values = _parse_lines(path, lines, columns)
+    if len(data) < 2:
         raise ValidationError(f"{path}: needs at least 2 data rows")
-    return np.array(rows, dtype=float)
+    return np.array(values, dtype=float).reshape(len(data), columns)
+
+
+def _parse_lines(path, lines, columns):
+    """Fields of the data lines in order, converted one line at a time."""
+    values = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line or line.startswith("#"):
+            continue
+        fields = [field.strip() for field in line.split(",")]
+        if len(fields) != columns:
+            raise ValidationError(
+                f"{path}:{lineno}: expected {columns} comma-separated values, got {len(fields)}"
+            )
+        try:
+            values += [float(field) for field in fields]
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+    return values
 
 
 def load_tabulated_amplitude(path):
     """Read ``omega,re,im`` lines (``#`` comments allowed) into an amplitude."""
     table = _parse_table(path, 3)
+    with np.errstate(invalid="ignore"):  # 1j * inf is NaN, which the amplitude rejects
+        values = table[:, 1] + 1j * table[:, 2]
     try:
-        return TabulatedAmplitude(table[:, 0], table[:, 1] + 1j * table[:, 2])
+        return TabulatedAmplitude(table[:, 0], values)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 

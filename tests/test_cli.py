@@ -365,3 +365,51 @@ def test_thread_env_var_validation(tmp_path):
         "--out", str(tmp_path / "o.csv"), env={"SPECCAP_THREADS": "zero"},
     )
     assert result.returncode == EXIT_USAGE
+
+
+def test_gram_dump_non_finite_letter_is_invalid_input(tmp_path):
+    letter = tmp_path / "nan.csv"
+    letter.write_text("0,1,0\n1,nan,0\n2,1,0\n", encoding="utf-8")
+    result = run_cli(
+        "gram-dump", "--letters", str(letter), "--eta", "1", "--out", str(tmp_path / "g.csv"),
+        env={"PYTHONWARNINGS": "error::RuntimeWarning"},
+    )
+    assert result.returncode == EXIT_USAGE
+    assert "invalid input" in result.stderr and "nan.csv" in result.stderr and "finite" in result.stderr
+
+
+def write_letter(path, center):
+    path.write_text(f"-6,0.1,0\n{center},1,0\n6,0.1,0\n", encoding="utf-8")
+    return str(path)
+
+
+def test_consecutive_calls_do_not_share_letters(tmp_path):
+    a = write_letter(tmp_path / "a.csv", 0)
+    b = write_letter(tmp_path / "b.csv", 1)
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert main(["gram-dump", "--letters", a, "--letters", b, "--eta", "1", "--out", str(first)]) == EXIT_OK
+    assert main(["gram-dump", "--letters", b, "--eta", "1", "--out", str(second)]) == EXIT_OK
+    assert len([r for r in read_rows(first) if r["record"] == "gram"]) == 4
+    assert len([r for r in read_rows(second) if r["record"] == "gram"]) == 1
+    fresh = tmp_path / "fresh.csv"
+    assert run_cli("gram-dump", "--letters", b, "--eta", "1", "--out", str(fresh)).returncode == EXIT_OK
+    assert second.read_bytes() == fresh.read_bytes()
+
+
+def test_option_given_once_falls_back_to_its_default_next_call(tmp_path):
+    sweep = ["sweep", "--mode", "gaussian", "--n", "2", "--delta-omega", "1", "--sigma-eta", "2"]
+    assert main(sweep + ["--p-peak", "0.5", "--out", str(tmp_path / "half.csv")]) == EXIT_OK
+    assert main(sweep + ["--out", str(tmp_path / "default.csv")]) == EXIT_OK
+    assert [r["p_peak"] for r in read_rows(tmp_path / "half.csv")] == ["0.5"]
+    assert [r["p_peak"] for r in read_rows(tmp_path / "default.csv")] == ["1"]
+
+
+def test_usage_error_leaves_the_next_call_as_in_a_fresh_process(tmp_path):
+    args = ["sweep", "--mode", "flat", "--n", "2,4", "--delta-omega", "0:2:1", "--eta", "0.5,1"]
+    assert main(args + ["--frobnicate", "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+    assert main(["sweep", "--mode", "flat", "--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+    reused, fresh = tmp_path / "reused.csv", tmp_path / "fresh.csv"
+    assert main(args + ["--post-select", "--out", str(reused)]) == EXIT_OK
+    assert run_cli(*args, "--post-select", "--out", str(fresh)).returncode == EXIT_OK
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert not (tmp_path / "x.csv").exists()

@@ -5,11 +5,14 @@ speccap's numerics: linearly interpolated letters and channel make the
 integrand a degree-4 polynomial on every grid segment, which a 3-point
 Gauss-Legendre rule integrates exactly.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from speccap.capacity import erasure_bounds, holevo_bound
 from speccap.channel import EncodingEnsemble, compute_gram, output_spectrum, reweight
 from speccap.spectral import (
     FlatResponse,
@@ -17,6 +20,7 @@ from speccap.spectral import (
     GaussianPeakResponse,
     TabulatedAmplitude,
     TabulatedResponse,
+    make_gaussian_basis,
     modulated_overlap,
     quadrature_gram,
 )
@@ -28,6 +32,14 @@ closed_form_channels = st.one_of(
     st.builds(FlatResponse, st.floats(0.1, 1.0)),
     st.builds(GaussianPeakResponse, st.floats(0.1, 1.0), st.floats(0.5, 5.0)),
 )
+
+
+@st.composite
+def gaussian_ensembles(draw):
+    """Random Gaussian letters with random priors."""
+    letters = draw(gaussian_letters)
+    raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(letters), max_size=len(letters))))
+    return EncodingEnsemble(letters, raw / raw.sum())
 
 
 @st.composite
@@ -83,3 +95,27 @@ def test_tabulated_reweight_matches_a_fresh_gram_and_conserves_probability(input
     assert shifted.mean_loss == pytest.approx(fresh.mean_loss, abs=1e-14)
     spectrum, mean_loss = output_spectrum(shifted)
     assert spectrum.sum() + mean_loss == pytest.approx(1.0, abs=1e-12)
+
+
+@given(gaussian_ensembles(), closed_form_channels)
+def test_gaussian_ensembles_conserve_probability_and_order_the_bounds(ensemble, response):
+    report = holevo_bound(compute_gram(ensemble, response))
+    assert report.spectrum.sum() + report.mean_loss == pytest.approx(1.0, abs=1e-12)
+    # holevo - post_selected = h(mean loss) - sum p_i h(loss_i) is zero for
+    # equal loss rates, so only rounding may put it below zero.
+    assert 0.0 <= report.post_selected_bits <= report.holevo_bits + 1e-12
+    assert report.holevo_bits <= math.log2(ensemble.n)
+
+
+@given(
+    st.integers(1, 16),
+    st.floats(0.0, 6.0),
+    st.floats(0.3, 3.0),
+    st.floats(0.3, 5.0),
+    st.floats(0.0, 1.0),
+    st.sampled_from(["symmetric", "zero-start"]),
+)
+def test_holevo_stays_below_the_erasure_bound(n, spacing, sigma_psi, sigma_eta, p_peak, centering):
+    letters = make_gaussian_basis(n, spacing, sigma_psi, centering)
+    report = holevo_bound(compute_gram(EncodingEnsemble.uniform(letters), GaussianPeakResponse(p_peak, sigma_eta)))
+    assert report.holevo_bits <= erasure_bounds(sigma_psi, sigma_eta, p_peak, n).bound_bits + 1e-12

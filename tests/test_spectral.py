@@ -60,6 +60,10 @@ def test_tabulated_amplitude_interpolates_linearly():
         ([0.0, 0.0], [1.0, 1.0]),
         ([1.0, 0.0], [1.0, 1.0]),
         ([0.0, 1.0, 2.0], [0.0, 0.0, 0.0]),
+        ([0.0, 1.0, 2.0], [1.0, np.nan, 1.0]),
+        ([0.0, 1.0, 2.0], [1.0, 1.0j * np.inf, 1.0]),
+        ([0.0, 1.0, np.inf], [1.0, 1.0, 1.0]),
+        ([np.nan, 1.0, 2.0], [1.0, 1.0, 1.0]),
     ],
 )
 def test_tabulated_amplitude_validation(grid, values):
@@ -78,6 +82,20 @@ def test_channel_response_validation():
         TabulatedResponse([0.0, 1.0], [-0.2, 0.5])
     with pytest.raises(ValidationError):
         TabulatedResponse([0.0, 1.0], [0.5, 1.5])
+
+
+@pytest.mark.parametrize(
+    "grid,values",
+    [
+        ([0.0, 1.0, 2.0], [0.5, np.nan, 0.5]),
+        ([0.0, 1.0, 2.0], [0.5, 0.5, np.inf]),
+        ([0.0, 1.0, np.inf], [0.5, 0.5, 0.5]),
+        ([-np.inf, 1.0, 2.0], [0.5, 0.5, 0.5]),
+    ],
+)
+def test_tabulated_response_rejects_non_finite_input(grid, values):
+    with pytest.raises(ValidationError, match="finite"):
+        TabulatedResponse(grid, values)
 
 
 def test_overlap_identical_through_matched_gaussian_channel():
@@ -232,3 +250,68 @@ def test_tabulated_file_non_ascending_grid(tmp_path):
     path.write_text("0,1,0\n0,1,0\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="ascending"):
         load_tabulated_amplitude(path)
+
+
+@pytest.mark.parametrize(
+    "text,lineno",
+    [
+        ("0,1,0\r\n1,oops,0\r\n2,1,0\r\n", 2),
+        ("0,1,0\r1,oops,0\r2,1,0\r", 2),
+        ("# omega,re,im\n\n   # indented\n0,1,0\n \t \n1,oops,0\n", 6),
+        ("0,1\x0c,0\n1,oops,0\n", 2),
+        ("0,1,0\n\x0c\n1,oops,0\n", 3),
+        ("0,1,0\n1,oops,0\n2,1\n", 2),
+        ("0,1,0\n1,1\n2,oops,0\n", 2),
+        ("0,1,0\n1,,0\n", 2),
+        ("0,1\n1,1,0,0\n2,1,0\n", 1),
+    ],
+    ids=["crlf", "cr", "comments-and-blanks", "formfeed-in-line", "formfeed-line", "number-before-columns",
+         "columns-before-number", "empty-field", "column-counts-that-add-up"],
+)
+def test_tabulated_file_error_names_the_first_bad_line(tmp_path, text, lineno):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ValidationError, match=rf"bad\.csv:{lineno}: "):
+        load_tabulated_amplitude(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "-0.5,0.25\n1e3,1\n",
+        "-0.5,0.25\r\n1e3,1\r\n",
+        "# omega,eta\n\n  # indented comment\n -0.5 , 0.25 \n\t\n1e3,\x0c1\n# end",
+        "-0.5,\x1c0.25\n1_000,1",
+    ],
+    ids=["plain", "crlf", "comments-blanks-padding", "float-syntax"],
+)
+def test_tabulated_file_accepted_syntax(tmp_path, text):
+    path = tmp_path / "channel.csv"
+    path.write_bytes(text.encode("utf-8"))
+    response = load_tabulated_response(path)
+    assert response.grid.tolist() == [-0.5, 1000.0]
+    assert response.values.tolist() == [0.25, 1.0]
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# omega,eta\n", "0,1\n", "# a\n0,1\n\n# b\n"])
+def test_tabulated_file_needs_two_data_rows(tmp_path, text):
+    path = tmp_path / "short.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"short\.csv: needs at least 2 data rows"):
+        load_tabulated_response(path)
+
+
+@pytest.mark.parametrize(
+    "loader,text",
+    [
+        (load_tabulated_amplitude, "0,1,0\n1,nan,0\n2,1,0\n"),
+        (load_tabulated_amplitude, "0,1,0\n1,1,-inf\n2,1,0\n"),
+        (load_tabulated_response, "0,0.5\ninf,0.5\n"),
+        (load_tabulated_response, "0,0.5\n1,NaN\n"),
+    ],
+)
+def test_tabulated_file_non_finite_value_is_rejected_with_path(tmp_path, loader, text):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"nonfinite\.csv: .*finite"):
+        loader(path)
