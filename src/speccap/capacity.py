@@ -16,8 +16,6 @@ from .errors import ComputationError, ConvergenceError, ValidationError
 from .numerics import DEFAULT_QUADRATURE, HermitianMatrix, hermitian_eigenvalues
 from .spectral import make_gaussian_basis
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 def _plog2p(x):
     return x * math.log2(x) if x > 0.0 else 0.0
@@ -142,18 +140,36 @@ def two_state_exact(delta, lam, p_peak=1.0):
     return q0 * binary_capacity(0.5 * (1.0 - math.sqrt(1.0 - overlap_sq)))
 
 
-def two_state_max(lam, p_peak=1.0, coarse_points=128, iterations=200, tol=1e-12):
+def _two_state_slope(delta, lam):
+    """A positive multiple of ``d two_state_exact / d delta`` at ``delta > 0``.
+
+    With ``r = 1 / (4 lam^2 (1 + lam^2))``, ``c^2 = exp(-r delta^2)``,
+    ``s = sqrt(1 - c^2)`` and ``x = (1 - s) / 2``, the derivative is
+    ``q0 * delta`` times ``r c^2 atanh(s) / (s ln 2) - (1 - h(x)) / (4 (1 + lam^2))``.
+    ``atanh(s)`` is taken as ``log1p(s) + r delta^2 / 2``, finite as
+    ``c -> 0``, and ``x`` as ``c^2 / (2 (1 + s))``, exact as ``s -> 1``.
+    """
+    lam_sq1 = 1.0 + lam * lam
+    rate = 1.0 / (4.0 * lam * lam * lam_sq1)
+    exponent = rate * delta * delta
+    overlap_sq = math.exp(-exponent)
+    s = math.sqrt(-math.expm1(-exponent))
+    gain = rate * overlap_sq * (math.log1p(s) + 0.5 * exponent) / (s * math.log(2.0))
+    return gain - binary_capacity(0.5 * overlap_sq / (1.0 + s)) / (4.0 * lam_sq1)
+
+
+def two_state_max(lam, p_peak=1.0, coarse_points=128):
     """Maximise :func:`two_state_exact` over the letter separation.
 
     Coarse grid on [1e-6, max(50, 10 * lam)] to bracket the (unimodal)
-    maximum, then golden-section refinement.  The best separation, about
+    maximum, then bisection on the sign of the analytic derivative, down to
+    adjacent floating-point numbers.  The best separation, about
     2.83 * lam, does not depend on ``p_peak`` (the capacity is proportional
     to it), so the search runs at unit peak.  A coarse maximum on either
-    edge of the window raises ConvergenceError.  Returns
-    ``(best_bits, best_separation)``.  The maximum is flat, so rounding
-    decides the golden-section comparisons near it: ``best_separation`` is
-    located only to about 1e-8 relative, whatever ``tol`` says, and the last
-    3-4 of 12 printed digits of ``delta_star`` are noise.
+    edge of the window, or a bracket the derivative does not change sign
+    across, raises ConvergenceError.  Returns ``(best_bits, best_separation)``.
+    The derivative crosses zero with a nonzero slope, so ``best_separation``
+    is well conditioned even though the maximum itself is flat.
     """
     if not lam > 0:
         raise ValidationError("width ratio must be positive")
@@ -167,27 +183,18 @@ def two_state_max(lam, p_peak=1.0, coarse_points=128, iterations=200, tol=1e-12)
         )
 
     a, b = float(grid[best - 1]), float(grid[best + 1])
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1 = two_state_exact(x1, lam)
-    f2 = two_state_exact(x2, lam)
-    for _ in range(iterations):
-        if b - a <= tol:
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = two_state_exact(x2, lam)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = two_state_exact(x1, lam)
-    else:
+    if not _two_state_slope(a, lam) > 0.0 > _two_state_slope(b, lam):
         raise ConvergenceError(
-            f"separation search stalled on bracket [{a}, {b}]", error_estimate=b - a
+            f"separation derivative does not change sign on [{a}, {b}]", error_estimate=b - a
         )
-    best_sep = 0.5 * (a + b)
-    return two_state_exact(best_sep, lam, p_peak), best_sep
+    mid = 0.5 * (a + b)
+    while a < mid < b:
+        if _two_state_slope(mid, lam) > 0.0:
+            a = mid
+        else:
+            b = mid
+        mid = 0.5 * (a + b)
+    return two_state_exact(mid, lam, p_peak), mid
 
 
 def _holevo_from_weights(gram_entries, loss, weights):

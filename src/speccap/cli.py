@@ -248,9 +248,11 @@ def _read_csv_columns(path):
         reader = csv.reader(handle)
         try:
             header = next(reader)
+            rows = [row for row in reader if row]
         except StopIteration:
             raise UsageError(f"{path}: empty CSV") from None
-        rows = [row for row in reader if row]
+        except UnicodeDecodeError:
+            raise ValidationError(f"{path}: not valid UTF-8 text") from None
     return header, rows
 
 

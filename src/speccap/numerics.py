@@ -1,12 +1,13 @@
 """Numerical primitives: quadrature Gram matrices and small Hermitian eigenproblems.
 
-Quadrature is one node rule for a whole set of functions: a fixed-order
-Gauss-Legendre rule on every segment between given breakpoints, so each
-panel's matrix of weighted overlaps is one matmul, with the segments whose
-whole-panel and half-panel matrices disagree bisected level by level.  It is
-deterministic and robust for the smooth, rapidly decaying integrands here.
-Eigenvalues come from LAPACK through ``numpy.linalg.eigvalsh``; matrices are
-small (N up to ~128).
+Quadrature is one node rule for a whole set of functions: the embedded
+21-point Gauss-Kronrod / 10-point Gauss pair of QUADPACK on every segment
+between given breakpoints.  Each segment is sampled once, at the 21
+Kronrod nodes; a matmul per rule gives its panel matrices of weighted
+overlaps, and their difference is the per-entry error estimate.  Segments
+whose estimate is too large are bisected level by level.  Eigenvalues come
+from LAPACK through ``numpy.linalg.eigvalsh``; matrices are small (N up to
+~128).
 """
 from __future__ import annotations
 
@@ -16,10 +17,37 @@ import numpy as np
 
 from .errors import ComputationError, ConvergenceError, PsdViolationError, ValidationError
 
-# Fixed panel rule. 21 points integrate smooth Gaussian-type factors to
-# machine precision on panels comparable to the integrand width.
-_GL_ORDER = 21
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
+# QUADPACK dqk21 (Piessens et al., 1983): the 21-point Kronrod abscissae in
+# [0, 1], descending, with their weights; every other one, from the second,
+# is a node of the 10-point Gauss rule, whose weights are ``_WG``.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980529070, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+# The Kronrod nodes on [-1, 1], ascending, and their weights; the Gauss
+# nodes are the ones at ``_GAUSS``.
+_GK_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_KRONROD_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_GAUSS = slice(1, None, 2)
+_GAUSS_WEIGHTS = np.concatenate([_WG, _WG[::-1]])
+
 # Segments whose panel matrices are formed together; bounds the sampled block.
 _SEGMENT_BLOCK = 16
 
@@ -48,14 +76,22 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 def _panel_matrices(sample, lo, hi):
-    """Fixed-order Gauss-Legendre Gram matrices, one per panel ``[lo[k], hi[k]]``."""
+    """Kronrod panel matrices, one per panel ``[lo[k], hi[k]]``, and their per-entry error estimates.
+
+    Each panel is sampled once, at its 21 Kronrod nodes; the estimate is
+    ``|K21 - G10|``.  ``wK - wG`` changes sign, so the difference is not one
+    weighted product: each rule's matrix is formed on its own, with the
+    square root of its (positive) weights in both factors.
+    """
     half = 0.5 * (hi - lo)
-    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL_NODES
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES
     columns, weight = sample(nodes.ravel())
-    # sqrt(weights * w) goes into both factors, so only the conjugate is copied.
-    scale = np.sqrt(np.reshape(weight, nodes.shape) * half[:, None] * _GL_WEIGHTS)
-    columns = np.reshape(columns, (*nodes.shape, -1)) * scale[:, :, None]
-    return np.matmul(columns.conj().transpose(0, 2, 1), columns)
+    columns = np.reshape(columns, (*nodes.shape, -1))
+    weight = np.reshape(weight, nodes.shape) * half[:, None]
+    kronrod = np.sqrt(weight * _KRONROD_WEIGHTS)[:, :, None] * columns
+    gauss = np.sqrt(weight[:, _GAUSS] * _GAUSS_WEIGHTS)[:, :, None] * columns[:, _GAUSS]
+    panels = np.matmul(kronrod.conj().transpose(0, 2, 1), kronrod)
+    return panels, np.abs(panels - np.matmul(gauss.conj().transpose(0, 2, 1), gauss))
 
 
 def weighted_gram(sample, edges, spec=DEFAULT_QUADRATURE):
@@ -67,14 +103,13 @@ def weighted_gram(sample, edges, spec=DEFAULT_QUADRATURE):
     shape ``(omega.size,)``.  ``edges`` are the ascending ends of the segments on
     which the integrand is smooth.
 
-    Every segment gets the same fixed Gauss-Legendre rule, so a panel's matrix
-    is ``X^H diag(weights * w) X``, formed for a block of segments by one
-    batched matmul.  A segment is accepted when, in every entry, its
-    whole-panel matrix and the sum of its two halves agree within the
-    segment's share of ``max(rel_tolerance * |G_ij|, abs_tolerance)``; the
-    other segments are bisected, level by level, and ``|G_ij|`` is
-    re-estimated at every level.  The upper triangle is mirrored, so the
-    result is exactly Hermitian.
+    Every segment gets the same Gauss-Kronrod pair, so a panel's matrix is
+    ``X^H diag(weights * w) X`` for either rule's weights, formed for a block
+    of segments by batched matmuls.  A segment is accepted when, in every
+    entry, its Kronrod and Gauss matrices agree within the segment's share of
+    ``max(rel_tolerance * |G_ij|, abs_tolerance)``; the other segments are
+    bisected, level by level, and ``|G_ij|`` is re-estimated at every level.
+    The upper triangle is mirrored, so the result is exactly Hermitian.
 
     Raises ConvergenceError naming the worst entry, and carrying its error
     estimate, when more than ``max_subdivisions`` bisections are needed.
@@ -85,47 +120,30 @@ def weighted_gram(sample, edges, spec=DEFAULT_QUADRATURE):
     lo, hi = edges[:-1], edges[1:]
     # Fraction of each entry's tolerance a segment may spend; halved on bisection.
     share = np.full(lo.size, 1.0 / lo.size)
-    blocks = range(0, lo.size, _SEGMENT_BLOCK)
-    # Whole-panel matrices of the active segments, one array per block.
-    wholes = [_panel_matrices(sample, lo[k : k + _SEGMENT_BLOCK], hi[k : k + _SEGMENT_BLOCK]) for k in blocks]
     min_width = 1e-14 * (edges[-1] - edges[0])
-    total = np.zeros_like(wholes[0][0])
+    total = 0.0
     splits = 0
     while lo.size:
-        estimate = total + sum(whole.sum(axis=0) for whole in wholes)
-        tolerance = np.maximum(spec.rel_tolerance * np.abs(estimate), spec.abs_tolerance)
-        mid = 0.5 * (lo + hi)
-        done = np.empty(lo.size, dtype=bool)
-        pending = np.zeros(tolerance.shape)
-        lefts, rights = [], []
-        for k, whole in zip(blocks, wholes):
-            block = slice(k, k + _SEGMENT_BLOCK)
-            a, m, b = lo[block], mid[block], hi[block]
-            halves = _panel_matrices(sample, np.concatenate([a, m]), np.concatenate([m, b]))
-            left, right = halves[: a.size], halves[a.size :]
-            refined = left + right
-            error = np.abs(refined - whole)
-            ok = np.all(error <= share[block, None, None] * tolerance, axis=(1, 2)) | (b - a <= min_width)
-            total += refined[ok].sum(axis=0)
-            pending += error[~ok].sum(axis=0)
-            # The halves of a bisected segment are the whole panels of its children.
-            lefts.append(left[~ok])
-            rights.append(right[~ok])
-            done[block] = ok
-        keep = ~done
+        blocks = [
+            _panel_matrices(sample, lo[k : k + _SEGMENT_BLOCK], hi[k : k + _SEGMENT_BLOCK])
+            for k in range(0, lo.size, _SEGMENT_BLOCK)
+        ]
+        panels, errors = (np.concatenate(parts) for parts in zip(*blocks))
+        tolerance = np.maximum(spec.rel_tolerance * np.abs(total + panels.sum(axis=0)), spec.abs_tolerance)
+        keep = ~(np.all(errors <= share[:, None, None] * tolerance, axis=(1, 2)) | (hi - lo <= min_width))
+        total = total + panels[~keep].sum(axis=0)
         splits += np.count_nonzero(keep)
         if splits > spec.max_subdivisions:
+            pending = errors[keep].sum(axis=0)
             i, j = np.unravel_index(np.argmax(np.triu(pending / tolerance)), tolerance.shape)
             raise ConvergenceError(
                 f"Gram entry ({i}, {j}) did not converge within {spec.max_subdivisions} "
                 f"subdivisions (error estimate {pending[i, j]:.3e})",
                 error_estimate=float(pending[i, j]),
             )
+        mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
         share = 0.5 * np.concatenate([share[keep], share[keep]])
-        blocks = range(0, lo.size, _SEGMENT_BLOCK)
-        children = np.concatenate(lefts + rights)
-        wholes = [children[k : k + _SEGMENT_BLOCK] for k in blocks]
     gram = np.triu(total) + np.triu(total, 1).conj().T
     np.fill_diagonal(gram, total.diagonal().real)
     return gram

@@ -4,9 +4,10 @@ Frequencies are dimensionless offsets from a carrier; amplitudes are
 unit-normalized (``integral |psi|^2 = 1``) and channels are amplitude
 transmissions in [0, 1].  Overlaps of Gaussian amplitudes through flat or
 Gaussian-passband channels have closed forms.  Everything else goes through
-one quadrature node rule for a whole set of letters: fixed Gauss-Legendre
-panels on the segments between the merged grid points of the tabulated
-factors, bisected where the panel matrices disagree with their halves.
+one quadrature node rule for a whole set of letters: Gauss-Kronrod panels on
+the segments between the merged grid points of the tabulated factors and
+the centre and tails of every factor, bisected where the Kronrod and Gauss
+matrices disagree.
 """
 from __future__ import annotations
 
@@ -162,17 +163,9 @@ class TabulatedResponse:
         return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
-def _integration_window(parts, truncation_sigmas):
-    """Enclosing (center, width) so that center +- sigmas*width covers all parts."""
-    centers = []
-    widths = []
-    for part in parts:
-        extent = part._extent()
-        if extent is None:
-            continue
-        center, width = extent
-        centers.append(center)
-        widths.append(width)
+def _integration_window(extents, truncation_sigmas):
+    """Enclosing (center, width) so that center +- sigmas*width covers every ``(c, w)`` extent."""
+    centers, widths = zip(*extents)
     lo = min(centers) - truncation_sigmas * max(widths)
     hi = max(centers) + truncation_sigmas * max(widths)
     return 0.5 * (lo + hi), (hi - lo) / (2.0 * truncation_sigmas)
@@ -211,14 +204,22 @@ def quadrature_gram(letters, response, spec=DEFAULT_QUADRATURE):
     The window covers every letter and the channel to ``truncation_sigmas``
     widths.  Tabulated factors kink the integrand at their grid points, so
     the merged grid points inside the window split it into segments on
-    which the fixed Gauss-Legendre panels see a smooth integrand.
+    which the Gauss-Kronrod panels see a smooth integrand.  Every factor
+    with an extent ``(c, w)`` also puts breakpoints at ``c +-
+    truncation_sigmas * w``, because the Kronrod and Gauss rules share their
+    nodes: a narrow letter that fell between all of a wide panel's nodes
+    would read as converged.  A breakpoint at ``c`` puts each flank of a
+    peak in panels of its own.
     """
     parts = (*letters, response)
-    center, width = _integration_window(parts, spec.truncation_sigmas)
+    extents = [extent for extent in (part._extent() for part in parts) if extent is not None]
+    center, width = _integration_window(extents, spec.truncation_sigmas)
     lo = center - spec.truncation_sigmas * width
     hi = center + spec.truncation_sigmas * width
     grids = [part.grid for part in parts if isinstance(part, (TabulatedAmplitude, TabulatedResponse))]
-    points = np.sort(np.concatenate([[lo, hi], *grids]))
+    reach = spec.truncation_sigmas
+    seeds = [(c - reach * w, c, c + reach * w) for c, w in extents]
+    points = np.sort(np.concatenate([[lo, hi], np.ravel(seeds), *grids]))
     points = points[(points >= lo) & (points <= hi)]
     edges = points[np.concatenate([[True], np.diff(points) > 0])]
 
@@ -286,14 +287,18 @@ def make_gaussian_basis(n, spacing, width, centering="symmetric"):
 def _parse_table(path, columns):
     """Rows of ``columns`` comma-separated floats; blank and ``#`` lines are skipped.
 
-    Every field is converted in one pass.  A file that fails that pass is
+    A file that is not UTF-8 text raises ValidationError naming it.  Every
+    field is converted in one pass.  A file that fails that pass is
     converted again line by line, which names its first bad line (and
     accepts fields padded with characters that ``str.strip`` removes but
     ``float`` rejects, such as U+001C).  Lines are counted at newline
     characters only, as iterating the file does.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.strip() for line in handle.read().split("\n")]
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = [line.strip() for line in handle.read().split("\n")]
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not valid UTF-8 text") from None
     data = [line for line in lines if line and not line.startswith("#")]
     try:
         if any(line.count(",") != columns - 1 for line in data):

@@ -182,6 +182,15 @@ def test_two_state_max_wide_photon_matches_dense_scan(lam):
     assert separation == pytest.approx(2.83 * lam, rel=0.01)
 
 
+@pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, 2.5, 5.0])
+def test_two_state_max_separation_does_not_depend_on_the_coarse_grid(lam):
+    # The maximum is flat, but the derivative crosses zero steeply, so the
+    # best separation is found to rounding whichever bracket the grid gives.
+    _, separation = two_state_max(lam)
+    _, finer = two_state_max(lam, coarse_points=1001)
+    assert finer == pytest.approx(separation, rel=1e-12)
+
+
 def test_two_state_max_raises_on_window_edge():
     # Best separation ~2.8e-7 lies below the window start 1e-6.
     with pytest.raises(ConvergenceError, match="window edge"):

@@ -378,6 +378,24 @@ def test_gram_dump_non_finite_letter_is_invalid_input(tmp_path):
     assert "invalid input" in result.stderr and "nan.csv" in result.stderr and "finite" in result.stderr
 
 
+def test_gram_dump_non_utf8_letter_file_is_invalid_input(tmp_path):
+    letter = tmp_path / "latin1.csv"
+    letter.write_bytes(b"0,1,0\n# caf\xe9\n1,\xff,0\n")
+    result = run_cli("gram-dump", "--letters", str(letter), "--eta", "1", "--out", str(tmp_path / "g.csv"))
+    assert result.returncode == EXIT_USAGE
+    assert "invalid input" in result.stderr and "latin1.csv" in result.stderr and "UTF-8" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_plot_non_utf8_input_is_invalid_input(tmp_path):
+    data = tmp_path / "latin1.csv"
+    data.write_bytes(b"lambda,c_max_bits\n0.5,0.5\n1,\xff\n")
+    result = run_cli("plot", "--in", str(data), "--kind", "line", "--x", "lambda", "--y", "c_max_bits", "--out", str(tmp_path / "p.svg"))
+    assert result.returncode == EXIT_USAGE
+    assert "invalid input" in result.stderr and "latin1.csv" in result.stderr and "UTF-8" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def write_letter(path, center):
     path.write_text(f"-6,0.1,0\n{center},1,0\n6,0.1,0\n", encoding="utf-8")
     return str(path)

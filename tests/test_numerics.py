@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from speccap import numerics
 from speccap.errors import ComputationError, ConvergenceError, PsdViolationError, ValidationError
 from speccap.numerics import (
     DEFAULT_QUADRATURE,
@@ -123,6 +124,52 @@ def test_subdivision_budget_counts_every_split():
     needed = next(budget for budget in range(1, 200) if converges(one_spike, budget))
     assert needed > 1
     assert not converges(two_spikes, needed)
+
+
+def test_gauss_nodes_are_the_10_point_legendre_nodes():
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    assert np.max(np.abs(numerics._GK_NODES[numerics._GAUSS] - nodes)) <= 1e-15
+    assert np.max(np.abs(numerics._GAUSS_WEIGHTS - weights)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "nodes, weights, degree",
+    [
+        (numerics._GK_NODES, numerics._KRONROD_WEIGHTS, 31),
+        (numerics._GK_NODES[numerics._GAUSS], numerics._GAUSS_WEIGHTS, 19),
+    ],
+    ids=["kronrod21", "gauss10"],
+)
+def test_rule_integrates_monomials_exactly_up_to_its_degree(nodes, weights, degree):
+    exact = [2.0 / (k + 1) if k % 2 == 0 else 0.0 for k in range(degree + 2)]
+    errors = [abs(weights @ nodes**k - value) for k, value in enumerate(exact)]
+    assert max(errors[: degree + 1]) <= 1e-15
+    assert errors[degree + 1] > 1e-13  # and no further
+
+
+def test_piecewise_linear_input_is_sampled_once_per_segment():
+    # Linear letters and channel make every segment's integrand a quartic,
+    # which both rules integrate exactly, so nothing is bisected.
+    rng = np.random.default_rng(3)
+    grid = np.cumsum(rng.uniform(0.1, 1.0, 41))
+    letters = rng.normal(size=(3, grid.size)) + 1j * rng.normal(size=(3, grid.size))
+    eta = rng.uniform(0.0, 1.0, grid.size)
+    sampled = []
+
+    def sample(omega):
+        sampled.append(omega.size)
+        columns = np.stack([np.interp(omega, grid, letter) for letter in letters], axis=-1)
+        return columns, np.interp(omega, grid, eta) ** 2
+
+    gram = weighted_gram(sample, grid)
+    assert sum(sampled) == 21 * (grid.size - 1)
+    # Three Gauss-Legendre points per segment are exact for a quartic too.
+    nodes, weights = np.polynomial.legendre.leggauss(3)
+    half = 0.5 * np.diff(grid)[:, None]
+    omega = (0.5 * (grid[:-1] + grid[1:]))[:, None] + half * nodes
+    columns, weight = sample(omega.ravel())
+    exact = columns.conj().T @ (columns * (weight * (half * weights).ravel())[:, None])
+    assert np.max(np.abs(gram - exact)) <= 1e-12
 
 
 @pytest.mark.parametrize(

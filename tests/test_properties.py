@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from speccap.capacity import erasure_bounds, holevo_bound
@@ -32,6 +32,45 @@ closed_form_channels = st.one_of(
     st.builds(FlatResponse, st.floats(0.1, 1.0)),
     st.builds(GaussianPeakResponse, st.floats(0.1, 1.0), st.floats(0.5, 5.0)),
 )
+
+
+# Widths log-uniform down to 0.005: narrow letters fall between all the
+# nodes of a wide panel unless breakpoints are seeded at them.
+narrow_gaussian_letters = st.lists(
+    st.builds(GaussianAmplitude, st.floats(-5.0, 5.0), st.floats(math.log(0.005), math.log(3.0)).map(math.exp)),
+    min_size=1,
+    max_size=6,
+)
+# (channel for quadrature, closed-form channel with the same overlaps).  The
+# two-point tabulated channel is flat far past every letter's tails.
+quadrature_channels = st.one_of(
+    closed_form_channels.map(lambda response: (response, response)),
+    st.floats(0.1, 1.0).map(lambda t: (TabulatedResponse([-50.0, 50.0], [t, t]), FlatResponse(t))),
+)
+
+
+def stable_gaussian_gram(letters, response):
+    """Closed-form Gram matrix of Gaussian letters through a flat or Gaussian-peak channel.
+
+    The same completing-the-square form as the package's, but with the
+    exponent ``B^2/A - D`` written as ``-(a b (c_a - c_b)^2 + k (a c_a^2 +
+    b c_b^2)) / A``, a sum of non-negative terms: for a narrow letter far
+    from 0, ``B^2/A`` and ``D`` are large and nearly equal, and their
+    difference loses up to about 1e-10 relative.
+    """
+    centers = np.array([letter.center for letter in letters])
+    widths = np.array([letter.width for letter in letters])
+    a = 0.25 / widths**2
+    if isinstance(response, FlatResponse):
+        power, k = response.transmission**2, 0.0
+    else:
+        power, k = response.peak_probability, 0.5 / response.width**2
+    quad = a[:, None] + a + k
+    spread = np.outer(a, a) * np.subtract.outer(centers, centers) ** 2
+    offset = k * np.add.outer(a * centers**2, a * centers**2)
+    exponent = (spread + offset) / quad
+    norm = (2.0 * math.pi) ** -0.5 / np.sqrt(np.outer(widths, widths))
+    return power * norm * np.sqrt(math.pi / quad) * np.exp(-exponent)
 
 
 @st.composite
@@ -72,6 +111,18 @@ def exact_tabulated_gram(grid, letters, eta):
 @given(gaussian_letters, closed_form_channels)
 def test_quadrature_matches_the_gaussian_closed_form(letters, response):
     closed = compute_gram(EncodingEnsemble.uniform(letters), response).gram.entries
+    assert np.max(np.abs(quadrature_gram(letters, response) - closed)) <= 1e-10
+    pair = modulated_overlap(letters[0], letters[-1], response, method="quadrature")
+    assert abs(pair - closed[0, -1]) <= 1e-10
+
+
+# Twice the profile's examples: with 50, none puts a letter narrow enough
+# between a wide panel's nodes for the rule without seeded breakpoints to miss.
+@settings(max_examples=100)
+@given(narrow_gaussian_letters, quadrature_channels)
+def test_quadrature_matches_the_closed_form_for_narrow_letters(letters, channels):
+    response, closed_form = channels
+    closed = stable_gaussian_gram(letters, closed_form)
     assert np.max(np.abs(quadrature_gram(letters, response) - closed)) <= 1e-10
     pair = modulated_overlap(letters[0], letters[-1], response, method="quadrature")
     assert abs(pair - closed[0, -1]) <= 1e-10

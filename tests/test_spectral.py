@@ -184,6 +184,24 @@ def test_survival_probability_flat_channel():
     assert survival_probability(amp, FlatResponse(0.0)) == 0.0
 
 
+FLAT_TABLE = TabulatedResponse([-8.0, 8.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("width", [0.05, 0.01, 0.001])
+def test_narrow_letter_under_a_flat_tabulated_channel_survives(width):
+    # Narrower letters fall between all the nodes of the panel they sit in;
+    # the breakpoints seeded at each letter's centre and tails find them.
+    assert survival_probability(GaussianAmplitude(3.0, width), FLAT_TABLE) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_narrow_letter_off_centre_of_a_wide_passband_matches_the_closed_form():
+    letter = GaussianAmplitude(-4.76, 0.079)
+    response = GaussianPeakResponse(0.97, 4.0)
+    analytic = modulated_overlap(letter, letter, response, method="analytic")
+    assert analytic.real == pytest.approx(0.478, abs=1e-3)
+    assert modulated_overlap(letter, letter, response, method="quadrature") == pytest.approx(analytic, abs=1e-12)
+
+
 def test_make_gaussian_basis_symmetric_pair():
     basis = make_gaussian_basis(2, 4.0, 1.0, "symmetric")
     assert [amp.center for amp in basis] == [-2.0, 2.0]
