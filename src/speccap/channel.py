@@ -60,47 +60,44 @@ class EncodingEnsemble:
 
 @dataclass(frozen=True)
 class GramData:
-    """Modulated-letter Gram matrix plus the derived per-letter statistics.
+    """Modulated-letter Gram matrix and priors; the per-letter statistics derive from them.
 
     ``gram[i][j] = integral eta^2 conj(psi_i) psi_j``; ``survival[i]`` is its
-    diagonal, ``loss = 1 - survival``, and ``weighted`` is the prior-weighted
-    matrix carrying the output spectrum.
+    diagonal clipped to [0, 1], ``loss = 1 - survival``, ``mean_loss`` is the
+    prior-weighted loss, and ``weighted = sqrt(P) gram sqrt(P)`` is the
+    matrix carrying the output spectrum.  Construction raises
+    ``ComputationError`` when the diagonal leaves [0, 1] by more than 1e-10.
     """
 
     gram: HermitianMatrix
-    weighted: HermitianMatrix
     priors: np.ndarray
-    survival: np.ndarray
-    loss: np.ndarray
-    mean_loss: float
 
     def __post_init__(self):
-        n = self.gram.dimension
-        priors = _validated_priors(self.priors, n)
-        survival = np.asarray(self.survival, dtype=float)
-        loss = np.asarray(self.loss, dtype=float)
-        if self.weighted.dimension != n or survival.shape != (n,) or loss.shape != (n,):
-            raise ValidationError("inconsistent Gram data shapes")
-        for name, values in (("survival", survival), ("loss", loss)):
-            if np.any(values < -1e-12) or np.any(values > 1.0 + 1e-12):
-                raise ValidationError(f"{name} probabilities must lie in [0, 1]")
-        if not -1e-12 <= self.mean_loss <= 1.0 + 1e-12:
-            raise ValidationError("mean loss must lie in [0, 1]")
-        trace = float(np.trace(self.weighted.entries).real)
-        if abs(trace - (1.0 - self.mean_loss)) > 1e-10:
-            raise ValidationError(
-                f"weighted Gram trace {trace!r} inconsistent with mean loss {self.mean_loss!r}"
-            )
-        object.__setattr__(self, "priors", priors)
+        object.__setattr__(self, "priors", _validated_priors(self.priors, self.n))
+        diagonal = self.gram.entries.diagonal().real
+        if np.any(diagonal < -1e-10) or np.any(diagonal > 1.0 + 1e-10):
+            raise ComputationError(f"survival probabilities outside [0, 1]: {diagonal!r}")
 
     @property
     def n(self):
         return self.gram.dimension
 
+    @property
+    def survival(self):
+        return np.clip(self.gram.entries.diagonal().real, 0.0, 1.0)
 
-def _weighted_from_gram(gram_entries, priors):
-    root = np.sqrt(priors)
-    return root[:, None] * gram_entries * root[None, :]
+    @property
+    def loss(self):
+        return 1.0 - self.survival
+
+    @property
+    def mean_loss(self):
+        return float(self.priors @ self.loss)
+
+    @property
+    def weighted(self):
+        root = np.sqrt(self.priors)
+        return HermitianMatrix(root[:, None] * self.gram.entries * root[None, :])
 
 
 def compute_gram(ensemble, response, spec=DEFAULT_QUADRATURE):
@@ -109,7 +106,9 @@ def compute_gram(ensemble, response, spec=DEFAULT_QUADRATURE):
     Gaussian letters through a flat or Gaussian channel take the closed form
     pair by pair; only the upper triangle is computed and its mirror image
     keeps the matrix exactly Hermitian.  Every other ensemble goes through
-    one quadrature node rule for the whole matrix.
+    one quadrature node rule for the whole matrix.  The result pairs that
+    matrix with the ensemble's priors; a survival probability outside
+    [0, 1] raises ``ComputationError``.
     """
     n = ensemble.n
     if closed_form_applies(ensemble.letters, response):
@@ -121,33 +120,12 @@ def compute_gram(ensemble, response, spec=DEFAULT_QUADRATURE):
                 entries[j, i] = np.conj(value)
     else:
         entries = quadrature_gram(ensemble.letters, response, spec)
-    survival = entries.diagonal().real.copy()
-    if np.any(survival < -1e-10) or np.any(survival > 1.0 + 1e-10):
-        raise ComputationError(f"survival probabilities outside [0, 1]: {survival!r}")
-    survival = np.clip(survival, 0.0, 1.0)
-    loss = 1.0 - survival
-    priors = ensemble.priors
-    return GramData(
-        gram=HermitianMatrix(entries),
-        weighted=HermitianMatrix(_weighted_from_gram(entries, priors)),
-        priors=priors,
-        survival=survival,
-        loss=loss,
-        mean_loss=float(priors @ loss),
-    )
+    return GramData(HermitianMatrix(entries), ensemble.priors)
 
 
 def reweight(gram_data, priors):
     """Same letters and channel, different priors; no integrals recomputed."""
-    priors = _validated_priors(priors, gram_data.n)
-    return GramData(
-        gram=gram_data.gram,
-        weighted=HermitianMatrix(_weighted_from_gram(gram_data.gram.entries, priors)),
-        priors=priors,
-        survival=gram_data.survival,
-        loss=gram_data.loss,
-        mean_loss=float(priors @ gram_data.loss),
-    )
+    return GramData(gram_data.gram, priors)
 
 
 def output_spectrum(gram_data):

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage or validation, 2 computation failure, 3 I/O.
 Grid points are computed one after another and rows are emitted in grid
-order.  SPECCAP_THREADS is still validated (a bad value exits 1) but
-schedules nothing, so output never depends on it.
+order.  ``sweep`` and ``two-state`` reject a SPECCAP_THREADS that is set but
+not a positive integer (exit 1); a valid value schedules nothing, so output
+never depends on it.
 """
 from __future__ import annotations
 
@@ -57,6 +58,8 @@ def parse_grid(text):
             if len(pieces) != 3:
                 raise ValueError("expected min:max:step")
             lo, hi, step = (float(p) for p in pieces)
+            if not all(np.isfinite([lo, hi, step])):
+                raise ValueError("min, max and step must be finite")
             if step <= 0 or hi < lo:
                 raise ValueError("need step > 0 and max >= min")
             count = int(round((hi - lo) / step))
@@ -65,7 +68,7 @@ def parse_grid(text):
                 values.pop()
             return values
         return [float(piece) for piece in text.split(",")]
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise UsageError(f"bad grid {text!r}: {exc}") from None
 
 
@@ -76,18 +79,17 @@ def parse_int_list(text):
         raise UsageError(f"bad integer list {text!r}: {exc}") from None
 
 
-def _thread_count():
-    """Validated SPECCAP_THREADS; commands call it only to reject bad values."""
+def _check_thread_env():
+    """Reject a SPECCAP_THREADS that is set but not a positive integer."""
     raw = os.environ.get("SPECCAP_THREADS", "").strip()
     if not raw:
-        return os.cpu_count() or 1
+        return
     try:
         count = int(raw)
     except ValueError:
         raise UsageError(f"SPECCAP_THREADS must be an integer, got {raw!r}") from None
     if count < 1:
         raise UsageError("SPECCAP_THREADS must be at least 1")
-    return count
 
 
 def _write_csv(path, header, rows):
@@ -147,7 +149,7 @@ def cmd_sweep(args):
             "",
         ]
 
-    _thread_count()
+    _check_thread_env()
     rows = [one_point(point) for point in points]
     _write_csv(args.out, header, rows)
     return EXIT_OK
@@ -173,6 +175,8 @@ def cmd_two_state(args):
     lam_grid = parse_grid(getattr(args, "lambda"))
     if any(lam <= 0 for lam in lam_grid):
         raise UsageError("--lambda values must be positive")
+    if not all(np.isfinite(lam_grid)):
+        raise UsageError("--lambda values must be finite")
 
     if args.emit == "exact-curve":
         delta_grid = parse_grid(args.delta)
@@ -198,7 +202,7 @@ def cmd_two_state(args):
                 return [_fmt(lam), "", "", str(exc)]
             return [_fmt(lam), _fmt(bits), _fmt(separation), ""]
 
-    _thread_count()
+    _check_thread_env()
     rows = [one_point(point) for point in points]
     _write_csv(args.out, header, rows)
     return EXIT_OK

@@ -164,11 +164,11 @@ class TabulatedResponse:
 
 
 def _integration_window(extents, truncation_sigmas):
-    """Enclosing (center, width) so that center +- sigmas*width covers every ``(c, w)`` extent."""
+    """Enclosing ``(lo, hi)`` that covers every ``(c, w)`` extent to ``truncation_sigmas`` widths."""
     centers, widths = zip(*extents)
     lo = min(centers) - truncation_sigmas * max(widths)
     hi = max(centers) + truncation_sigmas * max(widths)
-    return 0.5 * (lo + hi), (hi - lo) / (2.0 * truncation_sigmas)
+    return lo, hi
 
 
 def _gaussian_pair_overlap(amp_a, amp_b, response):
@@ -213,9 +213,7 @@ def quadrature_gram(letters, response, spec=DEFAULT_QUADRATURE):
     """
     parts = (*letters, response)
     extents = [extent for extent in (part._extent() for part in parts) if extent is not None]
-    center, width = _integration_window(extents, spec.truncation_sigmas)
-    lo = center - spec.truncation_sigmas * width
-    hi = center + spec.truncation_sigmas * width
+    lo, hi = _integration_window(extents, spec.truncation_sigmas)
     grids = [part.grid for part in parts if isinstance(part, (TabulatedAmplitude, TabulatedResponse))]
     reach = spec.truncation_sigmas
     seeds = [(c - reach * w, c, c + reach * w) for c, w in extents]

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from oracles import explicit_basis_spectrum, quadrature_overlap_matrix
-from speccap.channel import EncodingEnsemble, compute_gram, output_spectrum, reweight
-from speccap.errors import ConvergenceError, ValidationError
-from speccap.numerics import QuadratureSpec, hermitian_eigenvalues
+from speccap.channel import EncodingEnsemble, GramData, compute_gram, output_spectrum, reweight
+from speccap.errors import ComputationError, ConvergenceError, ValidationError
+from speccap.numerics import HermitianMatrix, QuadratureSpec, hermitian_eigenvalues
 from speccap.spectral import (
     FlatResponse,
     GaussianAmplitude,
@@ -165,5 +165,19 @@ def test_reweight_keeps_gram_and_updates_statistics():
     assert shifted.mean_loss == pytest.approx(float(np.dot([0.6, 0.3, 0.1], data.loss)), abs=1e-14)
     direct = compute_gram(EncodingEnsemble(ensemble.letters, [0.6, 0.3, 0.1]), response)
     assert np.max(np.abs(shifted.weighted.entries - direct.weighted.entries)) <= 1e-14
+    record = GramData(data.gram, [0.6, 0.3, 0.1])
+    assert record.gram is shifted.gram
+    for name in ("priors", "survival", "loss", "mean_loss"):
+        assert np.array_equal(getattr(record, name), getattr(shifted, name))
+    assert np.array_equal(record.weighted.entries, shifted.weighted.entries)
     with pytest.raises(ValidationError):
         reweight(data, [0.5, 0.5])
+
+
+def test_gram_diagonal_outside_the_unit_interval_raises():
+    for diagonal in ([1.0 + 1e-9, 0.5], [0.5, -1e-9]):
+        with pytest.raises(ComputationError, match="survival"):
+            GramData(HermitianMatrix(np.diag(diagonal)), [0.5, 0.5])
+    data = GramData(HermitianMatrix(np.diag([1.0 + 1e-11, -1e-11])), [0.5, 0.5])
+    assert np.array_equal(data.survival, [1.0, 0.0])
+    assert data.mean_loss == 0.5

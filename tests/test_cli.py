@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from speccap.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main, parse_grid
+from speccap.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, UsageError, main, parse_grid
 
 
 def run_cli(*args, env=None):
@@ -32,6 +32,9 @@ def test_parse_grid_forms():
     assert parse_grid("0:1:0.5") == [0.0, 0.5, 1.0]
     assert len(parse_grid("0:10:0.5")) == 21
     assert len(parse_grid("0:1:0.1")) == 11
+    for text in ("0:inf:1", "nan:1:0.5", "0:1:inf", "-1e308:1e308:1"):
+        with pytest.raises(UsageError, match="bad grid"):
+            parse_grid(text)
 
 
 def test_sweep_flat_row_count_and_values(tmp_path):
@@ -227,6 +230,7 @@ def test_two_state_max_curve_halves_with_peak(tmp_path):
 
 def test_two_state_rejects_nonpositive_lambda():
     assert main(["two-state", "--lambda", "0", "--emit", "max-curve", "--out", "x.csv"]) == EXIT_USAGE
+    assert main(["two-state", "--lambda", "inf", "--emit", "max-curve", "--out", "x.csv"]) == EXIT_USAGE
 
 
 def test_gram_dump_single_letter(tmp_path):
@@ -360,11 +364,13 @@ def test_unknown_subcommand_is_usage_error():
 
 
 def test_thread_env_var_validation(tmp_path):
-    result = run_cli(
-        "sweep", "--mode", "flat", "--n", "2", "--delta-omega", "1", "--eta", "1",
-        "--out", str(tmp_path / "o.csv"), env={"SPECCAP_THREADS": "zero"},
-    )
-    assert result.returncode == EXIT_USAGE
+    for value in ("zero", "0"):
+        result = run_cli(
+            "sweep", "--mode", "flat", "--n", "2", "--delta-omega", "1", "--eta", "1",
+            "--out", str(tmp_path / "o.csv"), env={"SPECCAP_THREADS": value},
+        )
+        assert result.returncode == EXIT_USAGE
+        assert "SPECCAP_THREADS" in result.stderr
 
 
 def test_gram_dump_non_finite_letter_is_invalid_input(tmp_path):

@@ -144,6 +144,7 @@ def test_tabulated_reweight_matches_a_fresh_gram_and_conserves_probability(input
     fresh = compute_gram(EncodingEnsemble(letters, priors), response)
     assert np.max(np.abs(shifted.weighted.entries - fresh.weighted.entries)) <= 1e-14
     assert shifted.mean_loss == pytest.approx(fresh.mean_loss, abs=1e-14)
+    assert float(np.trace(shifted.weighted.entries).real) == pytest.approx(1.0 - shifted.mean_loss, abs=1e-12)
     spectrum, mean_loss = output_spectrum(shifted)
     assert spectrum.sum() + mean_loss == pytest.approx(1.0, abs=1e-12)
 
