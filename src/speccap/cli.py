@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
+import math
 import os
 import sys
 
@@ -33,6 +35,9 @@ EXIT_USAGE = 1
 EXIT_COMPUTATION = 2
 EXIT_IO = 3
 
+# Most points a range, or a product of grids, may have; checked before building it.
+MAX_GRID_POINTS = 10**6
+
 
 class UsageError(Exception):
     pass
@@ -50,7 +55,7 @@ def _fmt(value):
 
 
 def parse_grid(text):
-    """Grid syntax: single value, comma list, or ``min:max:step`` inclusive."""
+    """Grid syntax: single value, comma list, or ``min:max:step`` inclusive (at most MAX_GRID_POINTS)."""
     text = text.strip()
     try:
         if ":" in text:
@@ -62,7 +67,10 @@ def parse_grid(text):
                 raise ValueError("min, max and step must be finite")
             if step <= 0 or hi < lo:
                 raise ValueError("need step > 0 and max >= min")
-            count = int(round((hi - lo) / step))
+            span = (hi - lo) / step
+            if span + 1.0 > MAX_GRID_POINTS:
+                raise ValueError(f"{span + 1.0:.7g} points, more than {MAX_GRID_POINTS}")
+            count = int(round(span))
             values = [lo + k * step for k in range(count + 1)]
             if values[-1] > hi + 1e-9 * step:
                 values.pop()
@@ -70,6 +78,14 @@ def parse_grid(text):
         return [float(piece) for piece in text.split(",")]
     except (ValueError, OverflowError) as exc:
         raise UsageError(f"bad grid {text!r}: {exc}") from None
+
+
+def _grid_points(*grids):
+    """Every combination of one point per grid, last grid fastest; at most MAX_GRID_POINTS."""
+    count = math.prod(map(len, grids))
+    if count > MAX_GRID_POINTS:
+        raise UsageError(f"grid of {count} points is larger than {MAX_GRID_POINTS}")
+    return list(itertools.product(*grids))
 
 
 def parse_int_list(text):
@@ -115,13 +131,7 @@ def cmd_sweep(args):
     header += ["post_select", "holevo_bits", "post_selected_bits", "eps_bar", "error"]
     if not n_list or not delta_grid or not channel_grid:
         raise UsageError("all sweep grids must be non-empty")
-
-    points = [
-        (n, delta, channel_value)
-        for n in n_list
-        for delta in delta_grid
-        for channel_value in channel_grid
-    ]
+    points = _grid_points(n_list, delta_grid, channel_grid)
 
     def one_point(point):
         n, delta, channel_value = point
@@ -181,7 +191,7 @@ def cmd_two_state(args):
     if args.emit == "exact-curve":
         delta_grid = parse_grid(args.delta)
         header = ["lambda", "delta", "capacity_bits", "error"]
-        points = [(lam, delta) for lam in lam_grid for delta in delta_grid]
+        points = _grid_points(lam_grid, delta_grid)
 
         def one_point(point):
             lam, delta = point

@@ -6,8 +6,8 @@ between given breakpoints.  Each segment is sampled once, at the 21
 Kronrod nodes; a matmul per rule gives its panel matrices of weighted
 overlaps, and their difference is the per-entry error estimate.  Segments
 whose estimate is too large are bisected level by level.  Eigenvalues come
-from LAPACK through ``numpy.linalg.eigvalsh``; matrices are small (N up to
-~128).
+from LAPACK through ``numpy.linalg.eigvalsh`` (``eigh`` when eigenvectors
+are asked for); matrices are small (N up to ~128).
 """
 from __future__ import annotations
 
@@ -179,13 +179,18 @@ class HermitianMatrix:
         return self.entries.shape[0]
 
 
-def hermitian_eigenvalues(matrix: HermitianMatrix) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, sorted descending (LAPACK ``eigvalsh``)."""
+def hermitian_eigenvalues(matrix: HermitianMatrix, *, vectors=False):
+    """All eigenvalues of a Hermitian matrix, sorted descending (LAPACK ``eigvalsh``).
+
+    ``vectors=True`` returns ``(values, vectors)`` from ``eigh``, eigenvectors as columns.
+    """
     try:
-        values = np.linalg.eigvalsh(matrix.entries)
+        if vectors:
+            values, basis = np.linalg.eigh(matrix.entries)
+            return values[::-1], basis[:, ::-1]
+        return np.linalg.eigvalsh(matrix.entries)[::-1]
     except np.linalg.LinAlgError as exc:
         raise ComputationError(f"Hermitian eigensolve failed: {exc}") from exc
-    return values[::-1]
 
 
 def clamp_spectrum(values, floor=PSD_FLOOR):

@@ -253,6 +253,23 @@ def test_optimize_priors_survives_a_weight_reaching_zero():
     assert report.holevo_bits >= uniform.holevo_bits
 
 
+def test_optimize_priors_out_of_iterations_carries_the_duality_gap():
+    ensemble = EncodingEnsemble.uniform([GaussianAmplitude(c, 1.0) for c in (0.0, 1.0, 2.0)])
+    response = GaussianPeakResponse(1.0, 1.0)
+    _, optimum = optimize_priors(ensemble, response)
+    uniform = holevo_bound(compute_gram(ensemble, response)).holevo_bits
+    gaps = []
+    for iterations in (0, 1):
+        with pytest.raises(ConvergenceError) as caught:
+            optimize_priors(ensemble, response, max_iterations=iterations)
+        gaps.append(caught.value.error_estimate)
+    # With no step taken the iterate is the uniform prior, so the gap
+    # max_i D_i - chi must cover the whole distance to the optimum.
+    assert gaps[0] >= optimum.holevo_bits - uniform > 0.05
+    # One step closes part of it; the Holevo value (about 0.35 bits) is not a gap.
+    assert 0.0 < gaps[1] < gaps[0] < 0.2
+
+
 def test_optimize_priors_needs_two_letters():
     ensemble = EncodingEnsemble.uniform(make_gaussian_basis(1, 0.0, 1.0))
     with pytest.raises(ValidationError):

@@ -1,10 +1,11 @@
 import csv
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from speccap.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, UsageError, main, parse_grid
+from speccap.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, MAX_GRID_POINTS, UsageError, main, parse_grid
 
 
 def run_cli(*args, env=None):
@@ -35,6 +36,33 @@ def test_parse_grid_forms():
     for text in ("0:inf:1", "nan:1:0.5", "0:1:inf", "-1e308:1e308:1"):
         with pytest.raises(UsageError, match="bad grid"):
             parse_grid(text)
+
+
+def test_parse_grid_rejects_a_range_over_the_point_limit_before_building_it():
+    assert len(parse_grid(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
+    tracemalloc.start()
+    try:
+        for text, count in (("0:1e9:1", "1e\\+09"), (f"0:{MAX_GRID_POINTS}:1", str(MAX_GRID_POINTS + 1))):
+            with pytest.raises(UsageError, match=f"bad grid .*: {count} points, more than {MAX_GRID_POINTS}"):
+                parse_grid(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+@pytest.mark.parametrize(
+    "args, count",
+    [
+        (["sweep", "--mode", "flat", "--n", "2,3", "--delta-omega", "0:999:1", "--eta", "0:0.999:0.001"], 2_000_000),
+        (["two-state", "--emit", "exact-curve", "--lambda", "1:1001:1", "--delta", "0:999:1"], 1_001_000),
+    ],
+)
+def test_grid_products_over_the_point_limit_exit_1(tmp_path, capsys, args, count):
+    out = tmp_path / "big.csv"
+    assert main(args + ["--out", str(out)]) == EXIT_USAGE
+    assert f"grid of {count} points is larger than {MAX_GRID_POINTS}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_flat_row_count_and_values(tmp_path):

@@ -318,6 +318,25 @@ def test_eigensolver_failure_is_computation_error(monkeypatch):
         hermitian_eigenvalues(HermitianMatrix(np.eye(2)))
 
 
+def test_eigenvectors_on_request():
+    rng = np.random.default_rng(7)
+    raw = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    matrix = HermitianMatrix(0.5 * (raw + raw.conj().T))
+    values, vectors = hermitian_eigenvalues(matrix, vectors=True)
+    assert np.max(np.abs(values - hermitian_eigenvalues(matrix))) <= 1e-12
+    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(6))) <= 1e-12
+    assert np.max(np.abs(vectors @ np.diag(values) @ vectors.conj().T - matrix.entries)) <= 1e-12
+
+
+def test_eigenvector_solve_failure_is_computation_error(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(ComputationError, match="did not converge"):
+        hermitian_eigenvalues(HermitianMatrix(np.eye(2)), vectors=True)
+
+
 def test_small_asymmetry_is_symmetrized():
     m = HermitianMatrix([[1.0, 0.5 + 1e-13], [0.5, 1.0]])
     assert m.entries[0, 1] == pytest.approx(np.conj(m.entries[1, 0]), abs=0)

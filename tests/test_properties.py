@@ -6,14 +6,15 @@ integrand a degree-4 polynomial on every grid segment, which a 3-point
 Gauss-Legendre rule integrates exactly.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from speccap.capacity import erasure_bounds, holevo_bound
-from speccap.channel import EncodingEnsemble, compute_gram, output_spectrum, reweight
+from speccap.capacity import _letter_divergences, erasure_bounds, holevo_bound
+from speccap.channel import EncodingEnsemble, GramData, compute_gram, output_spectrum, reweight
 from speccap.spectral import (
     FlatResponse,
     GaussianAmplitude,
@@ -171,3 +172,49 @@ def test_holevo_stays_below_the_erasure_bound(n, spacing, sigma_psi, sigma_eta, 
     letters = make_gaussian_basis(n, spacing, sigma_psi, centering)
     report = holevo_bound(compute_gram(EncodingEnsemble.uniform(letters), GaussianPeakResponse(p_peak, sigma_eta)))
     assert report.holevo_bits <= erasure_bounds(sigma_psi, sigma_eta, p_peak, n).bound_bits + 1e-12
+
+
+@st.composite
+def gram_data_with_random_priors(draw):
+    """Gram data of random Gaussian or tabulated letters, with random priors."""
+    if draw(st.booleans()):
+        return compute_gram(draw(gaussian_ensembles()), draw(closed_form_channels))
+    _, letters, response = draw(tabulated_inputs())
+    raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(letters), max_size=len(letters))))
+    return reweight(compute_gram(EncodingEnsemble.uniform(letters), response), raw / raw.sum())
+
+
+def holevo_along(data, i, j, t):
+    """The Holevo quantity at the priors moved by ``t`` along ``e_i - e_j``."""
+    priors = data.priors.copy()
+    priors[i] += t
+    priors[j] -= t
+    return holevo_bound(GramData(data.gram, priors)).holevo_bits
+
+
+@given(gram_data_with_random_priors())
+def test_letter_divergences_average_to_the_holevo_quantity_and_give_its_gradient(data):
+    divergences = _letter_divergences(data.gram.entries, data.loss, data.priors)
+    assert data.priors @ divergences == pytest.approx(holevo_bound(data).holevo_bits, abs=1e-10)
+    # The gradient in prior i is D_i - log2 e, so the derivative along
+    # e_i - e_j is D_i - D_j.
+    for i in range(data.n - 1):
+        j = i + 1
+        h = 1e-4 * min(data.priors[i], data.priors[j])
+        slope = (holevo_along(data, i, j, h) - holevo_along(data, i, j, -h)) / (2.0 * h)
+        assert divergences[i] - divergences[j] == pytest.approx(slope, abs=1e-6)
+
+
+def test_a_zero_prior_on_a_duplicated_letter_gives_a_finite_divergence():
+    letters = [GaussianAmplitude(c, w) for c, w in ((-1.0, 0.8), (0.5, 1.0), (2.0, 1.3))]
+    response = GaussianPeakResponse(0.9, 1.5)
+    priors = np.array([0.2, 0.3, 0.5])
+    data = compute_gram(EncodingEnsemble(letters + letters[:1], np.append(priors, 0.0)), response)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        divergences = _letter_divergences(data.gram.entries, data.loss, data.priors)
+    assert np.all(np.isfinite(divergences))
+    # The twin has the same output state, so the same divergence.
+    assert divergences[3] == pytest.approx(divergences[0], abs=1e-10)
+    chi = holevo_bound(compute_gram(EncodingEnsemble(letters, priors), response)).holevo_bits
+    assert data.priors @ divergences == pytest.approx(chi, abs=1e-12)
