@@ -21,8 +21,10 @@ def _plog2p(x):
     return x * math.log2(x) if x > 0.0 else 0.0
 
 
-def _entropy_bits(values):
-    return -sum(_plog2p(float(v)) for v in values)
+def _entropy_bits(probabilities):
+    """``-sum p log2 p`` over the last axis in bits, ``0 log2 0 = 0``; ``[x, 1 - x]`` rows give ``h(x)``."""
+    p = np.asarray(probabilities, dtype=float)
+    return -np.sum(p * np.log2(np.where(p > 0.0, p, 1.0)), axis=-1)
 
 
 def binary_entropy(x):
@@ -78,15 +80,16 @@ def holevo_bound(gram_data):
     transmitted-or-lost entropy.
     """
     spectrum, mean_loss = output_spectrum(gram_data)
-    letter_entropies = np.array([binary_entropy(e) for e in gram_data.loss])
-    output_entropy = -_plog2p(mean_loss) + _entropy_bits(spectrum)
+    loss = gram_data.loss
+    letter_entropies = _entropy_bits(np.stack([loss, 1.0 - loss], axis=-1))
+    output_entropy = -_plog2p(mean_loss) + float(_entropy_bits(spectrum))
     holevo = output_entropy - float(gram_data.priors @ letter_entropies)
 
     arrival = 1.0 - mean_loss
     if arrival <= 0.0:
         post_selected = 0.0
     else:
-        post_selected = arrival * _entropy_bits(spectrum / arrival)
+        post_selected = arrival * float(_entropy_bits(spectrum / arrival))
 
     max_bits = math.log2(gram_data.n) if gram_data.n > 1 else 0.0
     return CapacityReport(
@@ -213,7 +216,7 @@ def _letter_divergences(gram, loss, weights):
     photon = (np.log2(safe) / safe) @ np.abs(vectors.conj().T @ (root[:, None] * gram)) ** 2
     mean_loss = float(weights @ loss)
     vacuum = loss * math.log2(mean_loss) if mean_loss > 0.0 else 0.0
-    return -np.array([binary_entropy(e) for e in loss]) - vacuum - photon
+    return -_entropy_bits(np.stack([loss, 1.0 - loss], axis=-1)) - vacuum - photon
 
 
 def optimize_priors(ensemble, response, tol=1e-9, spec=DEFAULT_QUADRATURE, max_iterations=100_000):

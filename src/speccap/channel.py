@@ -9,6 +9,7 @@ infinite-dimensional diagonalization to an N x N Hermitian one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -104,20 +105,20 @@ def compute_gram(ensemble, response, spec=DEFAULT_QUADRATURE):
     """Gram data of an ensemble pushed through a channel response.
 
     Gaussian letters through a flat or Gaussian channel take the closed form
-    pair by pair; only the upper triangle is computed and its mirror image
-    keeps the matrix exactly Hermitian.  Every other ensemble goes through
-    one quadrature node rule for the whole matrix.  The result pairs that
-    matrix with the ensemble's priors; a survival probability outside
-    [0, 1] raises ``ComputationError``.
+    pair by pair, in one pass over the upper triangle; mirroring it keeps the
+    matrix exactly Hermitian.  Every other ensemble goes through one
+    quadrature node rule for the whole matrix.  The result pairs that matrix
+    with the ensemble's priors; a survival probability outside [0, 1] raises
+    ``ComputationError``.
     """
     n = ensemble.n
     if closed_form_applies(ensemble.letters, response):
         entries = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(i, n):
-                value = modulated_overlap(ensemble.letters[i], ensemble.letters[j], response, spec=spec)
-                entries[i, j] = value
-                entries[j, i] = np.conj(value)
+        entries[np.triu_indices(n)] = [
+            modulated_overlap(a, b, response, spec=spec)
+            for a, b in combinations_with_replacement(ensemble.letters, 2)
+        ]
+        entries += np.triu(entries, 1).conj().T
     else:
         entries = quadrature_gram(ensemble.letters, response, spec)
     return GramData(HermitianMatrix(entries), ensemble.priors)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -174,21 +175,23 @@ def _integration_window(extents, truncation_sigmas):
 def _gaussian_pair_overlap(amp_a, amp_b, response):
     """Closed form for integral eta^2 psi_a* psi_b over Gaussian inputs.
 
-    The integrand is C * exp(-(A w^2 - 2 B w + D)); completing the square
-    gives C * sqrt(pi/A) * exp(B^2/A - D).
+    With ``a = 1/(4 w_a^2)``, ``b = 1/(4 w_b^2)`` and ``k = 1/(2 w^2)`` for a
+    channel of width ``w`` (0 when flat), completing the square gives
+    ``C * sqrt(pi/A) * exp(-E)`` with ``A = a + b + k`` and
+    ``E = (a b (c_a - c_b)^2 + k (a c_a^2 + b c_b^2)) / A``, a sum of
+    non-negative terms that cannot cancel.
     """
-    da, db = amp_a.center, amp_b.center
-    qa, qb = 4.0 * amp_a.width**2, 4.0 * amp_b.width**2
-    quad_a = 1.0 / qa + 1.0 / qb
-    lin_b = da / qa + db / qb
-    const_d = da**2 / qa + db**2 / qb
+    ca, cb = amp_a.center, amp_b.center
+    wa, wb = amp_a.width, amp_b.width
+    a, b = 0.25 / (wa * wa), 0.25 / (wb * wb)
     if isinstance(response, FlatResponse):
-        power = response.transmission**2
+        power, k = response.transmission**2, 0.0
     else:
-        power = response.peak_probability
-        quad_a += 1.0 / (2.0 * response.width**2)
-    norm = (2.0 * math.pi) ** -0.5 * (amp_a.width * amp_b.width) ** -0.5
-    return complex(power * norm * math.sqrt(math.pi / quad_a) * math.exp(lin_b**2 / quad_a - const_d))
+        power, k = response.peak_probability, 0.5 / response.width**2
+    quad = a + b + k
+    exponent = (a * b * (ca - cb) ** 2 + k * (a * ca * ca + b * cb * cb)) / quad
+    # C = power / sqrt(2 pi w_a w_b), so C * sqrt(pi/A) = power * sqrt(1 / (2 w_a w_b A)).
+    return complex(power * math.sqrt(0.5 / (wa * wb * quad)) * math.exp(-exponent))
 
 
 def closed_form_applies(letters, response):
@@ -283,34 +286,37 @@ def make_gaussian_basis(n, spacing, width, centering="symmetric"):
 def _parse_table(path, columns):
     """Rows of ``columns`` comma-separated floats; blank and ``#`` lines are skipped.
 
-    A file that is not UTF-8 text raises ValidationError naming it.  Every
-    field is converted in one pass.  A file that fails that pass is
-    converted again line by line, which names its first bad line (and
-    accepts fields padded with characters that ``str.strip`` removes but
-    ``float`` rejects, such as U+001C).  Lines are counted at newline
-    characters only, as iterating the file does.
+    A file that is not UTF-8 text raises ValidationError naming it.  When
+    every line of the stripped text holds ``columns - 1`` commas, every
+    field is converted in one pass.  Any other file (comments and blank
+    lines included), or one that fails that pass, is converted again line by
+    line, which names its first bad line (and accepts fields padded with
+    characters that ``str.strip`` removes but ``float`` rejects, such as
+    U+001C).  Lines are counted at newline characters only, as iterating the
+    file does.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle.read().split("\n")]
+            text = handle.read()
     except UnicodeDecodeError:
         raise ValidationError(f"{path}: not valid UTF-8 text") from None
-    data = [line for line in lines if line and not line.startswith("#")]
+    body = text.strip()
     try:
-        if any(line.count(",") != columns - 1 for line in data):
-            raise ValueError("wrong column count")
-        values = list(map(float, ",".join(data).split(",")))
+        if set(map(str.count, body.split("\n"), repeat(","))) != {columns - 1}:
+            raise ValueError("not one row per line")
+        values = list(map(float, body.replace("\n", ",").split(",")))
     except ValueError:
-        values = _parse_lines(path, lines, columns)
-    if len(data) < 2:
+        values = _parse_lines(path, text.split("\n"), columns)
+    if len(values) < 2 * columns:
         raise ValidationError(f"{path}: needs at least 2 data rows")
-    return np.array(values, dtype=float).reshape(len(data), columns)
+    return np.array(values, dtype=float).reshape(-1, columns)
 
 
 def _parse_lines(path, lines, columns):
     """Fields of the data lines in order, converted one line at a time."""
     values = []
     for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
         if not line or line.startswith("#"):
             continue
         fields = [field.strip() for field in line.split(",")]

@@ -5,8 +5,6 @@ given input always produces byte-identical output.
 """
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 WIDTH = 800
 HEIGHT = 600
 MARGIN_LEFT = 80
@@ -22,6 +20,11 @@ _COLOR_STOPS = (
     (0.75, (94, 201, 98)),
     (1.00, (253, 231, 37)),
 )
+
+
+def _escape(text):
+    """``xml.sax.saxutils.escape``, whose import loads ``urllib``, ``http``, ``email`` and ``ssl``."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _color(fraction):
@@ -80,13 +83,13 @@ def _frame(parts, x_label, y_label, x_axis, y_axis):
         )
     parts.append(
         f'<text x="{(MARGIN_LEFT + WIDTH - MARGIN_RIGHT) / 2:.2f}" '
-        f'y="{HEIGHT - 15}" font-size="14" text-anchor="middle">{escape(x_label)}</text>'
+        f'y="{HEIGHT - 15}" font-size="14" text-anchor="middle">{_escape(x_label)}</text>'
     )
     parts.append(
         f'<text x="20" y="{(MARGIN_TOP + HEIGHT - MARGIN_BOTTOM) / 2:.2f}" '
         f'font-size="14" text-anchor="middle" '
         f'transform="rotate(-90 20 {(MARGIN_TOP + HEIGHT - MARGIN_BOTTOM) / 2:.2f})">'
-        f"{escape(y_label)}</text>"
+        f"{_escape(y_label)}</text>"
     )
 
 

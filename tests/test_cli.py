@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from speccap.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, MAX_GRID_POINTS, UsageError, main, parse_grid
+from speccap.svgplot import render_line
 
 
 def run_cli(*args, env=None):
@@ -355,6 +356,19 @@ def test_plot_heatmap(tmp_path):
     )
     assert code == EXIT_OK
     assert out.read_text(encoding="utf-8").count("<rect") == 5 * 5 + 2
+
+
+def test_plot_labels_are_xml_escaped():
+    svg = render_line([(0.0, 0.0), (1.0, 1.0)], "a<b&c>d", 'say "x"')
+    assert ">a&lt;b&amp;c&gt;d</text>" in svg
+    assert '>say "x"</text>' in svg  # quotes stay as they are in element text
+
+
+def test_importing_the_cli_loads_no_network_modules():
+    heavy = ["urllib.request", "http.client", "email", "ssl", "socket"]
+    code = f"import sys, speccap.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_plot_unknown_column_lists_available(tmp_path, capsys):

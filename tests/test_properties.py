@@ -13,7 +13,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from speccap.capacity import _letter_divergences, erasure_bounds, holevo_bound
+from speccap.capacity import (
+    _entropy_bits,
+    _letter_divergences,
+    _plog2p,
+    binary_entropy,
+    erasure_bounds,
+    holevo_bound,
+)
 from speccap.channel import EncodingEnsemble, GramData, compute_gram, output_spectrum, reweight
 from speccap.spectral import (
     FlatResponse,
@@ -129,6 +136,13 @@ def test_quadrature_matches_the_closed_form_for_narrow_letters(letters, channels
     assert abs(pair - closed[0, -1]) <= 1e-10
 
 
+@given(narrow_gaussian_letters, closed_form_channels)
+def test_closed_form_gram_matches_the_stable_form_for_narrow_letters(letters, response):
+    entries = compute_gram(EncodingEnsemble.uniform(letters), response).gram.entries
+    reference = stable_gaussian_gram(letters, response)
+    assert np.all(np.abs(entries - reference) <= 1e-13 * np.abs(reference))
+
+
 @given(tabulated_inputs())
 def test_tabulated_gram_is_the_exact_segment_sum(inputs):
     grid, letters, response = inputs
@@ -172,6 +186,30 @@ def test_holevo_stays_below_the_erasure_bound(n, spacing, sigma_psi, sigma_eta, 
     letters = make_gaussian_basis(n, spacing, sigma_psi, centering)
     report = holevo_bound(compute_gram(EncodingEnsemble.uniform(letters), GaussianPeakResponse(p_peak, sigma_eta)))
     assert report.holevo_bits <= erasure_bounds(sigma_psi, sigma_eta, p_peak, n).bound_bits + 1e-12
+
+
+# Up to 7 entries, which numpy sums in order as Python's sum does, so only
+# log2 rounding separates the two.
+probability_entries = st.lists(
+    st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0), st.floats(0.0, 2.2250738585072014e-308)),
+    max_size=7,
+)
+
+
+@given(probability_entries)
+def test_entropy_bits_matches_the_scalar_sums_without_warnings(entries):
+    x = np.array(entries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        entropy = _entropy_bits(x)
+        binary = _entropy_bits(np.stack([x, 1.0 - x], axis=-1))
+    assert entropy == pytest.approx(-sum(_plog2p(v) for v in entries), abs=1e-15)
+    assert binary.shape == x.shape
+    assert np.all(np.abs(binary - [binary_entropy(v) for v in entries]) <= 1e-15)
+
+
+def test_entropy_bits_of_certain_coins_is_zero():
+    assert _entropy_bits(np.array([[0.0, 1.0], [1.0, 0.0]])).tolist() == [0.0, 0.0]
 
 
 @st.composite

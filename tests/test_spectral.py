@@ -117,6 +117,13 @@ def test_overlap_separated_gaussians_flat_channel():
     assert value.real == pytest.approx(0.606530659712633424, abs=1e-12)
 
 
+def test_overlap_of_a_narrow_letter_far_from_zero_is_exact():
+    # B^2/A - D cancels two terms near 5e5 here; the stable form has none to cancel.
+    amp = GaussianAmplitude(4.99, 0.0051)
+    value = modulated_overlap(amp, amp, FlatResponse(1.0), method="analytic")
+    assert value == pytest.approx(1.0, abs=1e-14)
+
+
 def test_analytic_path_matches_quadrature_on_parameter_grid():
     responses = [FlatResponse(0.3), FlatResponse(1.0)]
     responses += [
@@ -282,9 +289,10 @@ def test_tabulated_file_non_ascending_grid(tmp_path):
         ("0,1,0\n1,1\n2,oops,0\n", 2),
         ("0,1,0\n1,,0\n", 2),
         ("0,1\n1,1,0,0\n2,1,0\n", 1),
+        ("\n \n0,1,0\n1,oops,0\n", 4),
     ],
     ids=["crlf", "cr", "comments-and-blanks", "formfeed-in-line", "formfeed-line", "number-before-columns",
-         "columns-before-number", "empty-field", "column-counts-that-add-up"],
+         "columns-before-number", "empty-field", "column-counts-that-add-up", "leading-blanks"],
 )
 def test_tabulated_file_error_names_the_first_bad_line(tmp_path, text, lineno):
     path = tmp_path / "bad.csv"
