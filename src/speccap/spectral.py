@@ -286,12 +286,11 @@ def make_gaussian_basis(n, spacing, width, centering="symmetric"):
 def _parse_table(path, columns):
     """Rows of ``columns`` comma-separated floats; blank and ``#`` lines are skipped.
 
-    A file that is not UTF-8 text raises ValidationError naming it.  When
-    every line of the stripped text holds ``columns - 1`` commas, every
-    field is converted in one pass.  Any other file (comments and blank
-    lines included), or one that fails that pass, is converted again line by
-    line, which names its first bad line (and accepts fields padded with
-    characters that ``str.strip`` removes but ``float`` rejects, such as
+    A file that is not UTF-8 text raises ValidationError naming it.  Every
+    field is converted in one pass; only a file that holds a ``#`` pays a
+    per-line comment check.  A file that fails that pass is converted again
+    line by line, which names its first bad line (and accepts fields padded
+    with characters that ``str.strip`` removes but ``float`` rejects, such as
     U+001C).  Lines are counted at newline characters only, as iterating the
     file does.
     """
@@ -300,23 +299,25 @@ def _parse_table(path, columns):
             text = handle.read()
     except UnicodeDecodeError:
         raise ValidationError(f"{path}: not valid UTF-8 text") from None
-    body = text.strip()
+    lines = list(map(str.strip, text.split("\n")))
+    data = list(filter(None, lines))
+    if "#" in text:
+        data = [line for line in data if not line.startswith("#")]
     try:
-        if set(map(str.count, body.split("\n"), repeat(","))) != {columns - 1}:
-            raise ValueError("not one row per line")
-        values = list(map(float, body.replace("\n", ",").split(",")))
+        if set(map(str.count, data, repeat(","))) != {columns - 1}:
+            raise ValueError("wrong column count")
+        values = list(map(float, ",".join(data).split(",")))
     except ValueError:
-        values = _parse_lines(path, text.split("\n"), columns)
-    if len(values) < 2 * columns:
+        values = _parse_lines(path, lines, columns)
+    if len(data) < 2:
         raise ValidationError(f"{path}: needs at least 2 data rows")
-    return np.array(values, dtype=float).reshape(-1, columns)
+    return np.array(values, dtype=float).reshape(len(data), columns)
 
 
 def _parse_lines(path, lines, columns):
     """Fields of the data lines in order, converted one line at a time."""
     values = []
     for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
         if not line or line.startswith("#"):
             continue
         fields = [field.strip() for field in line.split(",")]
