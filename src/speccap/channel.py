@@ -9,6 +9,7 @@ infinite-dimensional diagonalization to an N x N Hermitian one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -27,6 +28,8 @@ def _validated_priors(priors, n):
     arr = np.array(priors, dtype=float)
     if arr.shape != (n,):
         raise ValidationError(f"expected {n} prior probabilities, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("prior probabilities must be finite")
     if np.any(arr < 0.0):
         raise ValidationError("prior probabilities must be non-negative")
     if abs(float(arr.sum()) - 1.0) > 1e-12:
@@ -101,6 +104,15 @@ class GramData:
         return HermitianMatrix(root[:, None] * self.gram.entries * root[None, :])
 
 
+@lru_cache(maxsize=16)
+def _upper_triangle(n):
+    """Read-only ``np.triu_indices(n)``, built once per alphabet size."""
+    rows, cols = np.triu_indices(n)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def compute_gram(ensemble, response, spec=DEFAULT_QUADRATURE):
     """Gram data of an ensemble pushed through a channel response.
 
@@ -114,7 +126,7 @@ def compute_gram(ensemble, response, spec=DEFAULT_QUADRATURE):
     n = ensemble.n
     if closed_form_applies(ensemble.letters, response):
         entries = np.zeros((n, n), dtype=complex)
-        entries[np.triu_indices(n)] = [
+        entries[_upper_triangle(n)] = [
             modulated_overlap(a, b, response, spec=spec)
             for a, b in combinations_with_replacement(ensemble.letters, 2)
         ]

@@ -23,7 +23,12 @@ from .numerics import DEFAULT_QUADRATURE, weighted_gram
 
 @dataclass(frozen=True)
 class GaussianAmplitude:
-    """Real Gaussian amplitude: peak at ``center``, intensity std ``width``."""
+    """Real Gaussian amplitude: peak at ``center``, intensity std ``width``.
+
+    Keeps the closed-form constants ``_a = 1/(4 width^2)`` and ``_acc = _a
+    center^2`` (as the responses keep ``_power_k``) in plain attributes, not
+    fields, so they take no part in equality, hashing or ``repr``.
+    """
 
     center: float = 0.0
     width: float = 1.0
@@ -31,6 +36,9 @@ class GaussianAmplitude:
     def __post_init__(self):
         if not self.width > 0:
             raise ValidationError("amplitude width must be positive")
+        a = 0.25 / (self.width * self.width)
+        object.__setattr__(self, "_a", a)
+        object.__setattr__(self, "_acc", a * self.center * self.center)
 
     def value(self, omega):
         norm = (2.0 * math.pi * self.width**2) ** -0.25
@@ -94,13 +102,14 @@ def _interp_norm_squared(grid, values):
 
 @dataclass(frozen=True)
 class FlatResponse:
-    """Frequency-independent amplitude transmission."""
+    """Frequency-independent amplitude transmission; closed-form ``_power_k = (transmission^2, 0)``."""
 
     transmission: float
 
     def __post_init__(self):
         if not 0.0 <= self.transmission <= 1.0:
             raise ValidationError("flat transmission must lie in [0, 1]")
+        object.__setattr__(self, "_power_k", (self.transmission**2, 0.0))
 
     def value(self, omega):
         return self.transmission + 0.0 * np.asarray(omega, dtype=float)
@@ -111,7 +120,11 @@ class FlatResponse:
 
 @dataclass(frozen=True)
 class GaussianPeakResponse:
-    """Gaussian passband centred at zero with peak transmission probability."""
+    """Gaussian passband centred at zero with peak transmission probability.
+
+    For the closed form it keeps ``_power_k = (peak_probability, 1/(2
+    width^2))``, the peak power and exponent rate of ``eta^2``.
+    """
 
     peak_probability: float
     width: float
@@ -121,6 +134,7 @@ class GaussianPeakResponse:
             raise ValidationError("peak transmission probability must lie in [0, 1]")
         if not self.width > 0:
             raise ValidationError("channel width must be positive")
+        object.__setattr__(self, "_power_k", (self.peak_probability, 0.5 / self.width**2))
 
     def value(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -179,28 +193,28 @@ def _gaussian_pair_overlap(amp_a, amp_b, response):
     channel of width ``w`` (0 when flat), completing the square gives
     ``C * sqrt(pi/A) * exp(-E)`` with ``A = a + b + k`` and
     ``E = (a b (c_a - c_b)^2 + k (a c_a^2 + b c_b^2)) / A``, a sum of
-    non-negative terms that cannot cancel.
+    non-negative terms that cannot cancel.  Each letter carries its ``a``
+    and ``a c^2`` and the response its ``(power, k)``, computed once at
+    construction, so a pair costs only this arithmetic.
     """
     ca, cb = amp_a.center, amp_b.center
-    wa, wb = amp_a.width, amp_b.width
-    a, b = 0.25 / (wa * wa), 0.25 / (wb * wb)
-    if isinstance(response, FlatResponse):
-        power, k = response.transmission**2, 0.0
-    else:
-        power, k = response.peak_probability, 0.5 / response.width**2
+    a, b = amp_a._a, amp_b._a
+    power, k = response._power_k
     quad = a + b + k
-    exponent = (a * b * (ca - cb) ** 2 + k * (a * ca * ca + b * cb * cb)) / quad
+    exponent = (a * b * (ca - cb) ** 2 + k * (amp_a._acc + amp_b._acc)) / quad
     # C = power / sqrt(2 pi w_a w_b), so C * sqrt(pi/A) = power * sqrt(1 / (2 w_a w_b A)).
-    return complex(power * math.sqrt(0.5 / (wa * wb * quad)) * math.exp(-exponent))
+    return complex(power * math.sqrt(0.5 / (amp_a.width * amp_b.width * quad)) * math.exp(-exponent))
+
+
+# Channels whose overlaps with Gaussian letters have the closed form.
+_CLOSED_FORM_RESPONSES = (FlatResponse, GaussianPeakResponse)
 
 
 def closed_form_applies(letters, response):
     """Whether every overlap of ``letters`` through ``response`` has the Gaussian closed form."""
-    # A loop, not all() over a generator: modulated_overlap asks once per Gram entry.
-    for letter in letters:
-        if not isinstance(letter, GaussianAmplitude):
-            return False
-    return isinstance(response, (FlatResponse, GaussianPeakResponse))
+    return isinstance(response, _CLOSED_FORM_RESPONSES) and all(
+        isinstance(letter, GaussianAmplitude) for letter in letters
+    )
 
 
 def quadrature_gram(letters, response, spec=DEFAULT_QUADRATURE):
@@ -243,12 +257,18 @@ def modulated_overlap(amp_a, amp_b, response, spec=DEFAULT_QUADRATURE, method="a
     cross-validation).  Quadrature is the one- or two-letter case of
     :func:`quadrature_gram`.
     """
-    analytic_ok = closed_form_applies((amp_a, amp_b), response)
+    analytic_ok = (
+        isinstance(amp_a, GaussianAmplitude)
+        and isinstance(amp_b, GaussianAmplitude)
+        and isinstance(response, _CLOSED_FORM_RESPONSES)
+    )
+    if analytic_ok and method == "auto":
+        return _gaussian_pair_overlap(amp_a, amp_b, response)
     if method not in ("auto", "analytic", "quadrature"):
         raise ValidationError(f"unknown overlap method {method!r}")
-    if method == "analytic" and not analytic_ok:
-        raise ValidationError("analytic overlap requires Gaussian amplitudes and a flat or Gaussian channel")
-    if analytic_ok and method != "quadrature":
+    if method == "analytic":
+        if not analytic_ok:
+            raise ValidationError("analytic overlap requires Gaussian amplitudes and a flat or Gaussian channel")
         return _gaussian_pair_overlap(amp_a, amp_b, response)
     letters = (amp_a,) if amp_a is amp_b else (amp_a, amp_b)
     return complex(quadrature_gram(letters, response, spec)[0, -1])

@@ -25,6 +25,16 @@ def test_ensemble_validation():
         EncodingEnsemble((), [])
 
 
+def test_non_finite_priors_are_rejected_where_they_enter():
+    letters = make_gaussian_basis(2, 1.0, 1.0)
+    data = compute_gram(EncodingEnsemble.uniform(letters), FlatResponse(1.0))
+    for priors in ([np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]):
+        with pytest.raises(ValidationError, match="prior probabilities must be finite"):
+            EncodingEnsemble(letters, priors)
+        with pytest.raises(ValidationError, match="prior probabilities must be finite"):
+            reweight(data, priors)
+
+
 def test_uniform_factory():
     ensemble = EncodingEnsemble.uniform(make_gaussian_basis(4, 1.0, 1.0))
     assert np.allclose(ensemble.priors, 0.25)

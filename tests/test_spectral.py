@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,45 @@ def test_analytic_path_matches_quadrature_on_parameter_grid():
                     quad = modulated_overlap(a, b, response, method="quadrature")
                     worst = max(worst, abs(closed - quad))
     assert worst <= 1e-10
+
+
+def test_method_is_checked_on_closed_form_inputs():
+    letter = GaussianAmplitude(0.4, 0.9)
+    with pytest.raises(ValidationError, match="unknown overlap method"):
+        modulated_overlap(letter, letter, FlatResponse(1.0), method="bogus")
+    tabulated = TabulatedAmplitude([-3.0, 0.0, 3.0], [0.0, 1.0, 0.0])
+    with pytest.raises(ValidationError, match="analytic overlap requires"):
+        modulated_overlap(letter, tabulated, FlatResponse(1.0), method="analytic")
+    other = GaussianAmplitude(-0.7, 1.3)
+    response = GaussianPeakResponse(0.8, 1.5)
+    analytic = modulated_overlap(letter, other, response, method="analytic")
+    assert modulated_overlap(letter, other, response, method="quadrature") == pytest.approx(analytic, abs=1e-12)
+
+
+def test_replaced_parameters_give_the_new_overlap():
+    letter, other = GaussianAmplitude(0.2, 1.0), GaussianAmplitude(-0.5, 0.7)
+    for response in (FlatResponse(0.9), GaussianPeakResponse(0.8, 2.0)):
+        modulated_overlap(letter, other, response)
+        moved = replace(letter, width=0.45, center=1.3)
+        changed = replace(response, transmission=0.4) if isinstance(response, FlatResponse) else replace(response, width=0.6)
+        for a, b, r in ((moved, other, response), (letter, other, changed), (moved, other, changed)):
+            expected = modulated_overlap(a, b, r, method="quadrature")
+            assert modulated_overlap(a, b, r) == pytest.approx(expected, abs=1e-12)
+
+
+def test_closed_form_constants_stay_out_of_equality_hash_and_repr():
+    pairs = [
+        (GaussianAmplitude(0.3, 1.2), GaussianAmplitude(0.3, 1.2)),
+        (FlatResponse(0.7), FlatResponse(0.7)),
+        (GaussianPeakResponse(0.8, 2.0), GaussianPeakResponse(0.8, 2.0)),
+    ]
+    for first, second in pairs:
+        assert first == second and hash(first) == hash(second)
+        assert repr(first) == repr(second)
+    assert repr(pairs[0][0]) == "GaussianAmplitude(center=0.3, width=1.2)"
+    assert repr(pairs[1][0]) == "FlatResponse(transmission=0.7)"
+    assert repr(pairs[2][0]) == "GaussianPeakResponse(peak_probability=0.8, width=2.0)"
+    assert GaussianAmplitude(0.3, 1.2) != GaussianAmplitude(0.3, 1.3)
 
 
 def test_overlap_conjugate_symmetry():
