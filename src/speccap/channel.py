@@ -9,7 +9,6 @@ infinite-dimensional diagonalization to an N x N Hermitian one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -104,15 +103,6 @@ class GramData:
         return HermitianMatrix(root[:, None] * self.gram.entries * root[None, :])
 
 
-@lru_cache(maxsize=16)
-def _upper_triangle(n):
-    """Read-only ``np.triu_indices(n)``, built once per alphabet size."""
-    rows, cols = np.triu_indices(n)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
-
-
 def compute_gram(ensemble, response, spec=DEFAULT_QUADRATURE):
     """Gram data of an ensemble pushed through a channel response.
 
@@ -126,7 +116,7 @@ def compute_gram(ensemble, response, spec=DEFAULT_QUADRATURE):
     n = ensemble.n
     if closed_form_applies(ensemble.letters, response):
         entries = np.zeros((n, n), dtype=complex)
-        entries[_upper_triangle(n)] = [
+        entries[np.triu_indices(n)] = [
             modulated_overlap(a, b, response, spec=spec)
             for a, b in combinations_with_replacement(ensemble.letters, 2)
         ]

@@ -212,6 +212,8 @@ _CLOSED_FORM_RESPONSES = (FlatResponse, GaussianPeakResponse)
 
 def closed_form_applies(letters, response):
     """Whether every overlap of ``letters`` through ``response`` has the Gaussian closed form."""
+    # modulated_overlap tests the same rule inline for its two letters, so a
+    # new closed-form letter type goes in both places.
     return isinstance(response, _CLOSED_FORM_RESPONSES) and all(
         isinstance(letter, GaussianAmplitude) for letter in letters
     )
@@ -262,14 +264,12 @@ def modulated_overlap(amp_a, amp_b, response, spec=DEFAULT_QUADRATURE, method="a
         and isinstance(amp_b, GaussianAmplitude)
         and isinstance(response, _CLOSED_FORM_RESPONSES)
     )
-    if analytic_ok and method == "auto":
+    if analytic_ok and method in ("auto", "analytic"):
         return _gaussian_pair_overlap(amp_a, amp_b, response)
     if method not in ("auto", "analytic", "quadrature"):
         raise ValidationError(f"unknown overlap method {method!r}")
     if method == "analytic":
-        if not analytic_ok:
-            raise ValidationError("analytic overlap requires Gaussian amplitudes and a flat or Gaussian channel")
-        return _gaussian_pair_overlap(amp_a, amp_b, response)
+        raise ValidationError("analytic overlap requires Gaussian amplitudes and a flat or Gaussian channel")
     letters = (amp_a,) if amp_a is amp_b else (amp_a, amp_b)
     return complex(quadrature_gram(letters, response, spec)[0, -1])
 
