@@ -15,7 +15,6 @@ from .errors import (
 )
 from .numerics import (
     DEFAULT_QUADRATURE,
-    HermitianMatrix,
     QuadratureSpec,
     clamp_spectrum,
     hermitian_eigenvalues,
@@ -59,7 +58,6 @@ __all__ = [
     "GaussianAmplitude",
     "GaussianPeakResponse",
     "GramData",
-    "HermitianMatrix",
     "PsdViolationError",
     "QuadratureSpec",
     "TabulatedAmplitude",

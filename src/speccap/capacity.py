@@ -13,7 +13,7 @@ import numpy as np
 
 from .channel import EncodingEnsemble, compute_gram, output_spectrum, reweight
 from .errors import ComputationError, ConvergenceError, ValidationError
-from .numerics import DEFAULT_QUADRATURE, HermitianMatrix, clamp_spectrum, hermitian_eigenvalues
+from .numerics import DEFAULT_QUADRATURE, clamp_spectrum, hermitian_eigenvalues
 from .spectral import make_gaussian_basis
 
 
@@ -210,7 +210,7 @@ def _letter_divergences(gram, loss, weights):
     is the Holevo quantity, and ``D_i - log2 e`` its derivative in weight i.
     """
     root = np.sqrt(weights)
-    values, vectors = hermitian_eigenvalues(HermitianMatrix(root[:, None] * gram * root), vectors=True)
+    values, vectors = hermitian_eigenvalues(root[:, None] * gram * root, vectors=True)
     values = clamp_spectrum(values)
     safe = np.where(values > 0.0, values, 1.0)  # log2(1) / 1 = 0 drops the null space
     photon = (np.log2(safe) / safe) @ np.abs(vectors.conj().T @ (root[:, None] * gram)) ** 2
@@ -235,11 +235,10 @@ def optimize_priors(ensemble, response, tol=1e-9, spec=DEFAULT_QUADRATURE, max_i
     if ensemble.n < 2:
         raise ValidationError("prior optimization needs at least two letters")
     base = compute_gram(ensemble, response, spec=spec)
-    entries = base.gram.entries
     loss = base.loss
 
     weights = np.full(ensemble.n, 1.0 / ensemble.n)
-    divergences = _letter_divergences(entries, loss, weights)
+    divergences = _letter_divergences(base.gram, loss, weights)
     value = float(weights @ divergences)
     step = 1.0
 
@@ -251,7 +250,7 @@ def optimize_priors(ensemble, response, tol=1e-9, spec=DEFAULT_QUADRATURE, max_i
         while step > 1e-14:
             candidate = weights * np.exp(step * exponent)
             candidate /= candidate.sum()
-            candidate_divergences = _letter_divergences(entries, loss, candidate)
+            candidate_divergences = _letter_divergences(base.gram, loss, candidate)
             candidate_value = float(candidate @ candidate_divergences)
             if candidate_value > value:
                 improvement = candidate_value - value

@@ -14,12 +14,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    HermitianMatrix,
-    clamp_spectrum,
-    hermitian_eigenvalues,
-)
+from .numerics import DEFAULT_QUADRATURE, clamp_spectrum, hermitian_eigenvalues
 from .spectral import closed_form_applies, modulated_overlap, quadrature_gram
 
 
@@ -65,29 +60,42 @@ class EncodingEnsemble:
 class GramData:
     """Modulated-letter Gram matrix and priors; the per-letter statistics derive from them.
 
-    ``gram[i][j] = integral eta^2 conj(psi_i) psi_j``; ``survival[i]`` is its
-    diagonal clipped to [0, 1], ``loss = 1 - survival``, ``mean_loss`` is the
-    prior-weighted loss, and ``weighted = sqrt(P) gram sqrt(P)`` is the
-    matrix carrying the output spectrum.  Construction raises
-    ``ComputationError`` when the diagonal leaves [0, 1] by more than 1e-10.
+    ``gram[i][j] = integral eta^2 conj(psi_i) psi_j`` is kept as a read-only
+    complex array (a writable one is copied); ``survival[i]`` is its diagonal
+    clipped to [0, 1], computed once here, ``loss = 1 - survival``,
+    ``mean_loss`` is the prior-weighted loss, and ``weighted = sqrt(P) gram
+    sqrt(P)`` is the matrix carrying the output spectrum, checked by
+    :func:`~speccap.numerics.hermitian_eigenvalues`.  Construction raises
+    ``ValidationError`` for a non-square gram and ``ComputationError`` when
+    the diagonal is NaN or leaves [0, 1] by more than 1e-10.
     """
 
-    gram: HermitianMatrix
+    gram: np.ndarray
     priors: np.ndarray
 
     def __post_init__(self):
+        gram = np.asarray(self.gram, dtype=complex)
+        if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+            raise ValidationError(f"Gram matrix must be square, got shape {gram.shape}")
+        if gram.flags.writeable:  # a caller's array: keep a private copy
+            gram = gram.copy()
+            gram.setflags(write=False)
+        object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "priors", _validated_priors(self.priors, self.n))
-        diagonal = self.gram.entries.diagonal().real
-        if np.any(diagonal < -1e-10) or np.any(diagonal > 1.0 + 1e-10):
+        diagonal = gram.diagonal().real
+        if not np.all((diagonal >= -1e-10) & (diagonal <= 1.0 + 1e-10)):  # NaN fails too
             raise ComputationError(f"survival probabilities outside [0, 1]: {diagonal!r}")
+        survival = np.clip(diagonal, 0.0, 1.0)
+        survival.setflags(write=False)
+        object.__setattr__(self, "_survival", survival)
 
     @property
     def n(self):
-        return self.gram.dimension
+        return self.gram.shape[0]
 
     @property
     def survival(self):
-        return np.clip(self.gram.entries.diagonal().real, 0.0, 1.0)
+        return self._survival
 
     @property
     def loss(self):
@@ -100,7 +108,7 @@ class GramData:
     @property
     def weighted(self):
         root = np.sqrt(self.priors)
-        return HermitianMatrix(root[:, None] * self.gram.entries * root[None, :])
+        return root[:, None] * self.gram * root[None, :]
 
 
 def compute_gram(ensemble, response, spec=DEFAULT_QUADRATURE):
@@ -123,7 +131,7 @@ def compute_gram(ensemble, response, spec=DEFAULT_QUADRATURE):
         entries += np.triu(entries, 1).conj().T
     else:
         entries = quadrature_gram(ensemble.letters, response, spec)
-    return GramData(HermitianMatrix(entries), ensemble.priors)
+    return GramData(entries, ensemble.priors)
 
 
 def reweight(gram_data, priors):
@@ -138,9 +146,10 @@ def output_spectrum(gram_data):
     deviation beyond 1e-10 means the eigensolve went wrong.
     """
     values = clamp_spectrum(hermitian_eigenvalues(gram_data.weighted))
-    total = float(values.sum()) + gram_data.mean_loss
+    mean_loss = gram_data.mean_loss
+    total = float(values.sum()) + mean_loss
     if abs(total - 1.0) > 1e-10:
         raise ComputationError(
             f"output spectrum plus mean loss sums to {total!r}, expected 1"
         )
-    return values, gram_data.mean_loss
+    return values, mean_loss

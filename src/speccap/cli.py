@@ -245,7 +245,7 @@ def cmd_gram_dump(args):
     rows = []
     for i in range(data.n):
         for j in range(data.n):
-            entry = data.gram.entries[i, j]
+            entry = data.gram[i, j]
             rows.append(["gram", i, j, _fmt(entry.real), _fmt(entry.imag)])
     for i, value in enumerate(data.survival):
         rows.append(["survival", i, "", _fmt(value), ""])

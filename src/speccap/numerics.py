@@ -7,7 +7,8 @@ Kronrod nodes; a matmul per rule gives its panel matrices of weighted
 overlaps, and their difference is the per-entry error estimate.  Segments
 whose estimate is too large are bisected level by level.  Eigenvalues come
 from LAPACK through ``numpy.linalg.eigvalsh`` (``eigh`` when eigenvectors
-are asked for); matrices are small (N up to ~128).
+are asked for); matrices are small (N up to ~128) and are plain arrays,
+validated and symmetrized in :func:`hermitian_eigenvalues` on their way in.
 """
 from __future__ import annotations
 
@@ -149,46 +150,29 @@ def weighted_gram(sample, edges, spec=DEFAULT_QUADRATURE):
     return gram
 
 
-@dataclass(frozen=True)
-class HermitianMatrix:
-    """A square complex matrix symmetrized to be exactly Hermitian.
-
-    Construction rejects non-finite entries and inputs whose asymmetry
-    ``|A - A^H|`` exceeds 1e-12 anywhere; smaller asymmetry is averaged away.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.entries, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValidationError("matrix must be square")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("matrix entries must be finite")
-        deviation = np.max(np.abs(arr - arr.conj().T)) if arr.size else 0.0
-        if deviation > 1e-12:
-            raise ValidationError(
-                f"matrix is not Hermitian (max asymmetry {deviation:.3e})"
-            )
-        arr = 0.5 * (arr + arr.conj().T)
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def dimension(self):
-        return self.entries.shape[0]
-
-
-def hermitian_eigenvalues(matrix: HermitianMatrix, *, vectors=False):
+def hermitian_eigenvalues(matrix, *, vectors=False):
     """All eigenvalues of a Hermitian matrix, sorted descending (LAPACK ``eigvalsh``).
 
-    ``vectors=True`` returns ``(values, vectors)`` from ``eigh``, eigenvectors as columns.
+    The one check every matrix passes before LAPACK: ``matrix`` (any square
+    array-like) is copied to complex; non-finite entries or asymmetry
+    ``|A - A^H|`` above 1e-12 raise ValidationError, and ``(A + A^H) / 2`` is
+    solved.  ``vectors=True`` returns ``(values, vectors)`` from ``eigh``,
+    eigenvectors as columns.
     """
+    arr = np.array(matrix, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValidationError("matrix must be square")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("matrix entries must be finite")
+    deviation = np.max(np.abs(arr - arr.conj().T)) if arr.size else 0.0
+    if deviation > 1e-12:
+        raise ValidationError(f"matrix is not Hermitian (max asymmetry {deviation:.3e})")
+    arr = 0.5 * (arr + arr.conj().T)
     try:
         if vectors:
-            values, basis = np.linalg.eigh(matrix.entries)
+            values, basis = np.linalg.eigh(arr)
             return values[::-1], basis[:, ::-1]
-        return np.linalg.eigvalsh(matrix.entries)[::-1]
+        return np.linalg.eigvalsh(arr)[::-1]
     except np.linalg.LinAlgError as exc:
         raise ComputationError(f"Hermitian eigensolve failed: {exc}") from exc
 

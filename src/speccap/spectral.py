@@ -34,8 +34,10 @@ class GaussianAmplitude:
     width: float = 1.0
 
     def __post_init__(self):
-        if not self.width > 0:
-            raise ValidationError("amplitude width must be positive")
+        if not math.isfinite(self.center):
+            raise ValidationError("amplitude center must be finite")
+        if not 0 < self.width < math.inf:
+            raise ValidationError("amplitude width must be positive and finite")
         a = 0.25 / (self.width * self.width)
         object.__setattr__(self, "_a", a)
         object.__setattr__(self, "_acc", a * self.center * self.center)
@@ -195,13 +197,15 @@ def _gaussian_pair_overlap(amp_a, amp_b, response):
     ``E = (a b (c_a - c_b)^2 + k (a c_a^2 + b c_b^2)) / A``, a sum of
     non-negative terms that cannot cancel.  Each letter carries its ``a``
     and ``a c^2`` and the response its ``(power, k)``, computed once at
-    construction, so a pair costs only this arithmetic.
+    construction, so a pair costs only this arithmetic.  A flat channel
+    (``k = 0``) adds no ``k`` term at all, so a letter whose ``a c^2``
+    overflows to inf (``|c|`` beyond about 1e154) gives no ``0 * inf``.
     """
     ca, cb = amp_a.center, amp_b.center
     a, b = amp_a._a, amp_b._a
     power, k = response._power_k
     quad = a + b + k
-    exponent = (a * b * (ca - cb) ** 2 + k * (amp_a._acc + amp_b._acc)) / quad
+    exponent = (a * b * (ca - cb) ** 2 + (k and k * (amp_a._acc + amp_b._acc))) / quad
     # C = power / sqrt(2 pi w_a w_b), so C * sqrt(pi/A) = power * sqrt(1 / (2 w_a w_b A)).
     return complex(power * math.sqrt(0.5 / (amp_a.width * amp_b.width * quad)) * math.exp(-exponent))
 

@@ -4,7 +4,7 @@ import pytest
 from oracles import explicit_basis_spectrum, quadrature_overlap_matrix
 from speccap.channel import EncodingEnsemble, GramData, compute_gram, output_spectrum, reweight
 from speccap.errors import ComputationError, ConvergenceError, ValidationError
-from speccap.numerics import HermitianMatrix, QuadratureSpec, hermitian_eigenvalues
+from speccap.numerics import QuadratureSpec, hermitian_eigenvalues
 from speccap.spectral import (
     FlatResponse,
     GaussianAmplitude,
@@ -42,17 +42,17 @@ def test_uniform_factory():
 
 def test_single_letter_transparent_channel():
     data = compute_gram(EncodingEnsemble.uniform(make_gaussian_basis(1, 0.0, 1.0)), FlatResponse(1.0))
-    assert data.gram.entries[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert data.gram[0, 0] == pytest.approx(1.0, abs=1e-12)
     assert data.mean_loss == pytest.approx(0.0, abs=1e-12)
-    assert data.weighted.entries[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert data.weighted[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_orthogonal_letters_flat_channel():
     ensemble = EncodingEnsemble.uniform(make_gaussian_basis(2, 40.0, 1.0))
     data = compute_gram(ensemble, FlatResponse(0.8))
-    assert data.gram.entries[0, 0] == pytest.approx(0.64, abs=1e-12)
-    assert data.gram.entries[1, 1] == pytest.approx(0.64, abs=1e-12)
-    assert abs(data.gram.entries[0, 1]) <= 1e-14
+    assert data.gram[0, 0] == pytest.approx(0.64, abs=1e-12)
+    assert data.gram[1, 1] == pytest.approx(0.64, abs=1e-12)
+    assert abs(data.gram[0, 1]) <= 1e-14
     assert data.mean_loss == pytest.approx(0.36, abs=1e-12)
     spectrum, _ = output_spectrum(data)
     assert spectrum == pytest.approx([0.32, 0.32], abs=1e-12)
@@ -63,7 +63,7 @@ def test_gram_off_diagonal_matches_quadrature():
     response = GaussianPeakResponse(1.0, 1.0)
     data = compute_gram(EncodingEnsemble.uniform(letters), response)
     reference = quadrature_overlap_matrix(letters, response)
-    assert np.max(np.abs(data.gram.entries - reference)) <= 1e-10
+    assert np.max(np.abs(data.gram - reference)) <= 1e-10
 
 
 def test_identical_letters_rank_one():
@@ -111,7 +111,7 @@ def test_flat_channel_scales_lossless_gram():
     ensemble = EncodingEnsemble.uniform(make_gaussian_basis(4, 1.5, 1.0))
     lossless = compute_gram(ensemble, FlatResponse(1.0))
     lossy = compute_gram(ensemble, FlatResponse(0.7))
-    assert np.max(np.abs(lossy.gram.entries - 0.49 * lossless.gram.entries)) <= 1e-12
+    assert np.max(np.abs(lossy.gram - 0.49 * lossless.gram)) <= 1e-12
     s0, _ = output_spectrum(lossless)
     s1, _ = output_spectrum(lossy)
     assert np.max(np.abs(s1 - 0.49 * s0)) <= 1e-12
@@ -138,7 +138,7 @@ def test_gram_data_invariants():
     data = compute_gram(ensemble, GaussianPeakResponse(0.8, 1.0))
     assert np.all(data.survival >= 0.0) and np.all(data.survival <= 1.0)
     assert np.all(data.loss >= 0.0) and np.all(data.loss <= 1.0)
-    trace = float(np.trace(data.weighted.entries).real)
+    trace = float(np.trace(data.weighted).real)
     assert trace == pytest.approx(1.0 - data.mean_loss, abs=1e-10)
     assert hermitian_eigenvalues(data.weighted).min() >= -1e-10
 
@@ -163,7 +163,7 @@ def test_narrow_letters_under_a_wide_tabulated_response_converge():
     for letter in letters:
         assert modulated_overlap(letter, letter, response) == pytest.approx(1.0, abs=1e-12)
     data = compute_gram(EncodingEnsemble.uniform(letters), response)
-    assert data.gram.entries.diagonal() == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert data.gram.diagonal() == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 def test_reweight_keeps_gram_and_updates_statistics():
@@ -174,12 +174,12 @@ def test_reweight_keeps_gram_and_updates_statistics():
     assert shifted.gram is data.gram
     assert shifted.mean_loss == pytest.approx(float(np.dot([0.6, 0.3, 0.1], data.loss)), abs=1e-14)
     direct = compute_gram(EncodingEnsemble(ensemble.letters, [0.6, 0.3, 0.1]), response)
-    assert np.max(np.abs(shifted.weighted.entries - direct.weighted.entries)) <= 1e-14
+    assert np.max(np.abs(shifted.weighted - direct.weighted)) <= 1e-14
     record = GramData(data.gram, [0.6, 0.3, 0.1])
     assert record.gram is shifted.gram
     for name in ("priors", "survival", "loss", "mean_loss"):
         assert np.array_equal(getattr(record, name), getattr(shifted, name))
-    assert np.array_equal(record.weighted.entries, shifted.weighted.entries)
+    assert np.array_equal(record.weighted, shifted.weighted)
     with pytest.raises(ValidationError):
         reweight(data, [0.5, 0.5])
 
@@ -187,7 +187,32 @@ def test_reweight_keeps_gram_and_updates_statistics():
 def test_gram_diagonal_outside_the_unit_interval_raises():
     for diagonal in ([1.0 + 1e-9, 0.5], [0.5, -1e-9]):
         with pytest.raises(ComputationError, match="survival"):
-            GramData(HermitianMatrix(np.diag(diagonal)), [0.5, 0.5])
-    data = GramData(HermitianMatrix(np.diag([1.0 + 1e-11, -1e-11])), [0.5, 0.5])
+            GramData(np.diag(diagonal), [0.5, 0.5])
+    data = GramData(np.diag([1.0 + 1e-11, -1e-11]), [0.5, 0.5])
     assert np.array_equal(data.survival, [1.0, 0.0])
     assert data.mean_loss == 0.5
+
+
+def test_gram_data_rejects_a_non_square_gram_and_a_nan_diagonal():
+    for gram in (np.zeros(2), np.zeros((2, 3)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValidationError, match="square"):
+            GramData(gram, [0.5, 0.5])
+    # NaN fails the survival range check, so mean_loss is never silently NaN.
+    with pytest.raises(ComputationError, match="survival"):
+        GramData(np.diag([np.nan, 0.5]), [0.5, 0.5])
+    # Off the diagonal, finiteness is checked where the matrix meets the eigensolver.
+    data = GramData([[0.5, np.nan], [np.nan, 0.5]], [0.5, 0.5])
+    with pytest.raises(ValidationError, match="finite"):
+        output_spectrum(data)
+
+
+def test_gram_data_holds_a_read_only_copy_of_a_caller_array():
+    caller = np.diag([0.9, 0.4]).astype(complex)  # asarray would not copy it
+    data = GramData(caller, [0.5, 0.5])
+    caller[0, 0] = 0.0
+    assert caller.flags.writeable
+    assert data.gram.dtype == complex and data.gram[0, 0] == 0.9
+    assert np.array_equal(data.survival, [0.9, 0.4])
+    for name in ("gram", "survival"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(data, name)[0] = 0.0

@@ -2,9 +2,11 @@ import csv
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import pytest
 
+import speccap
 from speccap.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, MAX_GRID_POINTS, UsageError, main, parse_grid
 from speccap.svgplot import render_line
 
@@ -369,6 +371,19 @@ def test_importing_the_cli_loads_no_network_modules():
     code = f"import sys, speccap.cli; print([m for m in {heavy!r} if m in sys.modules])"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_star_import_exports_exactly_the_public_names():
+    # A name left in __all__ after its object is gone breaks `import *`.
+    namespace = {}
+    exec("from speccap import *", namespace)
+    assert all(namespace[name] is getattr(speccap, name) for name in speccap.__all__)
+    public = {
+        name
+        for name, value in vars(speccap).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(speccap.__all__)
 
 
 def test_plot_unknown_column_lists_available(tmp_path, capsys):

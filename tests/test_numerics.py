@@ -7,7 +7,6 @@ from speccap import numerics
 from speccap.errors import ComputationError, ConvergenceError, PsdViolationError, ValidationError
 from speccap.numerics import (
     DEFAULT_QUADRATURE,
-    HermitianMatrix,
     QuadratureSpec,
     clamp_spectrum,
     hermitian_eigenvalues,
@@ -194,12 +193,12 @@ def test_default_quadrature_spec_values():
 
 
 def test_identity_eigenvalues():
-    values = hermitian_eigenvalues(HermitianMatrix(np.eye(3)))
+    values = hermitian_eigenvalues(np.eye(3))
     assert np.allclose(values, [1.0, 1.0, 1.0], atol=1e-14)
 
 
 def test_rank_one_projector_eigenvalues():
-    values = hermitian_eigenvalues(HermitianMatrix([[0.5, 0.5], [0.5, 0.5]]))
+    values = hermitian_eigenvalues([[0.5, 0.5], [0.5, 0.5]])
     assert values == pytest.approx([1.0, 0.0], abs=1e-13)
 
 
@@ -244,7 +243,7 @@ _FIXED_4X4_EIGENVALUES = [
 
 
 def test_fixed_hermitian_matches_characteristic_polynomial_roots():
-    values = hermitian_eigenvalues(HermitianMatrix(_FIXED_4X4))
+    values = hermitian_eigenvalues(_FIXED_4X4)
     assert values == pytest.approx(_FIXED_4X4_EIGENVALUES, abs=1e-10)
 
 
@@ -261,7 +260,7 @@ def test_fixed_hermitian_matches_runtime_polynomial_oracle():
         coeffs.append(c)
         b = mb + c * np.eye(n)
     roots = np.sort(np.roots([c.real for c in coeffs]).real)[::-1]
-    values = hermitian_eigenvalues(HermitianMatrix(m))
+    values = hermitian_eigenvalues(m)
     assert values == pytest.approx(list(roots), abs=1e-10)
 
 
@@ -269,9 +268,9 @@ def test_eigenvalue_sum_matches_trace():
     rng = np.random.default_rng(3)
     for n in (2, 3, 5, 9, 16):
         raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        matrix = HermitianMatrix(0.5 * (raw + raw.conj().T))
+        matrix = 0.5 * (raw + raw.conj().T)
         values = hermitian_eigenvalues(matrix)
-        trace = float(np.trace(matrix.entries).real)
+        trace = float(np.trace(matrix).real)
         assert np.sum(values) == pytest.approx(trace, abs=1e-10 * max(1.0, abs(trace)))
         assert np.all(np.diff(values) <= 0)
 
@@ -281,18 +280,19 @@ def test_gram_matrix_eigenvalues_nonnegative():
     for n in (2, 4, 7):
         vectors = rng.normal(size=(n, 3 * n)) + 1j * rng.normal(size=(n, 3 * n))
         gram = vectors @ vectors.conj().T / (3 * n)
-        values = hermitian_eigenvalues(HermitianMatrix(gram))
+        values = hermitian_eigenvalues(gram)
         assert values.min() >= -1e-10
 
 
 def test_non_hermitian_rejected():
-    with pytest.raises(ValidationError):
-        HermitianMatrix([[1.0, 2.0], [0.0, 1.0]])
+    for matrix in ([[1.0, 2.0], [0.0, 1.0]], [[1.0, 0.5 + 1e-11], [0.5, 1.0]]):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            hermitian_eigenvalues(matrix)
 
 
 def test_non_square_rejected():
     with pytest.raises(ValidationError):
-        HermitianMatrix(np.zeros((2, 3)))
+        hermitian_eigenvalues(np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize(
@@ -306,7 +306,7 @@ def test_non_square_rejected():
 )
 def test_non_finite_entries_rejected(entries):
     with pytest.raises(ValidationError):
-        HermitianMatrix(entries)
+        hermitian_eigenvalues(entries)
 
 
 def test_eigensolver_failure_is_computation_error(monkeypatch):
@@ -315,17 +315,17 @@ def test_eigensolver_failure_is_computation_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     with pytest.raises(ComputationError, match="did not converge"):
-        hermitian_eigenvalues(HermitianMatrix(np.eye(2)))
+        hermitian_eigenvalues(np.eye(2))
 
 
 def test_eigenvectors_on_request():
     rng = np.random.default_rng(7)
     raw = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    matrix = HermitianMatrix(0.5 * (raw + raw.conj().T))
+    matrix = 0.5 * (raw + raw.conj().T)
     values, vectors = hermitian_eigenvalues(matrix, vectors=True)
     assert np.max(np.abs(values - hermitian_eigenvalues(matrix))) <= 1e-12
     assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(6))) <= 1e-12
-    assert np.max(np.abs(vectors @ np.diag(values) @ vectors.conj().T - matrix.entries)) <= 1e-12
+    assert np.max(np.abs(vectors @ np.diag(values) @ vectors.conj().T - matrix)) <= 1e-12
 
 
 def test_eigenvector_solve_failure_is_computation_error(monkeypatch):
@@ -334,12 +334,17 @@ def test_eigenvector_solve_failure_is_computation_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(ComputationError, match="did not converge"):
-        hermitian_eigenvalues(HermitianMatrix(np.eye(2)), vectors=True)
+        hermitian_eigenvalues(np.eye(2), vectors=True)
 
 
 def test_small_asymmetry_is_symmetrized():
-    m = HermitianMatrix([[1.0, 0.5 + 1e-13], [0.5, 1.0]])
-    assert m.entries[0, 1] == pytest.approx(np.conj(m.entries[1, 0]), abs=0)
+    # Below the 1e-12 bound, the eigensolver sees the exact Hermitian part
+    # (A + A^H) / 2, not either triangle of A.
+    m = np.array([[1.0, 0.5 + 1e-13], [0.5, 1.0]], dtype=complex)
+    hermitian_part = 0.5 * (m + m.conj().T)
+    assert np.array_equal(hermitian_eigenvalues(m), np.linalg.eigvalsh(hermitian_part)[::-1])
+    values, _ = hermitian_eigenvalues(m, vectors=True)
+    assert np.array_equal(values, np.linalg.eigh(hermitian_part)[0][::-1])
 
 
 def test_clamp_spectrum():

@@ -118,7 +118,7 @@ def exact_tabulated_gram(grid, letters, eta):
 
 @given(gaussian_letters, closed_form_channels)
 def test_quadrature_matches_the_gaussian_closed_form(letters, response):
-    closed = compute_gram(EncodingEnsemble.uniform(letters), response).gram.entries
+    closed = compute_gram(EncodingEnsemble.uniform(letters), response).gram
     assert np.max(np.abs(quadrature_gram(letters, response) - closed)) <= 1e-10
     pair = modulated_overlap(letters[0], letters[-1], response, method="quadrature")
     assert abs(pair - closed[0, -1]) <= 1e-10
@@ -138,7 +138,7 @@ def test_quadrature_matches_the_closed_form_for_narrow_letters(letters, channels
 
 @given(narrow_gaussian_letters, closed_form_channels)
 def test_closed_form_gram_matches_the_stable_form_for_narrow_letters(letters, response):
-    entries = compute_gram(EncodingEnsemble.uniform(letters), response).gram.entries
+    entries = compute_gram(EncodingEnsemble.uniform(letters), response).gram
     reference = stable_gaussian_gram(letters, response)
     assert np.all(np.abs(entries - reference) <= 1e-13 * np.abs(reference))
 
@@ -148,7 +148,7 @@ def test_tabulated_gram_is_the_exact_segment_sum(inputs):
     grid, letters, response = inputs
     data = compute_gram(EncodingEnsemble.uniform(letters), response)
     exact = exact_tabulated_gram(grid, letters, response.values)
-    assert np.max(np.abs(data.gram.entries - exact)) <= 1e-12
+    assert np.max(np.abs(data.gram - exact)) <= 1e-12
 
 
 @given(tabulated_inputs(), st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4))
@@ -157,9 +157,9 @@ def test_tabulated_reweight_matches_a_fresh_gram_and_conserves_probability(input
     priors = np.array(raw[: len(letters)]) / sum(raw[: len(letters)])
     shifted = reweight(compute_gram(EncodingEnsemble.uniform(letters), response), priors)
     fresh = compute_gram(EncodingEnsemble(letters, priors), response)
-    assert np.max(np.abs(shifted.weighted.entries - fresh.weighted.entries)) <= 1e-14
+    assert np.max(np.abs(shifted.weighted - fresh.weighted)) <= 1e-14
     assert shifted.mean_loss == pytest.approx(fresh.mean_loss, abs=1e-14)
-    assert float(np.trace(shifted.weighted.entries).real) == pytest.approx(1.0 - shifted.mean_loss, abs=1e-12)
+    assert float(np.trace(shifted.weighted).real) == pytest.approx(1.0 - shifted.mean_loss, abs=1e-12)
     spectrum, mean_loss = output_spectrum(shifted)
     assert spectrum.sum() + mean_loss == pytest.approx(1.0, abs=1e-12)
 
@@ -232,7 +232,7 @@ def holevo_along(data, i, j, t):
 
 @given(gram_data_with_random_priors())
 def test_letter_divergences_average_to_the_holevo_quantity_and_give_its_gradient(data):
-    divergences = _letter_divergences(data.gram.entries, data.loss, data.priors)
+    divergences = _letter_divergences(data.gram, data.loss, data.priors)
     assert data.priors @ divergences == pytest.approx(holevo_bound(data).holevo_bits, abs=1e-10)
     # The gradient in prior i is D_i - log2 e, so the derivative along
     # e_i - e_j is D_i - D_j.
@@ -250,7 +250,7 @@ def test_a_zero_prior_on_a_duplicated_letter_gives_a_finite_divergence():
     data = compute_gram(EncodingEnsemble(letters + letters[:1], np.append(priors, 0.0)), response)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        divergences = _letter_divergences(data.gram.entries, data.loss, data.priors)
+        divergences = _letter_divergences(data.gram, data.loss, data.priors)
     assert np.all(np.isfinite(divergences))
     # The twin has the same output state, so the same divergence.
     assert divergences[3] == pytest.approx(divergences[0], abs=1e-10)

@@ -35,6 +35,16 @@ def test_gaussian_amplitude_rejects_bad_width():
         GaussianAmplitude(0.0, 0.0)
 
 
+def test_gaussian_amplitude_rejects_non_finite_parameters():
+    # Each used to be accepted: NaN overlaps, or a bare ZeroDivisionError
+    # from the closed form's A = a + b + k = 0 under a flat channel.
+    for center, width in ((np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (0.0, np.inf)):
+        with pytest.raises(ValidationError):
+            GaussianAmplitude(center, width)
+    with pytest.raises(ValidationError):
+        replace(GaussianAmplitude(0.0, 1.0), center=np.nan)
+
+
 def test_tabulated_amplitude_zero_outside_grid():
     tab = TabulatedAmplitude([0.0, 1.0], [1.0, 1.0])
     assert tab.value(-0.5) == 0.0
@@ -124,6 +134,15 @@ def test_overlap_of_a_narrow_letter_far_from_zero_is_exact():
     amp = GaussianAmplitude(4.99, 0.0051)
     value = modulated_overlap(amp, amp, FlatResponse(1.0), method="analytic")
     assert value == pytest.approx(1.0, abs=1e-14)
+
+
+def test_flat_channel_overlap_of_a_letter_beyond_1e154_is_finite():
+    # a c^2 overflows to inf there; a flat channel (k = 0) must add no
+    # k * inf = NaN term to the exponent.
+    far = GaussianAmplitude(1e160, 1.0)
+    assert modulated_overlap(far, far, FlatResponse(1.0)) == 1.0
+    assert modulated_overlap(far, far, FlatResponse(0.5)) == pytest.approx(0.25, abs=1e-15)
+    assert modulated_overlap(far, far, GaussianPeakResponse(1.0, 1.0)) == 0.0
 
 
 def test_analytic_path_matches_quadrature_on_parameter_grid():
