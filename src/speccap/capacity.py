@@ -82,14 +82,11 @@ def holevo_bound(gram_data):
     spectrum, mean_loss = output_spectrum(gram_data)
     loss = gram_data.loss
     letter_entropies = _entropy_bits(np.stack([loss, 1.0 - loss], axis=-1))
-    output_entropy = -_plog2p(mean_loss) + float(_entropy_bits(spectrum))
-    holevo = output_entropy - float(gram_data.priors @ letter_entropies)
-
+    spectrum_entropy = float(_entropy_bits(spectrum))
+    holevo = -_plog2p(mean_loss) + spectrum_entropy - float(gram_data.priors @ letter_entropies)
+    # arrival * H(spectrum / arrival), from the same entropy pass.
     arrival = 1.0 - mean_loss
-    if arrival <= 0.0:
-        post_selected = 0.0
-    else:
-        post_selected = arrival * float(_entropy_bits(spectrum / arrival))
+    post_selected = spectrum_entropy + float(spectrum.sum()) * math.log2(arrival) if arrival > 0.0 else 0.0
 
     max_bits = math.log2(gram_data.n) if gram_data.n > 1 else 0.0
     return CapacityReport(

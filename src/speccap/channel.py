@@ -115,22 +115,24 @@ def compute_gram(ensemble, response, spec=DEFAULT_QUADRATURE):
     """Gram data of an ensemble pushed through a channel response.
 
     Gaussian letters through a flat or Gaussian channel take the closed form
-    pair by pair, in one pass over the upper triangle; mirroring it keeps the
-    matrix exactly Hermitian.  Every other ensemble goes through one
-    quadrature node rule for the whole matrix.  The result pairs that matrix
-    with the ensemble's priors; a survival probability outside [0, 1] raises
-    ``ComputationError``.
+    pair by pair, in one pass over the upper triangle; adding the conjugate
+    transpose and halving the diagonal mirrors it, which keeps the matrix
+    exactly Hermitian.  Every other ensemble goes through one quadrature
+    node rule for the whole matrix.  The result pairs that matrix, read-only
+    so it is not copied, with the ensemble's priors; a survival probability
+    outside [0, 1] raises ``ComputationError``.
     """
     n = ensemble.n
     if closed_form_applies(ensemble.letters, response):
         entries = np.zeros((n, n), dtype=complex)
-        entries[np.triu_indices(n)] = [
-            modulated_overlap(a, b, response, spec=spec)
-            for a, b in combinations_with_replacement(ensemble.letters, 2)
+        entries[np.tri(n, dtype=bool).T] = [  # the upper triangle, row by row
+            modulated_overlap(a, b, response) for a, b in combinations_with_replacement(ensemble.letters, 2)
         ]
-        entries += np.triu(entries, 1).conj().T
+        entries += entries.T.conj()
+        entries.flat[:: n + 1] *= 0.5
     else:
         entries = quadrature_gram(ensemble.letters, response, spec)
+    entries.setflags(write=False)
     return GramData(entries, ensemble.priors)
 
 

@@ -116,6 +116,7 @@ def _write_csv(path, header, rows):
 
 
 def cmd_sweep(args):
+    """One CSV row per grid point, in grid order; each ``(n, spacing)`` comb is built once for all its points."""
     n_list = parse_int_list(args.n)
     delta_grid = parse_grid(args.delta_omega)
     if args.mode == "flat":
@@ -133,34 +134,32 @@ def cmd_sweep(args):
         raise UsageError("all sweep grids must be non-empty")
     points = _grid_points(n_list, delta_grid, channel_grid)
 
-    def one_point(point):
-        n, delta, channel_value = point
-        key = [n, _fmt(delta), _fmt(channel_value)]
-        if args.mode == "gaussian":
-            key.append(_fmt(args.p_peak))
-        key.append(int(args.post_select))
-        try:
-            if args.mode == "flat":
-                response = FlatResponse(channel_value)
-            else:
-                response = GaussianPeakResponse(args.p_peak, channel_value)
-            letters = make_gaussian_basis(n, delta, args.sigma_psi, args.centering)
-            ensemble = EncodingEnsemble.uniform(letters)
-            if args.priors == "optimized" and n >= 2:
-                _, report = optimize_priors(ensemble, response)
-            else:
-                report = holevo_bound(compute_gram(ensemble, response))
-        except (ValidationError, ComputationError) as exc:
-            return key + ["", "", "", str(exc)]
-        return key + [
-            _fmt(report.holevo_bits),
-            _fmt(report.post_selected_bits),
-            _fmt(report.mean_loss),
-            "",
-        ]
-
     _check_thread_env()
-    rows = [one_point(point) for point in points]
+    rows = []
+    for (n, delta), group in itertools.groupby(points, key=lambda point: point[:2]):
+        ensemble = None  # the comb, built at the first point whose channel is valid
+        for _, _, channel_value in group:
+            key = [n, _fmt(delta), _fmt(channel_value)]
+            if args.mode == "gaussian":
+                key.append(_fmt(args.p_peak))
+            key.append(int(args.post_select))
+            try:
+                if args.mode == "flat":
+                    response = FlatResponse(channel_value)
+                else:
+                    response = GaussianPeakResponse(args.p_peak, channel_value)
+                ensemble = ensemble or EncodingEnsemble.uniform(
+                    make_gaussian_basis(n, delta, args.sigma_psi, args.centering)
+                )
+                if args.priors == "optimized" and n >= 2:
+                    _, report = optimize_priors(ensemble, response)
+                else:
+                    report = holevo_bound(compute_gram(ensemble, response))
+            except (ValidationError, ComputationError) as exc:
+                rows.append(key + ["", "", "", str(exc)])
+            else:
+                bits = (report.holevo_bits, report.post_selected_bits, report.mean_loss)
+                rows.append(key + [*map(_fmt, bits), ""])
     _write_csv(args.out, header, rows)
     return EXIT_OK
 

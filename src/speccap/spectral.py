@@ -188,28 +188,6 @@ def _integration_window(extents, truncation_sigmas):
     return lo, hi
 
 
-def _gaussian_pair_overlap(amp_a, amp_b, response):
-    """Closed form for integral eta^2 psi_a* psi_b over Gaussian inputs.
-
-    With ``a = 1/(4 w_a^2)``, ``b = 1/(4 w_b^2)`` and ``k = 1/(2 w^2)`` for a
-    channel of width ``w`` (0 when flat), completing the square gives
-    ``C * sqrt(pi/A) * exp(-E)`` with ``A = a + b + k`` and
-    ``E = (a b (c_a - c_b)^2 + k (a c_a^2 + b c_b^2)) / A``, a sum of
-    non-negative terms that cannot cancel.  Each letter carries its ``a``
-    and ``a c^2`` and the response its ``(power, k)``, computed once at
-    construction, so a pair costs only this arithmetic.  A flat channel
-    (``k = 0``) adds no ``k`` term at all, so a letter whose ``a c^2``
-    overflows to inf (``|c|`` beyond about 1e154) gives no ``0 * inf``.
-    """
-    ca, cb = amp_a.center, amp_b.center
-    a, b = amp_a._a, amp_b._a
-    power, k = response._power_k
-    quad = a + b + k
-    exponent = (a * b * (ca - cb) ** 2 + (k and k * (amp_a._acc + amp_b._acc))) / quad
-    # C = power / sqrt(2 pi w_a w_b), so C * sqrt(pi/A) = power * sqrt(1 / (2 w_a w_b A)).
-    return complex(power * math.sqrt(0.5 / (amp_a.width * amp_b.width * quad)) * math.exp(-exponent))
-
-
 # Channels whose overlaps with Gaussian letters have the closed form.
 _CLOSED_FORM_RESPONSES = (FlatResponse, GaussianPeakResponse)
 
@@ -262,6 +240,17 @@ def modulated_overlap(amp_a, amp_b, response, spec=DEFAULT_QUADRATURE, method="a
     ``"analytic"`` and ``"quadrature"`` force one route (mainly for
     cross-validation).  Quadrature is the one- or two-letter case of
     :func:`quadrature_gram`.
+
+    The closed form: with ``a = 1/(4 w_a^2)``, ``b = 1/(4 w_b^2)`` and
+    ``k = 1/(2 w^2)`` for a channel of width ``w`` (0 when flat), completing
+    the square gives ``C * sqrt(pi/A) * exp(-E)`` with ``A = a + b + k`` and
+    ``E = (a b (c_a - c_b)^2 + k (a c_a^2 + b c_b^2)) / A``, a sum of
+    non-negative terms that cannot cancel.  Each letter carries its ``a``
+    and ``a c^2`` and the response its ``(power, k)``, computed once at
+    construction, so a pair costs only this arithmetic.  A flat channel
+    (``k = 0``) adds no ``k`` term at all, so a letter whose ``a c^2``
+    overflows to inf (``|c|`` beyond about 1e154) gives no ``0 * inf``; a
+    square ``(c_a - c_b)^2`` that overflows is inf, so the pair is orthogonal.
     """
     analytic_ok = (
         isinstance(amp_a, GaussianAmplitude)
@@ -269,7 +258,17 @@ def modulated_overlap(amp_a, amp_b, response, spec=DEFAULT_QUADRATURE, method="a
         and isinstance(response, _CLOSED_FORM_RESPONSES)
     )
     if analytic_ok and method in ("auto", "analytic"):
-        return _gaussian_pair_overlap(amp_a, amp_b, response)
+        ca, cb = amp_a.center, amp_b.center
+        a, b = amp_a._a, amp_b._a
+        power, k = response._power_k
+        quad = a + b + k
+        try:
+            square = (ca - cb) ** 2  # libm pow; a product would round differently
+        except OverflowError:
+            square = math.inf
+        exponent = (a * b * square + (k and k * (amp_a._acc + amp_b._acc))) / quad
+        # C = power / sqrt(2 pi w_a w_b), so C * sqrt(pi/A) = power * sqrt(1 / (2 w_a w_b A)).
+        return complex(power * math.sqrt(0.5 / (amp_a.width * amp_b.width * quad)) * math.exp(-exponent))
     if method not in ("auto", "analytic", "quadrature"):
         raise ValidationError(f"unknown overlap method {method!r}")
     if method == "analytic":

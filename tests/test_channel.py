@@ -216,3 +216,26 @@ def test_gram_data_holds_a_read_only_copy_of_a_caller_array():
     for name in ("gram", "survival"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(data, name)[0] = 0.0
+
+
+def test_closed_form_gram_is_read_only_exactly_hermitian_and_the_mirrored_triangle(monkeypatch):
+    handed = []
+
+    def spy(gram, priors):
+        handed.append(gram)
+        return GramData(gram, priors)
+
+    monkeypatch.setattr("speccap.channel.GramData", spy)
+    widths = (0.4, 1.7, 0.8, 3.1, 0.25, 1.0)
+    letters = [GaussianAmplitude(c, w) for c, w in zip((-1.3, 0.2, 0.9, 2.5, 3.0, 3.7), widths)]
+    response = GaussianPeakResponse(0.8, 1.6)
+    gram = compute_gram(EncodingEnsemble.uniform(letters), response).gram
+    assert gram is handed[0] and not gram.flags.writeable  # read-only, so GramData keeps it uncopied
+    assert np.all(gram == gram.conj().T) and np.all(gram.diagonal().imag == 0.0)
+    n = len(letters)
+    triangle = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(i, n):
+            triangle[i, j] = modulated_overlap(letters[i], letters[j], response)
+    mirrored = triangle + np.triu(triangle, 1).conj().T
+    assert gram.tobytes() == mirrored.tobytes()

@@ -3,12 +3,16 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from pathlib import Path
 
 import pytest
 
 import speccap
 from speccap.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, MAX_GRID_POINTS, UsageError, main, parse_grid
+from speccap.spectral import make_gaussian_basis
 from speccap.svgplot import render_line
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*args, env=None):
@@ -190,6 +194,78 @@ def test_sweep_bad_parameter_is_usage_error(tmp_path):
     rows = read_rows(out)
     assert rows[0]["error"] != ""
     assert rows[0]["holevo_bits"] == ""
+
+
+def test_sweep_letters_further_apart_than_1e154_are_orthogonal(tmp_path):
+    # (c_a - c_b) ** 2 overflows there; the pair must still be computed.
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--mode", "flat", "--n", "2", "--delta-omega", "1e150,1e160", "--eta", "1", "--out", str(out)]
+    assert main(args) == EXIT_OK
+    assert [(row["holevo_bits"], row["error"]) for row in read_rows(out)] == [("1", ""), ("1", "")]
+
+
+def test_sweep_builds_each_comb_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(n, spacing, *rest):
+        calls.append((n, spacing))
+        return make_gaussian_basis(n, spacing, *rest)
+
+    monkeypatch.setattr("speccap.cli.make_gaussian_basis", counted)
+    out = tmp_path / "sweep.csv"
+    grid = ["--n", "2,3", "--delta-omega", "0,1,2", "--sigma-eta", "1,2,3,4"]
+    assert main(["sweep", "--mode", "gaussian", *grid, "--out", str(out)]) == EXIT_OK
+    assert calls == [(n, spacing) for n in (2, 3) for spacing in (0.0, 1.0, 2.0)]
+    rows = read_rows(out)
+    assert [(row["n"], row["delta_omega"], row["sigma_eta"]) for row in rows] == [
+        (n, d, s) for n in "23" for d in "012" for s in "1234"
+    ]
+    assert all(row["error"] == "" for row in rows)
+
+
+def test_sweep_rows_with_a_bad_comb_or_channel_keep_grid_order_and_their_messages(tmp_path):
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--mode", "flat", "--n", "0,2", "--delta-omega", "1", "--eta", "0.5,2", "--out", str(out)]
+    assert main(args) == EXIT_OK
+    bad_comb, bad_channel = "letter count must be a positive integer", "flat transmission must lie in [0, 1]"
+    # Where both are bad, the channel is checked first.
+    assert [(row["n"], row["eta"], row["holevo_bits"], row["error"]) for row in read_rows(out)] == [
+        ("0", "0.5", "", bad_comb),
+        ("0", "2", "", bad_channel),
+        ("2", "0.5", "0.0806172421369", ""),
+        ("2", "2", "", bad_channel),
+    ]
+
+
+# The two README sweeps.  Their CSVs in tests/data were written before the
+# sweep loop and the Gram build were reworked for speed; a change since may
+# move a cell only by roundoff.
+README_SWEEPS = {
+    "readme_gaussian_sweep.csv": ["--mode", "gaussian", "--sigma-eta", "1:8:0.5"],
+    "readme_flat_sweep.csv": ["--mode", "flat", "--eta", "0:1:0.1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(README_SWEEPS))
+def test_readme_sweep_matches_its_golden_csv(tmp_path, name):
+    out = tmp_path / name
+    args = ["sweep", "--n", "32", "--delta-omega", "0:10:0.5", *README_SWEEPS[name], "--out", str(out)]
+    assert main(args) == EXIT_OK
+    with open(DATA / name, newline="", encoding="utf-8") as handle:
+        expected = list(csv.reader(handle))
+    with open(out, newline="", encoding="utf-8") as handle:
+        got = list(csv.reader(handle))
+    assert got[0] == expected[0] and len(got) == len(expected)
+    numeric = {expected[0].index(column) for column in ("holevo_bits", "post_selected_bits", "eps_bar")}
+    for want, have in zip(expected[1:], got[1:]):
+        assert len(have) == len(want)
+        for column, (cell, value) in enumerate(zip(want, have)):
+            if column in numeric and cell:
+                # Equal to 12 significant digits; eigensolver roundoff below 1e-12 is exempt.
+                e, g = float(cell), float(value)
+                assert abs(g - e) <= 1e-11 * abs(e) or max(abs(e), abs(g)) < 1e-12, (want, have)
+            else:
+                assert value == cell, (want, have)
 
 
 def test_optimal_n_curve_and_summary(tmp_path):

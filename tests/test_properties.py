@@ -33,9 +33,8 @@ from speccap.spectral import (
     quadrature_gram,
 )
 
-gaussian_letters = st.lists(
-    st.builds(GaussianAmplitude, st.floats(-5.0, 5.0), st.floats(0.3, 3.0)), min_size=1, max_size=6
-)
+gaussian_letter = st.builds(GaussianAmplitude, st.floats(-5.0, 5.0), st.floats(0.3, 3.0))
+gaussian_letters = st.lists(gaussian_letter, min_size=1, max_size=6)
 closed_form_channels = st.one_of(
     st.builds(FlatResponse, st.floats(0.1, 1.0)),
     st.builds(GaussianPeakResponse, st.floats(0.1, 1.0), st.floats(0.5, 5.0)),
@@ -172,6 +171,38 @@ def test_gaussian_ensembles_conserve_probability_and_order_the_bounds(ensemble, 
     # equal loss rates, so only rounding may put it below zero.
     assert 0.0 <= report.post_selected_bits <= report.holevo_bits + 1e-12
     assert report.holevo_bits <= math.log2(ensemble.n)
+
+
+# Peak transmissions down to 1e-12, where the arrival probability is
+# roundoff-sized, and opaque channels.
+faint_channels = st.one_of(
+    st.builds(FlatResponse, st.one_of(st.sampled_from([0.0, 1e-6, 1.0]), st.floats(0.0, 1.0))),
+    st.builds(
+        GaussianPeakResponse,
+        st.one_of(st.sampled_from([0.0, 1e-12, 1e-6, 1.0]), st.floats(0.0, 1.0)),
+        st.floats(0.5, 5.0),
+    ),
+)
+
+
+@given(st.lists(gaussian_letter, min_size=1, max_size=8), faint_channels)
+def test_post_selected_bits_are_the_arrival_weighted_entropy_of_the_renormalized_spectrum(letters, response):
+    report = holevo_bound(compute_gram(EncodingEnsemble.uniform(letters), response))
+    arrival = 1.0 - report.mean_loss
+    if arrival <= 0.0:
+        assert report.post_selected_bits == 0.0
+        return
+    renormalized = [x / arrival for x in report.spectrum]
+    expected = arrival * -sum(x * math.log2(x) for x in renormalized if x > 0.0)
+    assert report.post_selected_bits == pytest.approx(expected, abs=1e-12)
+
+
+@given(gaussian_letters, st.floats(0.5, 5.0))
+def test_an_opaque_channel_post_selects_exactly_zero_bits(letters, width):
+    for response in (FlatResponse(0.0), GaussianPeakResponse(0.0, width)):
+        report = holevo_bound(compute_gram(EncodingEnsemble.uniform(letters), response))
+        assert report.post_selected_bits == 0.0
+        assert math.copysign(1.0, report.post_selected_bits) == 1.0
 
 
 @given(

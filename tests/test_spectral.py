@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -143,6 +144,22 @@ def test_flat_channel_overlap_of_a_letter_beyond_1e154_is_finite():
     assert modulated_overlap(far, far, FlatResponse(1.0)) == 1.0
     assert modulated_overlap(far, far, FlatResponse(0.5)) == pytest.approx(0.25, abs=1e-15)
     assert modulated_overlap(far, far, GaussianPeakResponse(1.0, 1.0)) == 0.0
+
+
+def test_overlap_of_letters_further_apart_than_1e154_is_zero():
+    # (c_a - c_b) ** 2 overflows there: the square is inf, not an OverflowError.
+    left, right = GaussianAmplitude(-5e159, 1.0), GaussianAmplitude(5e159, 1.0)
+    for response in (FlatResponse(1.0), GaussianPeakResponse(1.0, 1.0)):
+        assert modulated_overlap(left, right, response) == 0.0
+        assert modulated_overlap(right, left, response, method="analytic") == 0.0
+
+
+def test_closed_form_squares_the_centre_gap_with_pow():
+    # With glibc, gap * gap and gap ** 2 differ in the last bit here, and so
+    # do the overlaps they give; the closed form keeps the ** 2 rounding.
+    gap = 1.3939
+    overlap = modulated_overlap(GaussianAmplitude(0.0, 1.0), GaussianAmplitude(gap, 1.0), FlatResponse(1.0))
+    assert overlap == math.exp(-(0.0625 * (0.0 - gap) ** 2) / 0.5)
 
 
 def test_analytic_path_matches_quadrature_on_parameter_grid():
