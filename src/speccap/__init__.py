@@ -14,8 +14,6 @@ from .errors import (
     ValidationError,
 )
 from .numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
     clamp_spectrum,
     hermitian_eigenvalues,
 )
@@ -31,7 +29,7 @@ from .spectral import (
     modulated_overlap,
     survival_probability,
 )
-from .channel import EncodingEnsemble, GramData, compute_gram, output_spectrum, reweight
+from .channel import EncodingEnsemble, GramData, compute_gram, output_spectrum
 from .capacity import (
     CapacityReport,
     ErasureBounds,
@@ -51,7 +49,6 @@ __all__ = [
     "CapacityReport",
     "ComputationError",
     "ConvergenceError",
-    "DEFAULT_QUADRATURE",
     "EncodingEnsemble",
     "ErasureBounds",
     "FlatResponse",
@@ -59,7 +56,6 @@ __all__ = [
     "GaussianPeakResponse",
     "GramData",
     "PsdViolationError",
-    "QuadratureSpec",
     "TabulatedAmplitude",
     "TabulatedResponse",
     "ValidationError",
@@ -77,7 +73,6 @@ __all__ = [
     "optimal_alphabet_size",
     "optimize_priors",
     "output_spectrum",
-    "reweight",
     "survival_probability",
     "two_state_exact",
     "two_state_max",

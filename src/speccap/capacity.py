@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import EncodingEnsemble, compute_gram, output_spectrum, reweight
+from .channel import EncodingEnsemble, GramData, compute_gram, output_spectrum
 from .errors import ComputationError, ConvergenceError, ValidationError
-from .numerics import DEFAULT_QUADRATURE, clamp_spectrum, hermitian_eigenvalues
+from .numerics import clamp_spectrum, hermitian_eigenvalues
 from .spectral import make_gaussian_basis
 
 
@@ -158,7 +158,11 @@ def _two_state_slope(delta, lam):
     return gain - binary_capacity(0.5 * overlap_sq / (1.0 + s)) / (4.0 * lam_sq1)
 
 
-def two_state_max(lam, p_peak=1.0, coarse_points=128):
+# Points of the coarse separation grid that brackets the two-letter maximum.
+TWO_STATE_COARSE_POINTS = 128
+
+
+def two_state_max(lam, p_peak=1.0):
     """Maximise :func:`two_state_exact` over the letter separation.
 
     Coarse grid on [1e-6, max(50, 10 * lam)] to bracket the (unimodal)
@@ -173,10 +177,10 @@ def two_state_max(lam, p_peak=1.0, coarse_points=128):
     """
     if not lam > 0:
         raise ValidationError("width ratio must be positive")
-    grid = np.linspace(1e-6, max(50.0, 10.0 * lam), coarse_points)
+    grid = np.linspace(1e-6, max(50.0, 10.0 * lam), TWO_STATE_COARSE_POINTS)
     values = [two_state_exact(d, lam) for d in grid]
     best = int(np.argmax(values))
-    if best in (0, coarse_points - 1):
+    if best in (0, grid.size - 1):
         raise ConvergenceError(
             f"separation maximum lies on the search window edge {float(grid[best])!r}",
             error_estimate=float(grid[1] - grid[0]),
@@ -216,7 +220,7 @@ def _letter_divergences(gram, loss, weights):
     return -_entropy_bits(np.stack([loss, 1.0 - loss], axis=-1)) - vacuum - photon
 
 
-def optimize_priors(ensemble, response, tol=1e-9, spec=DEFAULT_QUADRATURE, max_iterations=100_000):
+def optimize_priors(ensemble, response, tol=1e-9, max_iterations=100_000):
     """Priors raising the Holevo bound, by over-relaxed Blahut-Arimoto steps.
 
     The gradient in prior i is ``D_i - log2 e`` (:func:`_letter_divergences`).
@@ -231,7 +235,7 @@ def optimize_priors(ensemble, response, tol=1e-9, spec=DEFAULT_QUADRATURE, max_i
     """
     if ensemble.n < 2:
         raise ValidationError("prior optimization needs at least two letters")
-    base = compute_gram(ensemble, response, spec=spec)
+    base = compute_gram(ensemble, response)
     loss = base.loss
 
     weights = np.full(ensemble.n, 1.0 / ensemble.n)
@@ -263,7 +267,7 @@ def optimize_priors(ensemble, response, tol=1e-9, spec=DEFAULT_QUADRATURE, max_i
             error_estimate=float(divergences.max()) - value,
         )
 
-    final = reweight(base, weights / weights.sum())
+    final = GramData(base.gram, weights / weights.sum())
     return final.priors, holevo_bound(final)
 
 
@@ -274,7 +278,6 @@ def optimal_alphabet_size(
     centering="symmetric",
     n_max=64,
     post_select=False,
-    spec=DEFAULT_QUADRATURE,
 ):
     """Scan alphabet sizes 1..n_max with uniform priors; return the best.
 
@@ -289,7 +292,7 @@ def optimal_alphabet_size(
     best_n, best_bits = 1, -math.inf
     for n in range(1, n_max + 1):
         ensemble = EncodingEnsemble.uniform(make_gaussian_basis(n, spacing, sigma_psi, centering))
-        report = holevo_bound(compute_gram(ensemble, response, spec=spec))
+        report = holevo_bound(compute_gram(ensemble, response))
         bits = report.post_selected_bits if post_select else report.holevo_bits
         curve.append((n, bits))
         if bits > best_bits:

@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .numerics import DEFAULT_QUADRATURE, clamp_spectrum, hermitian_eigenvalues
+from .numerics import clamp_spectrum, hermitian_eigenvalues
 from .spectral import closed_form_applies, modulated_overlap, quadrature_gram
 
 
@@ -61,7 +61,8 @@ class GramData:
     """Modulated-letter Gram matrix and priors; the per-letter statistics derive from them.
 
     ``gram[i][j] = integral eta^2 conj(psi_i) psi_j`` is kept as a read-only
-    complex array (a writable one is copied); ``survival[i]`` is its diagonal
+    complex array: a read-only complex one is shared, a writable one copied
+    and any other converted once; ``survival[i]`` is its diagonal
     clipped to [0, 1], computed once here, ``loss = 1 - survival``,
     ``mean_loss`` is the prior-weighted loss, and ``weighted = sqrt(P) gram
     sqrt(P)`` is the matrix carrying the output spectrum, checked by
@@ -77,9 +78,9 @@ class GramData:
         gram = np.asarray(self.gram, dtype=complex)
         if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
             raise ValidationError(f"Gram matrix must be square, got shape {gram.shape}")
-        if gram.flags.writeable:  # a caller's array: keep a private copy
+        if gram.flags.writeable and np.may_share_memory(gram, self.gram):  # the caller's array: copy it
             gram = gram.copy()
-            gram.setflags(write=False)
+        gram.setflags(write=False)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "priors", _validated_priors(self.priors, self.n))
         diagonal = gram.diagonal().real
@@ -111,7 +112,7 @@ class GramData:
         return root[:, None] * self.gram * root[None, :]
 
 
-def compute_gram(ensemble, response, spec=DEFAULT_QUADRATURE):
+def compute_gram(ensemble, response):
     """Gram data of an ensemble pushed through a channel response.
 
     Gaussian letters through a flat or Gaussian channel take the closed form
@@ -131,14 +132,9 @@ def compute_gram(ensemble, response, spec=DEFAULT_QUADRATURE):
         entries += entries.T.conj()
         entries.flat[:: n + 1] *= 0.5
     else:
-        entries = quadrature_gram(ensemble.letters, response, spec)
+        entries = quadrature_gram(ensemble.letters, response)
     entries.setflags(write=False)
     return GramData(entries, ensemble.priors)
-
-
-def reweight(gram_data, priors):
-    """Same letters and channel, different priors; no integrals recomputed."""
-    return GramData(gram_data.gram, priors)
 
 
 def output_spectrum(gram_data):

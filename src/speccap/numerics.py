@@ -12,8 +12,6 @@ validated and symmetrized in :func:`hermitian_eigenvalues` on their way in.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ComputationError, ConvergenceError, PsdViolationError, ValidationError
@@ -54,26 +52,10 @@ _SEGMENT_BLOCK = 16
 
 PSD_FLOOR = -1e-10
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Accuracy targets, subdivision budget and domain truncation for :func:`weighted_gram`."""
-
-    rel_tolerance: float = 1e-10
-    abs_tolerance: float = 1e-14
-    truncation_sigmas: float = 10.0
-    max_subdivisions: int = 4096
-
-    def __post_init__(self):
-        if not (self.rel_tolerance > 0 and self.abs_tolerance > 0):
-            raise ValidationError("quadrature tolerances must be positive")
-        if self.truncation_sigmas < 6:
-            raise ValidationError("truncation_sigmas must be at least 6")
-        if self.max_subdivisions < 1:
-            raise ValidationError("max_subdivisions must be at least 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+# Accuracy targets and subdivision budget of :func:`weighted_gram`, read at call time.
+REL_TOLERANCE = 1e-10
+ABS_TOLERANCE = 1e-14
+MAX_SUBDIVISIONS = 4096
 
 
 def _panel_matrices(sample, lo, hi):
@@ -95,7 +77,7 @@ def _panel_matrices(sample, lo, hi):
     return panels, np.abs(panels - np.matmul(gauss.conj().transpose(0, 2, 1), gauss))
 
 
-def weighted_gram(sample, edges, spec=DEFAULT_QUADRATURE):
+def weighted_gram(sample, edges):
     """Gram matrix ``G[i, j] = integral w conj(f_i) f_j`` over ``[edges[0], edges[-1]]``.
 
     ``sample(omega)`` takes a 1-D array of abscissae and returns
@@ -108,12 +90,12 @@ def weighted_gram(sample, edges, spec=DEFAULT_QUADRATURE):
     ``X^H diag(weights * w) X`` for either rule's weights, formed for a block
     of segments by batched matmuls.  A segment is accepted when, in every
     entry, its Kronrod and Gauss matrices agree within the segment's share of
-    ``max(rel_tolerance * |G_ij|, abs_tolerance)``; the other segments are
+    ``max(REL_TOLERANCE * |G_ij|, ABS_TOLERANCE)``; the other segments are
     bisected, level by level, and ``|G_ij|`` is re-estimated at every level.
     The upper triangle is mirrored, so the result is exactly Hermitian.
 
     Raises ConvergenceError naming the worst entry, and carrying its error
-    estimate, when more than ``max_subdivisions`` bisections are needed.
+    estimate, when more than ``MAX_SUBDIVISIONS`` bisections are needed.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
@@ -130,15 +112,15 @@ def weighted_gram(sample, edges, spec=DEFAULT_QUADRATURE):
             for k in range(0, lo.size, _SEGMENT_BLOCK)
         ]
         panels, errors = (np.concatenate(parts) for parts in zip(*blocks))
-        tolerance = np.maximum(spec.rel_tolerance * np.abs(total + panels.sum(axis=0)), spec.abs_tolerance)
+        tolerance = np.maximum(REL_TOLERANCE * np.abs(total + panels.sum(axis=0)), ABS_TOLERANCE)
         keep = ~(np.all(errors <= share[:, None, None] * tolerance, axis=(1, 2)) | (hi - lo <= min_width))
         total = total + panels[~keep].sum(axis=0)
         splits += np.count_nonzero(keep)
-        if splits > spec.max_subdivisions:
+        if splits > MAX_SUBDIVISIONS:
             pending = errors[keep].sum(axis=0)
             i, j = np.unravel_index(np.argmax(np.triu(pending / tolerance)), tolerance.shape)
             raise ConvergenceError(
-                f"Gram entry ({i}, {j}) did not converge within {spec.max_subdivisions} "
+                f"Gram entry ({i}, {j}) did not converge within {MAX_SUBDIVISIONS} "
                 f"subdivisions (error estimate {pending[i, j]:.3e})",
                 error_estimate=float(pending[i, j]),
             )
@@ -177,16 +159,16 @@ def hermitian_eigenvalues(matrix, *, vectors=False):
         raise ComputationError(f"Hermitian eigensolve failed: {exc}") from exc
 
 
-def clamp_spectrum(values, floor=PSD_FLOOR):
+def clamp_spectrum(values):
     """Zero out roundoff-negative eigenvalues; reject real negativity.
 
-    Values in ``[floor, 0)`` become 0; anything below ``floor`` raises
+    Values in ``[PSD_FLOOR, 0)`` become 0; anything below ``PSD_FLOOR`` raises
     PsdViolationError.
     """
     vals = np.asarray(values, dtype=float)
     smallest = float(vals.min()) if vals.size else 0.0
-    if smallest < floor:
+    if smallest < PSD_FLOOR:
         raise PsdViolationError(
-            f"eigenvalue {smallest:.3e} below the positive-semidefinite floor {floor:.1e}"
+            f"eigenvalue {smallest:.3e} below the positive-semidefinite floor {PSD_FLOOR:.1e}"
         )
     return np.where(vals < 0.0, 0.0, vals)

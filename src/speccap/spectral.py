@@ -18,7 +18,10 @@ from itertools import repeat
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import DEFAULT_QUADRATURE, weighted_gram
+from .numerics import weighted_gram
+
+# Every factor of a quadrature integrand is covered to this many widths of its centre.
+TRUNCATION_SIGMAS = 10.0
 
 
 @dataclass(frozen=True)
@@ -27,7 +30,10 @@ class GaussianAmplitude:
 
     Keeps the closed-form constants ``_a = 1/(4 width^2)`` and ``_acc = _a
     center^2`` (as the responses keep ``_power_k``) in plain attributes, not
-    fields, so they take no part in equality, hashing or ``repr``.
+    fields, so they take no part in equality, hashing or ``repr``.  A width
+    whose square is not a positive finite float, or whose ``_a`` squared
+    overflows (below about 4.3e-78 or above about 1.3e154), raises
+    ValidationError: the closed form would divide by zero or meet ``inf * 0``.
     """
 
     center: float = 0.0
@@ -38,7 +44,10 @@ class GaussianAmplitude:
             raise ValidationError("amplitude center must be finite")
         if not 0 < self.width < math.inf:
             raise ValidationError("amplitude width must be positive and finite")
-        a = 0.25 / (self.width * self.width)
+        square = self.width * self.width
+        if not (0.0 < square < math.inf and (0.25 / square) * (0.25 / square) < math.inf):
+            raise ValidationError(f"amplitude width {self.width!r} is outside the closed form's range")
+        a = 0.25 / square
         object.__setattr__(self, "_a", a)
         object.__setattr__(self, "_acc", a * self.center * self.center)
 
@@ -180,14 +189,6 @@ class TabulatedResponse:
         return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
-def _integration_window(extents, truncation_sigmas):
-    """Enclosing ``(lo, hi)`` that covers every ``(c, w)`` extent to ``truncation_sigmas`` widths."""
-    centers, widths = zip(*extents)
-    lo = min(centers) - truncation_sigmas * max(widths)
-    hi = max(centers) + truncation_sigmas * max(widths)
-    return lo, hi
-
-
 # Channels whose overlaps with Gaussian letters have the closed form.
 _CLOSED_FORM_RESPONSES = (FlatResponse, GaussianPeakResponse)
 
@@ -201,25 +202,26 @@ def closed_form_applies(letters, response):
     )
 
 
-def quadrature_gram(letters, response, spec=DEFAULT_QUADRATURE):
+def quadrature_gram(letters, response):
     """All overlaps ``integral eta^2 conj(psi_i) psi_j`` of ``letters`` by one node rule.
 
-    The window covers every letter and the channel to ``truncation_sigmas``
-    widths.  Tabulated factors kink the integrand at their grid points, so
-    the merged grid points inside the window split it into segments on
-    which the Gauss-Kronrod panels see a smooth integrand.  Every factor
+    The window covers every letter and the channel to ``TRUNCATION_SIGMAS``
+    times the widest width.  Tabulated factors kink the integrand at their
+    grid points, so the merged grid points inside the window split it into
+    segments on which the Gauss-Kronrod panels see a smooth integrand.  Every factor
     with an extent ``(c, w)`` also puts breakpoints at ``c +-
-    truncation_sigmas * w``, because the Kronrod and Gauss rules share their
+    TRUNCATION_SIGMAS * w``, because the Kronrod and Gauss rules share their
     nodes: a narrow letter that fell between all of a wide panel's nodes
     would read as converged.  A breakpoint at ``c`` puts each flank of a
     peak in panels of its own.
     """
     parts = (*letters, response)
     extents = [extent for extent in (part._extent() for part in parts) if extent is not None]
-    lo, hi = _integration_window(extents, spec.truncation_sigmas)
+    centers, widths = zip(*extents)
+    lo = min(centers) - TRUNCATION_SIGMAS * max(widths)
+    hi = max(centers) + TRUNCATION_SIGMAS * max(widths)
     grids = [part.grid for part in parts if isinstance(part, (TabulatedAmplitude, TabulatedResponse))]
-    reach = spec.truncation_sigmas
-    seeds = [(c - reach * w, c, c + reach * w) for c, w in extents]
+    seeds = [(c - TRUNCATION_SIGMAS * w, c, c + TRUNCATION_SIGMAS * w) for c, w in extents]
     points = np.sort(np.concatenate([[lo, hi], np.ravel(seeds), *grids]))
     points = points[(points >= lo) & (points <= hi)]
     edges = points[np.concatenate([[True], np.diff(points) > 0])]
@@ -228,17 +230,15 @@ def quadrature_gram(letters, response, spec=DEFAULT_QUADRATURE):
         eta = response.value(omega)
         return np.stack([letter.value(omega) for letter in letters], axis=-1), eta * eta
 
-    return weighted_gram(sample, edges, spec)
+    return weighted_gram(sample, edges)
 
 
-def modulated_overlap(amp_a, amp_b, response, spec=DEFAULT_QUADRATURE, method="auto"):
+def modulated_overlap(amp_a, amp_b, response):
     """Inner product of two channel-modulated amplitudes.
 
-    Computes ``integral eta(w)^2 conj(psi_a(w)) psi_b(w) dw``.  With
-    ``method="auto"`` the Gaussian closed form is used whenever both
-    amplitudes are Gaussian and the channel is flat or a Gaussian peak;
-    ``"analytic"`` and ``"quadrature"`` force one route (mainly for
-    cross-validation).  Quadrature is the one- or two-letter case of
+    Computes ``integral eta(w)^2 conj(psi_a(w)) psi_b(w) dw``: by the
+    Gaussian closed form when both amplitudes are Gaussian and the channel
+    is flat or a Gaussian peak, otherwise as the one- or two-letter case of
     :func:`quadrature_gram`.
 
     The closed form: with ``a = 1/(4 w_a^2)``, ``b = 1/(4 w_b^2)`` and
@@ -252,12 +252,11 @@ def modulated_overlap(amp_a, amp_b, response, spec=DEFAULT_QUADRATURE, method="a
     overflows to inf (``|c|`` beyond about 1e154) gives no ``0 * inf``; a
     square ``(c_a - c_b)^2`` that overflows is inf, so the pair is orthogonal.
     """
-    analytic_ok = (
+    if (
         isinstance(amp_a, GaussianAmplitude)
         and isinstance(amp_b, GaussianAmplitude)
         and isinstance(response, _CLOSED_FORM_RESPONSES)
-    )
-    if analytic_ok and method in ("auto", "analytic"):
+    ):
         ca, cb = amp_a.center, amp_b.center
         a, b = amp_a._a, amp_b._a
         power, k = response._power_k
@@ -269,17 +268,13 @@ def modulated_overlap(amp_a, amp_b, response, spec=DEFAULT_QUADRATURE, method="a
         exponent = (a * b * square + (k and k * (amp_a._acc + amp_b._acc))) / quad
         # C = power / sqrt(2 pi w_a w_b), so C * sqrt(pi/A) = power * sqrt(1 / (2 w_a w_b A)).
         return complex(power * math.sqrt(0.5 / (amp_a.width * amp_b.width * quad)) * math.exp(-exponent))
-    if method not in ("auto", "analytic", "quadrature"):
-        raise ValidationError(f"unknown overlap method {method!r}")
-    if method == "analytic":
-        raise ValidationError("analytic overlap requires Gaussian amplitudes and a flat or Gaussian channel")
     letters = (amp_a,) if amp_a is amp_b else (amp_a, amp_b)
-    return complex(quadrature_gram(letters, response, spec)[0, -1])
+    return complex(quadrature_gram(letters, response)[0, -1])
 
 
-def survival_probability(amp, response, spec=DEFAULT_QUADRATURE, method="auto"):
+def survival_probability(amp, response):
     """Probability that the photon is transmitted rather than absorbed."""
-    q = modulated_overlap(amp, amp, response, spec=spec, method=method).real
+    q = modulated_overlap(amp, amp, response).real
     if q < -1e-10 or q > 1.0 + 1e-10:
         raise ValidationError(f"survival probability {q!r} outside [0, 1]")
     return min(max(q, 0.0), 1.0)

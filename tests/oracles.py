@@ -6,16 +6,17 @@ Gram-Schmidt, and eigenvalues come from numpy's LAPACK wrapper.
 """
 import numpy as np
 
-from speccap.spectral import modulated_overlap
+from speccap.spectral import quadrature_gram
 
 
 def quadrature_overlap_matrix(letters, response):
-    """Pairwise modulated overlaps, forced through the quadrature route."""
+    """Pairwise modulated overlaps, each from the quadrature rule on its one or two letters."""
     n = len(letters)
     s = np.zeros((n, n), dtype=complex)
     for i in range(n):
         for j in range(i, n):
-            value = modulated_overlap(letters[i], letters[j], response, method="quadrature")
+            pair = (letters[i],) if i == j else (letters[i], letters[j])
+            value = quadrature_gram(pair, response)[0, -1]
             s[i, j] = value
             s[j, i] = np.conj(value)
     return s

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from speccap import capacity
 from speccap.capacity import (
     binary_capacity,
     binary_entropy,
@@ -183,11 +184,12 @@ def test_two_state_max_wide_photon_matches_dense_scan(lam):
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, 2.5, 5.0])
-def test_two_state_max_separation_does_not_depend_on_the_coarse_grid(lam):
+def test_two_state_max_separation_does_not_depend_on_the_coarse_grid(lam, monkeypatch):
     # The maximum is flat, but the derivative crosses zero steeply, so the
     # best separation is found to rounding whichever bracket the grid gives.
     _, separation = two_state_max(lam)
-    _, finer = two_state_max(lam, coarse_points=1001)
+    monkeypatch.setattr(capacity, "TWO_STATE_COARSE_POINTS", 1001)
+    _, finer = two_state_max(lam)
     assert finer == pytest.approx(separation, rel=1e-12)
 
 

@@ -1,17 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import explicit_basis_spectrum, quadrature_overlap_matrix
-from speccap.channel import EncodingEnsemble, GramData, compute_gram, output_spectrum, reweight
+from speccap import numerics
+from speccap.channel import EncodingEnsemble, GramData, compute_gram, output_spectrum
 from speccap.errors import ComputationError, ConvergenceError, ValidationError
-from speccap.numerics import QuadratureSpec, hermitian_eigenvalues
+from speccap.numerics import hermitian_eigenvalues
 from speccap.spectral import (
     FlatResponse,
     GaussianAmplitude,
     GaussianPeakResponse,
+    TabulatedAmplitude,
     TabulatedResponse,
     make_gaussian_basis,
     modulated_overlap,
+    survival_probability,
 )
 
 
@@ -32,7 +37,7 @@ def test_non_finite_priors_are_rejected_where_they_enter():
         with pytest.raises(ValidationError, match="prior probabilities must be finite"):
             EncodingEnsemble(letters, priors)
         with pytest.raises(ValidationError, match="prior probabilities must be finite"):
-            reweight(data, priors)
+            GramData(data.gram, priors)
 
 
 def test_uniform_factory():
@@ -143,21 +148,21 @@ def test_gram_data_invariants():
     assert hermitian_eigenvalues(data.weighted).min() >= -1e-10
 
 
-def test_convergence_failure_names_the_letter_pair():
+def test_convergence_failure_names_the_letter_pair(monkeypatch):
     # Narrow letters under a wide tabulated response need more than one
     # panel split to resolve.
     letters = [GaussianAmplitude(-3.0, 0.05), GaussianAmplitude(3.0, 0.05)]
     response = TabulatedResponse([-8.0, 8.0], [1.0, 1.0])
-    tight = QuadratureSpec(max_subdivisions=1)
+    monkeypatch.setattr(numerics, "MAX_SUBDIVISIONS", 1)
     with pytest.raises(ConvergenceError, match=r"\(0, 0\)") as excinfo:
-        compute_gram(EncodingEnsemble.uniform(letters), response, spec=tight)
+        compute_gram(EncodingEnsemble.uniform(letters), response)
     assert excinfo.value.error_estimate is not None
 
 
 def test_narrow_letters_under_a_wide_tabulated_response_converge():
     # The first panels over [-8, 8] all but miss the narrow peaks.  The
     # tolerance must follow the estimate as the peaks are found, not stay at
-    # abs_tolerance while the segments are halved below roundoff.
+    # ABS_TOLERANCE while the segments are halved below roundoff.
     letters = [GaussianAmplitude(-3.0, 0.05), GaussianAmplitude(3.0, 0.05)]
     response = TabulatedResponse([-8.0, 8.0], [1.0, 1.0])
     for letter in letters:
@@ -170,18 +175,14 @@ def test_reweight_keeps_gram_and_updates_statistics():
     ensemble = EncodingEnsemble.uniform(make_gaussian_basis(3, 1.0, 1.0, "zero-start"))
     response = GaussianPeakResponse(1.0, 1.0)
     data = compute_gram(ensemble, response)
-    shifted = reweight(data, [0.6, 0.3, 0.1])
+    shifted = GramData(data.gram, [0.6, 0.3, 0.1])
     assert shifted.gram is data.gram
+    assert np.array_equal(shifted.survival, data.survival)
     assert shifted.mean_loss == pytest.approx(float(np.dot([0.6, 0.3, 0.1], data.loss)), abs=1e-14)
     direct = compute_gram(EncodingEnsemble(ensemble.letters, [0.6, 0.3, 0.1]), response)
     assert np.max(np.abs(shifted.weighted - direct.weighted)) <= 1e-14
-    record = GramData(data.gram, [0.6, 0.3, 0.1])
-    assert record.gram is shifted.gram
-    for name in ("priors", "survival", "loss", "mean_loss"):
-        assert np.array_equal(getattr(record, name), getattr(shifted, name))
-    assert np.array_equal(record.weighted, shifted.weighted)
     with pytest.raises(ValidationError):
-        reweight(data, [0.5, 0.5])
+        GramData(data.gram, [0.5, 0.5])
 
 
 def test_gram_diagonal_outside_the_unit_interval_raises():
@@ -216,6 +217,49 @@ def test_gram_data_holds_a_read_only_copy_of_a_caller_array():
     for name in ("gram", "survival"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(data, name)[0] = 0.0
+
+
+def test_gram_data_converts_a_real_gram_once_and_shares_a_read_only_complex_one():
+    n = 256
+    real = np.diag(np.linspace(0.1, 0.9, n))
+    priors = np.full(n, 1.0 / n)
+    tracemalloc.start()
+    try:
+        data = GramData(real, priors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 16 * n * n  # one complex n x n array, not a second copy of it
+    assert data.gram.dtype == complex and not data.gram.flags.writeable
+    assert not np.shares_memory(data.gram, real)
+    assert np.array_equal(data.gram, real)
+    assert GramData(data.gram, priors).gram is data.gram
+
+
+class _QuadratureReached(Exception):
+    pass
+
+
+def test_only_inputs_without_the_closed_form_reach_quadrature(monkeypatch):
+    def refuse(sample, edges):
+        raise _QuadratureReached
+
+    monkeypatch.setattr("speccap.spectral.weighted_gram", refuse)
+    letters = make_gaussian_basis(3, 1.0, 0.8)
+    for response in (FlatResponse(0.7), GaussianPeakResponse(0.9, 2.0)):
+        modulated_overlap(letters[0], letters[1], response)
+        survival_probability(letters[0], response)
+        compute_gram(EncodingEnsemble.uniform(letters), response)
+    tabulated_letter = TabulatedAmplitude([-3.0, 0.0, 3.0], [0.0, 1.0, 0.0])
+    tabulated_channel = TabulatedResponse([-8.0, 8.0], [1.0, 1.0])
+    for letter, response in ((tabulated_letter, FlatResponse(0.7)), (letters[1], tabulated_channel)):
+        for compute in (
+            lambda: modulated_overlap(letters[0], letter, response),
+            lambda: survival_probability(letter, response),
+            lambda: compute_gram(EncodingEnsemble.uniform([letters[0], letter]), response),
+        ):
+            with pytest.raises(_QuadratureReached):
+                compute()
 
 
 def test_closed_form_gram_is_read_only_exactly_hermitian_and_the_mirrored_triangle(monkeypatch):

@@ -204,6 +204,16 @@ def test_sweep_letters_further_apart_than_1e154_are_orthogonal(tmp_path):
     assert [(row["holevo_bits"], row["error"]) for row in read_rows(out)] == [("1", ""), ("1", "")]
 
 
+@pytest.mark.parametrize("width", ["1e200", "1e-200"])
+def test_sweep_reports_a_letter_width_outside_the_closed_form_range_in_its_error_cells(tmp_path, width):
+    out = tmp_path / "sweep.csv"
+    args = ["--n", "2", "--delta-omega", "1", "--eta", "0.5,1", "--sigma-psi", width, "--out", str(out)]
+    result = run_cli("sweep", "--mode", "flat", *args)
+    assert result.returncode == EXIT_OK and "Traceback" not in result.stderr
+    message = f"amplitude width {float(width)!r} is outside the closed form's range"
+    assert [(row["holevo_bits"], row["error"]) for row in read_rows(out)] == [("", message)] * 2
+
+
 def test_sweep_builds_each_comb_once(tmp_path, monkeypatch):
     calls = []
 

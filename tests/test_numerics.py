@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from speccap import numerics
+from speccap import numerics, spectral
 from speccap.errors import ComputationError, ConvergenceError, PsdViolationError, ValidationError
 from speccap.numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
     clamp_spectrum,
     hermitian_eigenvalues,
     weighted_gram,
@@ -19,7 +17,7 @@ def gaussian_pdf(omega):
 
 
 def window(center, width):
-    sigmas = DEFAULT_QUADRATURE.truncation_sigmas
+    sigmas = spectral.TRUNCATION_SIGMAS
     return [center - sigmas * width, center + sigmas * width]
 
 
@@ -83,11 +81,11 @@ def test_integrate_rejects_bad_width():
             weighted_gram(sample, edges)
 
 
-def test_integrate_convergence_error_carries_estimate():
-    tight = QuadratureSpec(max_subdivisions=1)
+def test_integrate_convergence_error_carries_estimate(monkeypatch):
+    monkeypatch.setattr(numerics, "MAX_SUBDIVISIONS", 1)
     spike = lambda w: np.exp(-((w / 0.05) ** 2))  # noqa: E731
     with pytest.raises(ConvergenceError, match=r"\(0, 0\)") as excinfo:
-        weighted_gram(sampler(one, spike), window(0.0, 1.0), tight)
+        weighted_gram(sampler(one, spike), window(0.0, 1.0))
     assert excinfo.value.error_estimate is not None
     assert excinfo.value.error_estimate > 0
 
@@ -103,7 +101,7 @@ def test_gram_is_exactly_hermitian_and_segments_add_up():
     assert np.max(np.abs(split - halves)) <= 1e-12
 
 
-def test_subdivision_budget_counts_every_split():
+def test_subdivision_budget_counts_every_split(monkeypatch):
     # A narrow spike away from every bisection point costs one split per
     # level, so a budget that counted levels would let one split through.
     # The budget is shared by the whole matrix: a second spike in another
@@ -114,8 +112,9 @@ def test_subdivision_budget_counts_every_split():
     assert weighted_gram(one_spike, edges)[0, 0] == pytest.approx(0.05 * math.sqrt(math.pi / 2.0), rel=1e-10)
 
     def converges(sample, budget):
+        monkeypatch.setattr(numerics, "MAX_SUBDIVISIONS", budget)
         try:
-            weighted_gram(sample, edges, QuadratureSpec(max_subdivisions=budget))
+            weighted_gram(sample, edges)
         except ConvergenceError:
             return False
         return True
@@ -171,25 +170,11 @@ def test_piecewise_linear_input_is_sampled_once_per_segment():
     assert np.max(np.abs(gram - exact)) <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"rel_tolerance": 0.0},
-        {"abs_tolerance": -1e-3},
-        {"truncation_sigmas": 5.0},
-        {"max_subdivisions": 0},
-    ],
-)
-def test_quadrature_spec_validation(kwargs):
-    with pytest.raises(ValidationError):
-        QuadratureSpec(**kwargs)
-
-
 def test_default_quadrature_spec_values():
-    assert DEFAULT_QUADRATURE.rel_tolerance == 1e-10
-    assert DEFAULT_QUADRATURE.abs_tolerance == 1e-14
-    assert DEFAULT_QUADRATURE.truncation_sigmas == 10.0
-    assert DEFAULT_QUADRATURE.max_subdivisions == 4096
+    assert numerics.REL_TOLERANCE == 1e-10
+    assert numerics.ABS_TOLERANCE == 1e-14
+    assert numerics.MAX_SUBDIVISIONS == 4096
+    assert spectral.TRUNCATION_SIGMAS == 10.0
 
 
 def test_identity_eigenvalues():

@@ -21,7 +21,7 @@ from speccap.capacity import (
     erasure_bounds,
     holevo_bound,
 )
-from speccap.channel import EncodingEnsemble, GramData, compute_gram, output_spectrum, reweight
+from speccap.channel import EncodingEnsemble, GramData, compute_gram, output_spectrum
 from speccap.spectral import (
     FlatResponse,
     GaussianAmplitude,
@@ -29,7 +29,6 @@ from speccap.spectral import (
     TabulatedAmplitude,
     TabulatedResponse,
     make_gaussian_basis,
-    modulated_overlap,
     quadrature_gram,
 )
 
@@ -119,7 +118,7 @@ def exact_tabulated_gram(grid, letters, eta):
 def test_quadrature_matches_the_gaussian_closed_form(letters, response):
     closed = compute_gram(EncodingEnsemble.uniform(letters), response).gram
     assert np.max(np.abs(quadrature_gram(letters, response) - closed)) <= 1e-10
-    pair = modulated_overlap(letters[0], letters[-1], response, method="quadrature")
+    pair = quadrature_gram((letters[0], letters[-1]), response)[0, -1]
     assert abs(pair - closed[0, -1]) <= 1e-10
 
 
@@ -131,7 +130,7 @@ def test_quadrature_matches_the_closed_form_for_narrow_letters(letters, channels
     response, closed_form = channels
     closed = stable_gaussian_gram(letters, closed_form)
     assert np.max(np.abs(quadrature_gram(letters, response) - closed)) <= 1e-10
-    pair = modulated_overlap(letters[0], letters[-1], response, method="quadrature")
+    pair = quadrature_gram((letters[0], letters[-1]), response)[0, -1]
     assert abs(pair - closed[0, -1]) <= 1e-10
 
 
@@ -154,7 +153,7 @@ def test_tabulated_gram_is_the_exact_segment_sum(inputs):
 def test_tabulated_reweight_matches_a_fresh_gram_and_conserves_probability(inputs, raw):
     _, letters, response = inputs
     priors = np.array(raw[: len(letters)]) / sum(raw[: len(letters)])
-    shifted = reweight(compute_gram(EncodingEnsemble.uniform(letters), response), priors)
+    shifted = GramData(compute_gram(EncodingEnsemble.uniform(letters), response).gram, priors)
     fresh = compute_gram(EncodingEnsemble(letters, priors), response)
     assert np.max(np.abs(shifted.weighted - fresh.weighted)) <= 1e-14
     assert shifted.mean_loss == pytest.approx(fresh.mean_loss, abs=1e-14)
@@ -250,7 +249,7 @@ def gram_data_with_random_priors(draw):
         return compute_gram(draw(gaussian_ensembles()), draw(closed_form_channels))
     _, letters, response = draw(tabulated_inputs())
     raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(letters), max_size=len(letters))))
-    return reweight(compute_gram(EncodingEnsemble.uniform(letters), response), raw / raw.sum())
+    return GramData(compute_gram(EncodingEnsemble.uniform(letters), response).gram, raw / raw.sum())
 
 
 def holevo_along(data, i, j, t):

@@ -15,6 +15,7 @@ from speccap.spectral import (
     load_tabulated_response,
     make_gaussian_basis,
     modulated_overlap,
+    quadrature_gram,
     survival_probability,
 )
 
@@ -44,6 +45,21 @@ def test_gaussian_amplitude_rejects_non_finite_parameters():
             GaussianAmplitude(center, width)
     with pytest.raises(ValidationError):
         replace(GaussianAmplitude(0.0, 1.0), center=np.nan)
+
+
+def test_gaussian_amplitude_rejects_a_width_outside_the_closed_form_range():
+    # Above about 1.34e154, width^2 overflows and a = 1/(4 width^2) is 0, so a
+    # flat channel divides by A = 0; width^2 = 0 at 1e-200 divides by zero in
+    # the constructor; below about 4.3e-78, a * a overflows and a
+    # self-overlap is inf * 0 = NaN.
+    for width in (1e200, 1e-200, 1e-100):
+        with pytest.raises(ValidationError, match="amplitude width .* outside the closed form's range"):
+            GaussianAmplitude(0.0, width)
+    for width in (1.34e154, 4.4e-78):
+        letter = GaussianAmplitude(0.0, width)
+        assert modulated_overlap(letter, letter, FlatResponse(1.0)) == pytest.approx(1.0, abs=1e-15)
+        survival = modulated_overlap(letter, letter, GaussianPeakResponse(1.0, 1.0))
+        assert survival == pytest.approx(1.0 / math.sqrt(1.0 + width * width), rel=1e-15)
 
 
 def test_tabulated_amplitude_zero_outside_grid():
@@ -133,7 +149,7 @@ def test_overlap_separated_gaussians_flat_channel():
 def test_overlap_of_a_narrow_letter_far_from_zero_is_exact():
     # B^2/A - D cancels two terms near 5e5 here; the stable form has none to cancel.
     amp = GaussianAmplitude(4.99, 0.0051)
-    value = modulated_overlap(amp, amp, FlatResponse(1.0), method="analytic")
+    value = modulated_overlap(amp, amp, FlatResponse(1.0))
     assert value == pytest.approx(1.0, abs=1e-14)
 
 
@@ -151,7 +167,7 @@ def test_overlap_of_letters_further_apart_than_1e154_is_zero():
     left, right = GaussianAmplitude(-5e159, 1.0), GaussianAmplitude(5e159, 1.0)
     for response in (FlatResponse(1.0), GaussianPeakResponse(1.0, 1.0)):
         assert modulated_overlap(left, right, response) == 0.0
-        assert modulated_overlap(right, left, response, method="analytic") == 0.0
+        assert modulated_overlap(right, left, response) == 0.0
 
 
 def test_closed_form_squares_the_centre_gap_with_pow():
@@ -176,23 +192,18 @@ def test_analytic_path_matches_quadrature_on_parameter_grid():
                 a = GaussianAmplitude(float(d_a), width)
                 b = GaussianAmplitude(float(d_b), width)
                 for response in responses:
-                    closed = modulated_overlap(a, b, response, method="analytic")
-                    quad = modulated_overlap(a, b, response, method="quadrature")
+                    closed = modulated_overlap(a, b, response)
+                    quad = quadrature_gram((a, b), response)[0, -1]
                     worst = max(worst, abs(closed - quad))
     assert worst <= 1e-10
 
 
 def test_method_is_checked_on_closed_form_inputs():
     letter = GaussianAmplitude(0.4, 0.9)
-    with pytest.raises(ValidationError, match="unknown overlap method"):
-        modulated_overlap(letter, letter, FlatResponse(1.0), method="bogus")
-    tabulated = TabulatedAmplitude([-3.0, 0.0, 3.0], [0.0, 1.0, 0.0])
-    with pytest.raises(ValidationError, match="analytic overlap requires"):
-        modulated_overlap(letter, tabulated, FlatResponse(1.0), method="analytic")
     other = GaussianAmplitude(-0.7, 1.3)
     response = GaussianPeakResponse(0.8, 1.5)
-    analytic = modulated_overlap(letter, other, response, method="analytic")
-    assert modulated_overlap(letter, other, response, method="quadrature") == pytest.approx(analytic, abs=1e-12)
+    analytic = modulated_overlap(letter, other, response)
+    assert quadrature_gram((letter, other), response)[0, -1] == pytest.approx(analytic, abs=1e-12)
 
 
 def test_replaced_parameters_give_the_new_overlap():
@@ -202,7 +213,7 @@ def test_replaced_parameters_give_the_new_overlap():
         moved = replace(letter, width=0.45, center=1.3)
         changed = replace(response, transmission=0.4) if isinstance(response, FlatResponse) else replace(response, width=0.6)
         for a, b, r in ((moved, other, response), (letter, other, changed), (moved, other, changed)):
-            expected = modulated_overlap(a, b, r, method="quadrature")
+            expected = quadrature_gram((a, b), r)[0, -1]
             assert modulated_overlap(a, b, r) == pytest.approx(expected, abs=1e-12)
 
 
@@ -256,9 +267,7 @@ def test_survival_probability_gaussian_channel_closed_form():
     # Displaced letter through a wider passband, peak transmission 0.9.
     q = survival_probability(GaussianAmplitude(1.0, 1.0), GaussianPeakResponse(0.9, 2.0))
     assert q == pytest.approx(0.728380071112967948, abs=1e-12)
-    q_quad = survival_probability(
-        GaussianAmplitude(1.0, 1.0), GaussianPeakResponse(0.9, 2.0), method="quadrature"
-    )
+    q_quad = quadrature_gram((GaussianAmplitude(1.0, 1.0),), GaussianPeakResponse(0.9, 2.0))[0, 0].real
     assert q_quad == pytest.approx(q, abs=1e-10)
 
 
@@ -281,9 +290,9 @@ def test_narrow_letter_under_a_flat_tabulated_channel_survives(width):
 def test_narrow_letter_off_centre_of_a_wide_passband_matches_the_closed_form():
     letter = GaussianAmplitude(-4.76, 0.079)
     response = GaussianPeakResponse(0.97, 4.0)
-    analytic = modulated_overlap(letter, letter, response, method="analytic")
+    analytic = modulated_overlap(letter, letter, response)
     assert analytic.real == pytest.approx(0.478, abs=1e-3)
-    assert modulated_overlap(letter, letter, response, method="quadrature") == pytest.approx(analytic, abs=1e-12)
+    assert quadrature_gram((letter,), response)[0, 0] == pytest.approx(analytic, abs=1e-12)
 
 
 def test_make_gaussian_basis_symmetric_pair():
