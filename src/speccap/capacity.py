@@ -120,6 +120,19 @@ def erasure_bounds(sigma_psi, sigma_eta, p_peak, n_letters):
     )
 
 
+def _check_width_ratio(lam):
+    """ValidationError unless the overlap rate ``1 / (4 lam^2 (1 + lam^2))`` is a positive finite float.
+
+    That holds for ``lam`` from about 3.7e-155 to about 8.2e76.
+    """
+    if not lam > 0:
+        raise ValidationError("width ratio must be positive")
+    lam = float(lam)
+    denominator = 4.0 * lam * lam * (1.0 + lam * lam)
+    if not (denominator > 0.0 and 0.0 < 1.0 / denominator < math.inf):
+        raise ValidationError(f"width ratio {lam!r} is outside the closed form's range")
+
+
 def two_state_exact(delta, lam, p_peak=1.0):
     """Exact capacity of two symmetric Gaussian letters through a Gaussian passband.
 
@@ -127,11 +140,11 @@ def two_state_exact(delta, lam, p_peak=1.0):
     units of the channel width.  The two modulated letters are again
     Gaussian; their survival probability and normalized overlap c give the
     known two-pure-state capacity q0 * (1 - h((1 - sqrt(1 - c^2)) / 2)).
+    A ``lam`` outside :func:`_check_width_ratio`'s range raises ValidationError.
     """
-    if delta < 0:
+    if not delta >= 0:
         raise ValidationError("letter separation must be non-negative")
-    if not lam > 0:
-        raise ValidationError("width ratio must be positive")
+    _check_width_ratio(lam)
     if not 0.0 <= p_peak <= 1.0:
         raise ValidationError("peak transmission probability must lie in [0, 1]")
     lam_sq1 = 1.0 + lam * lam
@@ -175,10 +188,9 @@ def two_state_max(lam, p_peak=1.0):
     The derivative crosses zero with a nonzero slope, so ``best_separation``
     is well conditioned even though the maximum itself is flat.
     """
-    if not lam > 0:
-        raise ValidationError("width ratio must be positive")
+    _check_width_ratio(lam)
     grid = np.linspace(1e-6, max(50.0, 10.0 * lam), TWO_STATE_COARSE_POINTS)
-    values = [two_state_exact(d, lam) for d in grid]
+    values = [two_state_exact(d, lam) for d in grid.tolist()]  # Python floats overflow to inf without a warning
     best = int(np.argmax(values))
     if best in (0, grid.size - 1):
         raise ConvergenceError(
@@ -209,11 +221,18 @@ def _letter_divergences(gram, loss, weights):
     weight is divided by, so a zero weight still gives a finite ``D_i``: that
     of the part of letter i inside the support of ``rho``.  ``weights @ D``
     is the Holevo quantity, and ``D_i - log2 e`` its derivative in weight i.
+    An eigenvalue within roundoff of 0 (at most ``eps lam_max``) counts as
+    null space: its ``M_ki``, exactly ``lam_k conj(U_ik) / sqrt(w_i)``, is
+    resolved only to about ``eps``, so ``|M_ki|^2 / lam_k`` would be noise
+    (a roundoff eigenvalue of 1.7e-48 makes every ``D_i`` of 5 identical
+    letters 2.5e16).  So does one at or below 1e-300, where ``log2(lam) /
+    lam`` overflows.
     """
     root = np.sqrt(weights)
     values, vectors = hermitian_eigenvalues(root[:, None] * gram * root, vectors=True)
     values = clamp_spectrum(values)
-    safe = np.where(values > 0.0, values, 1.0)  # log2(1) / 1 = 0 drops the null space
+    floor = max(np.finfo(float).eps * values[0], 1e-300)
+    safe = np.where(values > floor, values, 1.0)  # log2(1) / 1 = 0 drops the null space
     photon = (np.log2(safe) / safe) @ np.abs(vectors.conj().T @ (root[:, None] * gram)) ** 2
     mean_loss = float(weights @ loss)
     vacuum = loss * math.log2(mean_loss) if mean_loss > 0.0 else 0.0

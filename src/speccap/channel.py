@@ -3,19 +3,19 @@
 The output state of the channel decomposes into a vacuum component (weight
 ``mean_loss``) and a single-photon block whose nonzero spectrum equals that
 of the small matrix ``T[i][j] = sqrt(p_i p_j) <chi_i|chi_j>`` built from the
-modulated letters ``chi_i = eta * psi_i``.  Working with T reduces an
+modulated letters ``chi_i = eta * psi_i``, whose Gram matrix comes from
+:func:`speccap.spectral.gram_matrix`.  Working with T reduces an
 infinite-dimensional diagonalization to an N x N Hermitian one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .errors import ComputationError, ValidationError
 from .numerics import clamp_spectrum, hermitian_eigenvalues
-from .spectral import closed_form_applies, modulated_overlap, quadrature_gram
+from .spectral import gram_matrix
 
 
 def _validated_priors(priors, n):
@@ -115,24 +115,12 @@ class GramData:
 def compute_gram(ensemble, response):
     """Gram data of an ensemble pushed through a channel response.
 
-    Gaussian letters through a flat or Gaussian channel take the closed form
-    pair by pair, in one pass over the upper triangle; adding the conjugate
-    transpose and halving the diagonal mirrors it, which keeps the matrix
-    exactly Hermitian.  Every other ensemble goes through one quadrature
-    node rule for the whole matrix.  The result pairs that matrix, read-only
-    so it is not copied, with the ensemble's priors; a survival probability
-    outside [0, 1] raises ``ComputationError``.
+    :func:`~speccap.spectral.gram_matrix` builds the matrix by the closed
+    form or by quadrature; it is paired, read-only so it is not copied, with
+    the ensemble's priors.  A survival probability outside [0, 1] raises
+    ``ComputationError``.
     """
-    n = ensemble.n
-    if closed_form_applies(ensemble.letters, response):
-        entries = np.zeros((n, n), dtype=complex)
-        entries[np.tri(n, dtype=bool).T] = [  # the upper triangle, row by row
-            modulated_overlap(a, b, response) for a, b in combinations_with_replacement(ensemble.letters, 2)
-        ]
-        entries += entries.T.conj()
-        entries.flat[:: n + 1] *= 0.5
-    else:
-        entries = quadrature_gram(ensemble.letters, response)
+    entries = gram_matrix(ensemble.letters, response)
     entries.setflags(write=False)
     return GramData(entries, ensemble.priors)
 

@@ -2,22 +2,24 @@
 
 Frequencies are dimensionless offsets from a carrier; amplitudes are
 unit-normalized (``integral |psi|^2 = 1``) and channels are amplitude
-transmissions in [0, 1].  Overlaps of Gaussian amplitudes through flat or
-Gaussian-passband channels have closed forms.  Everything else goes through
-one quadrature node rule for a whole set of letters: Gauss-Kronrod panels on
-the segments between the merged grid points of the tabulated factors and
-the centre and tails of every factor, bisected where the Kronrod and Gauss
-matrices disagree.
+transmissions in [0, 1].  :func:`gram_matrix` is the one entry point from
+a set of letters to their Gram matrix.  Overlaps of Gaussian amplitudes
+through flat or Gaussian-passband channels have closed forms.  Everything
+else goes through one quadrature node rule for a whole set of letters:
+Gauss-Kronrod panels on the segments between the merged grid points of the
+tabulated factors and the centre and tails of every factor, bisected where
+the Kronrod and Gauss matrices disagree.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import combinations_with_replacement, repeat
 
 import numpy as np
 
 from .errors import ValidationError
+from . import numerics
 from .numerics import weighted_gram
 
 # Every factor of a quadrature integrand is covered to this many widths of its centre.
@@ -60,11 +62,10 @@ class GaussianAmplitude:
 
 
 @dataclass(frozen=True)
-class TabulatedAmplitude:
-    """Complex amplitude sampled on an ascending grid, zero outside it.
+class _Tabulated:
+    """Finite samples on a strictly ascending grid of at least 2 points, stored read-only.
 
-    Linear interpolation between samples; renormalized at construction so
-    the interpolant carries unit probability.
+    A subclass sets the ``_dtype`` of ``values`` and checks them in ``_checked``.
     """
 
     grid: np.ndarray
@@ -72,34 +73,44 @@ class TabulatedAmplitude:
 
     def __post_init__(self):
         grid = np.array(self.grid, dtype=float)
-        values = np.array(self.values, dtype=complex)
+        values = np.array(self.values, dtype=self._dtype)
         if grid.ndim != 1 or grid.size < 2:
             raise ValidationError("tabulated grid needs at least 2 points")
         if values.shape != grid.shape:
             raise ValidationError("grid and values must have equal length")
-        _require_finite(grid, values)
+        if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+            raise ValidationError("tabulated grid and values must be finite")
         if not np.all(np.diff(grid) > 0):
             raise ValidationError("tabulated grid must be strictly ascending")
-        norm_sq = _interp_norm_squared(grid, values)
-        if norm_sq <= 0.0:
-            raise ValidationError("tabulated amplitude is identically zero")
-        values = values / math.sqrt(norm_sq)
+        values = self._checked(grid, values)
         grid.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-
-    def value(self, omega):
-        return np.interp(omega, self.grid, self.values, left=0.0, right=0.0)
 
     def _extent(self):
         lo, hi = float(self.grid[0]), float(self.grid[-1])
         return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
-def _require_finite(grid, values):
-    if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
-        raise ValidationError("tabulated grid and values must be finite")
+@dataclass(frozen=True)
+class TabulatedAmplitude(_Tabulated):
+    """Complex amplitude sampled on an ascending grid, zero outside it.
+
+    Linear interpolation between samples; renormalized at construction so
+    the interpolant carries unit probability.
+    """
+
+    _dtype = complex
+
+    def _checked(self, grid, values):
+        norm_sq = _interp_norm_squared(grid, values)
+        if norm_sq <= 0.0:
+            raise ValidationError("tabulated amplitude is identically zero")
+        return values / math.sqrt(norm_sq)
+
+    def value(self, omega):
+        return np.interp(omega, self.grid, self.values, left=0.0, right=0.0)
 
 
 def _interp_norm_squared(grid, values):
@@ -134,7 +145,11 @@ class GaussianPeakResponse:
     """Gaussian passband centred at zero with peak transmission probability.
 
     For the closed form it keeps ``_power_k = (peak_probability, 1/(2
-    width^2))``, the peak power and exponent rate of ``eta^2``.
+    width^2))``, the peak power and exponent rate of ``eta^2``.  As for a
+    letter's ``_a``, a width whose rate is not a positive finite float, or
+    whose rate squared overflows (below about 6.1e-78 or above about
+    1.3e154), raises ValidationError; ``FlatResponse`` is the channel of
+    infinite width.
     """
 
     peak_probability: float
@@ -145,7 +160,13 @@ class GaussianPeakResponse:
             raise ValidationError("peak transmission probability must lie in [0, 1]")
         if not self.width > 0:
             raise ValidationError("channel width must be positive")
-        object.__setattr__(self, "_power_k", (self.peak_probability, 0.5 / self.width**2))
+        try:
+            rate = 0.5 / self.width**2
+        except (OverflowError, ZeroDivisionError):
+            rate = 0.0
+        if not (0.0 < rate < math.inf and rate * rate < math.inf):
+            raise ValidationError(f"channel width {self.width!r} is outside the closed form's range")
+        object.__setattr__(self, "_power_k", (self.peak_probability, rate))
 
     def value(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -158,48 +179,46 @@ class GaussianPeakResponse:
 
 
 @dataclass(frozen=True)
-class TabulatedResponse:
+class TabulatedResponse(_Tabulated):
     """Amplitude transmission sampled on an ascending grid, zero outside."""
 
-    grid: np.ndarray
-    values: np.ndarray
+    _dtype = float
 
-    def __post_init__(self):
-        grid = np.array(self.grid, dtype=float)
-        values = np.array(self.values, dtype=float)
-        if grid.ndim != 1 or grid.size < 2:
-            raise ValidationError("tabulated grid needs at least 2 points")
-        if values.shape != grid.shape:
-            raise ValidationError("grid and values must have equal length")
-        _require_finite(grid, values)
-        if not np.all(np.diff(grid) > 0):
-            raise ValidationError("tabulated grid must be strictly ascending")
+    def _checked(self, grid, values):
         if np.any(values < 0.0) or np.any(values > 1.0):
             raise ValidationError("channel transmission values must lie in [0, 1]")
-        grid.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
+        return values
 
     def value(self, omega):
         return np.interp(omega, self.grid, self.values, left=0.0, right=0.0)
-
-    def _extent(self):
-        lo, hi = float(self.grid[0]), float(self.grid[-1])
-        return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
 # Channels whose overlaps with Gaussian letters have the closed form.
 _CLOSED_FORM_RESPONSES = (FlatResponse, GaussianPeakResponse)
 
 
-def closed_form_applies(letters, response):
-    """Whether every overlap of ``letters`` through ``response`` has the Gaussian closed form."""
-    # modulated_overlap tests the same rule inline for its two letters, so a
-    # new closed-form letter type goes in both places.
-    return isinstance(response, _CLOSED_FORM_RESPONSES) and all(
-        isinstance(letter, GaussianAmplitude) for letter in letters
-    )
+def gram_matrix(letters, response):
+    """The exactly Hermitian matrix of all overlaps ``integral eta^2 conj(psi_i) psi_j`` of ``letters``.
+
+    Gaussian letters through a flat or Gaussian channel take the closed form
+    of :func:`modulated_overlap` pair by pair, in one pass over the upper
+    triangle; adding the conjugate transpose and halving the diagonal
+    mirrors it.  Every other set of letters goes through
+    :func:`quadrature_gram`, one node rule for the whole matrix.
+    """
+    if not (
+        isinstance(response, _CLOSED_FORM_RESPONSES)
+        and all(isinstance(letter, GaussianAmplitude) for letter in letters)
+    ):
+        return quadrature_gram(letters, response)
+    n = len(letters)
+    entries = np.zeros((n, n), dtype=complex)
+    entries[np.tri(n, dtype=bool).T] = [  # the upper triangle, row by row
+        modulated_overlap(a, b, response) for a, b in combinations_with_replacement(letters, 2)
+    ]
+    entries += entries.T.conj()
+    entries.flat[:: n + 1] *= 0.5
+    return entries
 
 
 def quadrature_gram(letters, response):
@@ -214,13 +233,27 @@ def quadrature_gram(letters, response):
     nodes: a narrow letter that fell between all of a wide panel's nodes
     would read as converged.  A breakpoint at ``c`` puts each flank of a
     peak in panels of its own.
+
+    Abscissae near a Gaussian letter's centre ``c`` are rounded by up to
+    ``eps |c| / 2``; a Gaussian of width ``w`` changes by a relative ``x / w``
+    over a shift ``x`` within a width of its centre, and the Kronrod and
+    Gauss rules share the rounded nodes, so their difference cannot see it.
+    A letter narrower than ``eps |c| / (2 REL_TOLERANCE)``, about 1.1e-6
+    ``|c|``, raises ValidationError naming its centre and width.
     """
+    resolution = np.finfo(float).eps / (2.0 * numerics.REL_TOLERANCE)
+    for letter in letters:
+        if isinstance(letter, GaussianAmplitude) and letter.width < resolution * abs(letter.center):
+            raise ValidationError(
+                f"letter centred at {letter.center!r} with width {letter.width!r} is narrower than "
+                f"quadrature resolves there ({resolution:.3g} of the centre's magnitude)"
+            )
     parts = (*letters, response)
     extents = [extent for extent in (part._extent() for part in parts) if extent is not None]
     centers, widths = zip(*extents)
     lo = min(centers) - TRUNCATION_SIGMAS * max(widths)
     hi = max(centers) + TRUNCATION_SIGMAS * max(widths)
-    grids = [part.grid for part in parts if isinstance(part, (TabulatedAmplitude, TabulatedResponse))]
+    grids = [part.grid for part in parts if isinstance(part, _Tabulated)]
     seeds = [(c - TRUNCATION_SIGMAS * w, c, c + TRUNCATION_SIGMAS * w) for c, w in extents]
     points = np.sort(np.concatenate([[lo, hi], np.ravel(seeds), *grids]))
     points = points[(points >= lo) & (points <= hi)]
@@ -249,9 +282,13 @@ def modulated_overlap(amp_a, amp_b, response):
     and ``a c^2`` and the response its ``(power, k)``, computed once at
     construction, so a pair costs only this arithmetic.  A flat channel
     (``k = 0``) adds no ``k`` term at all, so a letter whose ``a c^2``
-    overflows to inf (``|c|`` beyond about 1e154) gives no ``0 * inf``; a
-    square ``(c_a - c_b)^2`` that overflows is inf, so the pair is orthogonal.
+    overflows to inf (``|c|`` beyond about 1e154) gives no ``0 * inf``.  A
+    pair whose square ``(c_a - c_b)^2`` overflows, or whose gap itself is
+    inf, is orthogonal: its overlap is 0, where ``a b`` may underflow to 0
+    and meet the inf square.
     """
+    # gram_matrix tests the same route rule for a whole set of letters, so a
+    # new closed-form letter type goes in both places.
     if (
         isinstance(amp_a, GaussianAmplitude)
         and isinstance(amp_b, GaussianAmplitude)
@@ -264,7 +301,9 @@ def modulated_overlap(amp_a, amp_b, response):
         try:
             square = (ca - cb) ** 2  # libm pow; a product would round differently
         except OverflowError:
-            square = math.inf
+            return 0j
+        if square == math.inf:
+            return 0j
         exponent = (a * b * square + (k and k * (amp_a._acc + amp_b._acc))) / quad
         # C = power / sqrt(2 pi w_a w_b), so C * sqrt(pi/A) = power * sqrt(1 / (2 w_a w_b A)).
         return complex(power * math.sqrt(0.5 / (amp_a.width * amp_b.width * quad)) * math.exp(-exponent))

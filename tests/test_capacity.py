@@ -5,6 +5,7 @@ import pytest
 
 from speccap import capacity
 from speccap.capacity import (
+    _letter_divergences,
     binary_capacity,
     binary_entropy,
     erasure_bounds,
@@ -131,6 +132,35 @@ def test_two_state_exact_validation():
         two_state_exact(1.0, 0.0, 1.0)
     with pytest.raises(ValidationError):
         two_state_exact(1.0, 1.0, 1.5)
+
+
+def test_letter_divergences_of_identical_letters_are_zero():
+    # The Gram matrix of 5 identical letters has a roundoff eigenvalue near
+    # 1.7e-48; as a support direction it would make every D_i 2.5e16 bits.
+    gram = np.ones((5, 5), dtype=complex)
+    divergences = _letter_divergences(gram, np.zeros(5), np.full(5, 0.2))
+    assert np.all(np.abs(divergences) <= 1e-12)
+
+
+@pytest.mark.parametrize("lam", [1e-320, 1e-200, 1e-160, 3.7e-155, 8.2e76, 1e200, math.inf])
+def test_two_state_rejects_a_width_ratio_outside_the_closed_form_range(lam):
+    # The overlap rate 1 / (4 lam^2 (1 + lam^2)) divides by zero, is inf or
+    # is 0 there, so the coarse grid would warn, then report a window edge or
+    # a NaN entropy argument.
+    for compute in (lambda: two_state_exact(1.0, lam), lambda: two_state_max(lam)):
+        with pytest.raises(ValidationError, match="width ratio .* outside the closed form's range"):
+            compute()
+
+
+def test_two_state_accepts_the_ends_of_the_width_ratio_range():
+    assert two_state_exact(1.0, 3.8e-155) == pytest.approx(math.exp(-1.0 / 8.0))
+    assert two_state_exact(1.0, 8.1e76) == 0.0
+    # The best separation, 2.8e-155, lies below the window, and the coarse
+    # grid's exponents past the largest float are inf, not a warning.
+    with pytest.raises(ConvergenceError, match="window edge"):
+        two_state_max(3.8e-155)
+    with pytest.raises(ValidationError, match="letter separation must be non-negative"):
+        two_state_exact(math.nan, 1.0)
 
 
 @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0, 4.0])

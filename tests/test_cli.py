@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import speccap
-from speccap.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, MAX_GRID_POINTS, UsageError, main, parse_grid
+from speccap.cli import EXIT_COMPUTATION, EXIT_IO, EXIT_OK, EXIT_USAGE, MAX_GRID_POINTS, UsageError, main, parse_grid
 from speccap.spectral import make_gaussian_basis
 from speccap.svgplot import render_line
 
@@ -212,6 +212,42 @@ def test_sweep_reports_a_letter_width_outside_the_closed_form_range_in_its_error
     assert result.returncode == EXIT_OK and "Traceback" not in result.stderr
     message = f"amplitude width {float(width)!r} is outside the closed form's range"
     assert [(row["holevo_bits"], row["error"]) for row in read_rows(out)] == [("", message)] * 2
+
+
+def test_sweep_reports_a_channel_width_outside_the_closed_form_range_in_its_error_cells(tmp_path):
+    # 0.5 / width**2 divides by zero at 1e-320 and 1e-200, is inf at 1e-160,
+    # overflows at 1e200 and is 0 at inf; the infinite-width channel is --mode flat.
+    out = tmp_path / "sweep.csv"
+    widths = ["1e-320", "1e-200", "1e-160", "1e200", "inf"]
+    args = ["sweep", "--mode", "gaussian", "--n", "2", "--delta-omega", "1", "--sigma-eta", ",".join(widths)]
+    assert main([*args, "--out", str(out)]) == EXIT_OK
+    expected = [("", f"channel width {float(w)!r} is outside the closed form's range") for w in widths]
+    assert [(row["holevo_bits"], row["error"]) for row in read_rows(out)] == expected
+
+
+def test_two_state_reports_a_width_ratio_outside_the_closed_form_range_in_its_error_cells(tmp_path):
+    out = tmp_path / "two.csv"
+    lambdas = ["1e-320", "1e-200", "1e-160", "1e200"]
+    for emit, column in (("max-curve", "c_max_bits"), ("exact-curve", "capacity_bits")):
+        args = ["two-state", "--emit", emit, "--lambda", ",".join(lambdas), "--delta", "1"]
+        assert main([*args, "--out", str(out)]) == EXIT_OK
+        expected = [("", f"width ratio {float(lam)!r} is outside the closed form's range") for lam in lambdas]
+        assert [(row[column], row["error"]) for row in read_rows(out)] == expected
+
+
+def test_sweep_letters_whose_a_b_underflows_further_apart_than_1e154_are_orthogonal(tmp_path):
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--mode", "flat", "--n", "2", "--delta-omega", "1e155", "--eta", "1", "--sigma-psi", "1e100"]
+    assert main([*args, "--out", str(out)]) == EXIT_OK
+    assert [(row["holevo_bits"], row["error"]) for row in read_rows(out)] == [("1", "")]
+
+
+def test_gram_dump_of_tabulated_letters_through_an_infinitely_wide_gaussian_channel_is_invalid_input(tmp_path, capsys):
+    letter = tmp_path / "letter.csv"
+    letter.write_text("-3,0,0\n0,1,0\n3,0,0\n", encoding="utf-8")
+    args = ["gram-dump", "--letters", str(letter), "--sigma-eta", "inf", "--out", str(tmp_path / "g.csv")]
+    assert main(args) == EXIT_USAGE
+    assert "invalid input: channel width inf is outside the closed form's range" in capsys.readouterr().err
 
 
 def test_sweep_builds_each_comb_once(tmp_path, monkeypatch):
@@ -580,3 +616,46 @@ def test_usage_error_leaves_the_next_call_as_in_a_fresh_process(tmp_path):
     assert run_cli(*args, "--post-select", "--out", str(fresh)).returncode == EXIT_OK
     assert reused.read_bytes() == fresh.read_bytes()
     assert not (tmp_path / "x.csv").exists()
+
+
+# Each command's width, spacing, probability and lambda options with ordinary
+# values; the robustness grid sets one of them at a time to each extreme value.
+EXTREME_VALUES = ("1e-320", "1e-200", "1e-160", "1e200", "inf", "nan")
+ROBUSTNESS_COMMANDS = {
+    "sweep-flat": (["sweep", "--mode", "flat", "--n", "2"], {"--delta-omega": "1", "--eta": "0.5", "--sigma-psi": "1"}),
+    "sweep-gaussian": (
+        ["sweep", "--mode", "gaussian", "--n", "2"],
+        {"--delta-omega": "1", "--sigma-eta": "1", "--sigma-psi": "1", "--p-peak": "0.9"},
+    ),
+    "sweep-optimized": (
+        ["sweep", "--mode", "gaussian", "--n", "3", "--priors", "optimized"],
+        {"--delta-omega": "1", "--sigma-eta": "1", "--sigma-psi": "1", "--p-peak": "0.9"},
+    ),
+    "optimal-n": (
+        ["optimal-n", "--n-max", "4"],
+        {"--delta-omega": "2", "--sigma-eta": "2", "--sigma-psi": "1", "--p-peak": "0.9"},
+    ),
+    "two-state-exact": (["two-state", "--emit", "exact-curve"], {"--lambda": "0.5", "--delta": "1", "--p-peak": "0.9"}),
+    "two-state-max": (["two-state", "--emit", "max-curve"], {"--lambda": "0.5", "--p-peak": "0.9"}),
+    "gram-dump-gaussian": (
+        ["gram-dump", "--n", "3"],
+        {"--delta-omega": "1", "--sigma-eta": "1", "--sigma-psi": "1", "--p-peak": "0.9"},
+    ),
+    "gram-dump-flat": (["gram-dump", "--n", "3"], {"--delta-omega": "1", "--eta": "0.5", "--sigma-psi": "1"}),
+    "gram-dump-tabulated": (["gram-dump", "--letters", "letter.csv"], {"--sigma-eta": "1", "--p-peak": "0.9"}),
+}
+
+
+@pytest.mark.parametrize("value", EXTREME_VALUES)
+@pytest.mark.parametrize(
+    "command,option", [(command, option) for command, (_, options) in ROBUSTNESS_COMMANDS.items() for option in options]
+)
+def test_every_command_turns_an_extreme_option_value_into_an_exit_code(tmp_path, monkeypatch, command, option, value):
+    # A traceback, or a RuntimeWarning (an error under pytest), escapes main.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "letter.csv").write_text("-3,0,0\n-1,0.5,0.1\n0,1,0\n2,0.3,-0.2\n3,0,0\n", encoding="utf-8")
+    fixed, options = ROBUSTNESS_COMMANDS[command]
+    argv = [*fixed, "--out", "out.csv"]
+    for name, ordinary in options.items():
+        argv += [name, value if name == option else ordinary]
+    assert main(argv) in (EXIT_OK, EXIT_USAGE, EXIT_COMPUTATION)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -82,22 +83,47 @@ def test_tabulated_amplitude_interpolates_linearly():
     assert mid == pytest.approx(0.25 * scale, abs=1e-12)
 
 
+TABULATED_CASES = [
+    (TabulatedAmplitude, [0.0], [1.0], "at least 2 points"),
+    (TabulatedAmplitude, [0.0, 0.0], [1.0, 1.0], "strictly ascending"),
+    (TabulatedAmplitude, [1.0, 0.0], [1.0, 1.0], "strictly ascending"),
+    (TabulatedAmplitude, [0.0, 1.0, 2.0], [0.0, 0.0, 0.0], "identically zero"),
+    (TabulatedAmplitude, [0.0, 1.0, 2.0], [1.0, np.nan, 1.0], "must be finite"),
+    (TabulatedAmplitude, [0.0, 1.0, 2.0], [1.0, 1.0j * np.inf, 1.0], "must be finite"),
+    (TabulatedAmplitude, [0.0, 1.0, np.inf], [1.0, 1.0, 1.0], "must be finite"),
+    (TabulatedAmplitude, [np.nan, 1.0, 2.0], [1.0, 1.0, 1.0], "must be finite"),
+    (TabulatedAmplitude, [0.0, 1.0, 2.0], [1.0, 1.0], "equal length"),
+    (TabulatedResponse, [0.0], [1.0], "at least 2 points"),
+    (TabulatedResponse, [[0.0, 1.0]], [[1.0, 1.0]], "at least 2 points"),
+    (TabulatedResponse, [0.0, 1.0, 2.0], [1.0, 1.0], "equal length"),
+    (TabulatedResponse, [0.0, 0.0], [1.0, 1.0], "strictly ascending"),
+    (TabulatedResponse, [1.0, 0.0], [1.0, 1.0], "strictly ascending"),
+    (TabulatedResponse, [0.0, 1.0, 2.0], [0.5, 1.5, 0.5], r"must lie in \[0, 1\]"),
+]
+
+
+# The ids number the cases as a bare grid,values parametrization would.
 @pytest.mark.parametrize(
-    "grid,values",
-    [
-        ([0.0], [1.0]),
-        ([0.0, 0.0], [1.0, 1.0]),
-        ([1.0, 0.0], [1.0, 1.0]),
-        ([0.0, 1.0, 2.0], [0.0, 0.0, 0.0]),
-        ([0.0, 1.0, 2.0], [1.0, np.nan, 1.0]),
-        ([0.0, 1.0, 2.0], [1.0, 1.0j * np.inf, 1.0]),
-        ([0.0, 1.0, np.inf], [1.0, 1.0, 1.0]),
-        ([np.nan, 1.0, 2.0], [1.0, 1.0, 1.0]),
-    ],
+    "cls,grid,values,message",
+    [pytest.param(*case, id=f"grid{k}-values{k}") for k, case in enumerate(TABULATED_CASES)],
 )
-def test_tabulated_amplitude_validation(grid, values):
-    with pytest.raises(ValidationError):
-        TabulatedAmplitude(grid, values)
+def test_tabulated_amplitude_validation(cls, grid, values, message):
+    with pytest.raises(ValidationError, match=message):
+        cls(grid, values)
+
+
+def test_gaussian_peak_response_rejects_a_width_outside_the_closed_form_range():
+    # 1e-200 squares to 0 (a ZeroDivisionError), 1e-160 to a subnormal whose
+    # rate 0.5 / width^2 is inf, and 1e200 overflows; below about 6.1e-78 the
+    # rate squared overflows, as a letter's a does.  An infinite width is a
+    # FlatResponse.
+    for width in (1e-320, 1e-200, 1e-160, 1e-100, 1e200, math.inf):
+        with pytest.raises(ValidationError, match="channel width .* outside the closed form's range"):
+            GaussianPeakResponse(1.0, width)
+    letter = GaussianAmplitude(0.0, 1.0)
+    for width in (6.2e-78, 1.34e154):
+        survival = modulated_overlap(letter, letter, GaussianPeakResponse(1.0, width))
+        assert survival == pytest.approx(1.0 / math.sqrt(1.0 + 1.0 / (width * width)), rel=1e-15)
 
 
 def test_channel_response_validation():
@@ -168,6 +194,16 @@ def test_overlap_of_letters_further_apart_than_1e154_is_zero():
     for response in (FlatResponse(1.0), GaussianPeakResponse(1.0, 1.0)):
         assert modulated_overlap(left, right, response) == 0.0
         assert modulated_overlap(right, left, response) == 0.0
+
+
+@pytest.mark.parametrize("center,width", [(5e154, 1e100), (9e307, 1e100), (9e307, 1.0), (5e159, 1e150)])
+def test_orthogonal_pair_overlap_is_zero_when_a_b_underflows_or_the_gap_is_inf(center, width):
+    # At widths near 1e100, a * b underflows to 0 and would meet the inf
+    # square as NaN; at +-9e307 the gap c_a - c_b is itself inf.
+    left, right = GaussianAmplitude(-center, width), GaussianAmplitude(center, width)
+    for response in (FlatResponse(1.0), GaussianPeakResponse(1.0, 1.0)):
+        assert modulated_overlap(left, right, response) == 0j
+        assert modulated_overlap(right, left, response) == 0j
 
 
 def test_closed_form_squares_the_centre_gap_with_pow():
@@ -285,6 +321,29 @@ def test_narrow_letter_under_a_flat_tabulated_channel_survives(width):
     # Narrower letters fall between all the nodes of the panel they sit in;
     # the breakpoints seeded at each letter's centre and tails find them.
     assert survival_probability(GaussianAmplitude(3.0, width), FLAT_TABLE) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("center", [1.0, -3.0, 100.0, 1e4, -7e5, 1e8])
+def test_quadrature_refuses_a_letter_narrower_than_its_centre_resolves(center):
+    # Nodes near c are rounded by up to eps |c| / 2, a relative change of
+    # about eps |c| / (2 w) in a Gaussian of width w; it stays within
+    # REL_TOLERANCE down to w = 1.11e-6 |c|, and narrower letters raise.
+    response = TabulatedResponse([-2.0 * abs(center) - 8.0, 2.0 * abs(center) + 8.0], [0.9, 0.9])
+    for ratio in (1e-3, 1e-5, 3e-6, 1.5e-6, 1.2e-6, 1.12e-6):
+        letter = GaussianAmplitude(center, ratio * abs(center))
+        assert quadrature_gram((letter,), response)[0, 0] == pytest.approx(0.81, rel=1e-10)
+    for ratio in (1.1e-6, 1e-6, 3e-7, 1e-7, 1e-12, 1e-20):
+        letter = GaussianAmplitude(center, ratio * abs(center))
+        message = re.escape(f"letter centred at {center!r} with width {letter.width!r} is narrower than quadrature")
+        with pytest.raises(ValidationError, match=message):
+            quadrature_gram((GaussianAmplitude(0.0, 1.0), letter), response)
+        with pytest.raises(ValidationError, match=message):
+            survival_probability(letter, response)
+
+
+def test_quadrature_resolves_a_letter_at_zero_of_any_width():
+    for width in (1e-3, 1e-12, 1e-30, 1e-60):
+        assert survival_probability(GaussianAmplitude(0.0, width), FLAT_TABLE) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_narrow_letter_off_centre_of_a_wide_passband_matches_the_closed_form():
