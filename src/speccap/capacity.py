@@ -149,8 +149,22 @@ def two_state_exact(delta, lam, p_peak=1.0):
         raise ValidationError("peak transmission probability must lie in [0, 1]")
     lam_sq1 = 1.0 + lam * lam
     q0 = p_peak * math.exp(-(delta * delta) / (8.0 * lam_sq1)) / math.sqrt(lam_sq1)
-    overlap_sq = math.exp(-(delta * delta) / (4.0 * lam * lam * lam_sq1))
-    return q0 * binary_capacity(0.5 * (1.0 - math.sqrt(1.0 - overlap_sq)))
+    return q0 * _two_pure_state_bits((delta * delta) / (4.0 * lam * lam * lam_sq1))
+
+
+def _two_pure_state_bits(exponent):
+    """``1 - h((1 - s) / 2)`` in bits for two pure states with overlap ``c^2 = exp(-exponent)``, ``s = sqrt(1 - c^2)``.
+
+    That is ``((1 + s) ln(1 + s) + (1 - s) ln(1 - s)) / (2 ln 2)``, whose two
+    terms are about ``+-s`` and cancel to ``s^2 / (2 ln 2)`` as ``s -> 0``, as
+    ``1 - h`` does.  With ``ln(1 - s^2) = -exponent`` it is
+    ``(2 s log1p(s) - (1 - s) exponent) / (2 ln 2)``, whose terms cancel at
+    most by half: within 2e-15 relative for every exponent.
+    """
+    s = math.sqrt(-math.expm1(-exponent))
+    if s == 1.0:
+        return 1.0  # also for an infinite exponent, where (1 - s) * exponent is NaN
+    return (2.0 * s * math.log1p(s) - (1.0 - s) * exponent) / (2.0 * math.log(2.0))
 
 
 def _two_state_slope(delta, lam):
@@ -160,15 +174,16 @@ def _two_state_slope(delta, lam):
     ``s = sqrt(1 - c^2)`` and ``x = (1 - s) / 2``, the derivative is
     ``q0 * delta`` times ``r c^2 atanh(s) / (s ln 2) - (1 - h(x)) / (4 (1 + lam^2))``.
     ``atanh(s)`` is taken as ``log1p(s) + r delta^2 / 2``, finite as
-    ``c -> 0``, and ``x`` as ``c^2 / (2 (1 + s))``, exact as ``s -> 1``.
+    ``c -> 0``, and ``1 - h(x)`` from :func:`_two_pure_state_bits`, exact
+    to rounding as ``s -> 0``, where both terms are about ``r / ln 2``.
     """
     lam_sq1 = 1.0 + lam * lam
     rate = 1.0 / (4.0 * lam * lam * lam_sq1)
     exponent = rate * delta * delta
     overlap_sq = math.exp(-exponent)
     s = math.sqrt(-math.expm1(-exponent))
-    gain = rate * overlap_sq * (math.log1p(s) + 0.5 * exponent) / (s * math.log(2.0))
-    return gain - binary_capacity(0.5 * overlap_sq / (1.0 + s)) / (4.0 * lam_sq1)
+    gain = rate * overlap_sq * ((math.log1p(s) + 0.5 * exponent) / s) / math.log(2.0)  # rate * s may underflow
+    return gain - _two_pure_state_bits(exponent) / (4.0 * lam_sq1)
 
 
 # Points of the coarse separation grid that brackets the two-letter maximum.

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, repeat
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -24,6 +24,9 @@ from .numerics import weighted_gram
 
 # Every factor of a quadrature integrand is covered to this many widths of its centre.
 TRUNCATION_SIGMAS = 10.0
+
+# (2 pi)^(-1/4): a Gaussian amplitude of width w peaks at this over sqrt(w).
+_GAUSSIAN_NORM = (2.0 * math.pi) ** -0.25
 
 
 @dataclass(frozen=True)
@@ -54,8 +57,11 @@ class GaussianAmplitude:
         object.__setattr__(self, "_acc", a * self.center * self.center)
 
     def value(self, omega):
-        norm = (2.0 * math.pi * self.width**2) ** -0.25
-        return norm * np.exp(-((omega - self.center) ** 2) / (4.0 * self.width**2))
+        # Scaled before squaring and normed by sqrt(width), so no accepted width
+        # overflows; a square past the largest float is inf, and exp(-inf) is 0.
+        with np.errstate(over="ignore"):
+            scaled = np.square((omega - self.center) / (2.0 * self.width))
+        return _GAUSSIAN_NORM / math.sqrt(self.width) * np.exp(-scaled)
 
     def _extent(self):
         return self.center, self.width
@@ -169,10 +175,10 @@ class GaussianPeakResponse:
         object.__setattr__(self, "_power_k", (self.peak_probability, rate))
 
     def value(self, omega):
-        omega = np.asarray(omega, dtype=float)
-        return math.sqrt(self.peak_probability) * np.exp(
-            -(omega**2) / (4.0 * self.width**2)
-        )
+        # Scaled before squaring, as for GaussianAmplitude.
+        with np.errstate(over="ignore"):
+            scaled = np.square(np.asarray(omega, dtype=float) / (2.0 * self.width))
+        return math.sqrt(self.peak_probability) * np.exp(-scaled)
 
     def _extent(self):
         return 0.0, self.width
@@ -343,13 +349,16 @@ def make_gaussian_basis(n, spacing, width, centering="symmetric"):
 def _parse_table(path, columns):
     """Rows of ``columns`` comma-separated floats; blank and ``#`` lines are skipped.
 
-    A file that is not UTF-8 text raises ValidationError naming it.  Every
-    field is converted in one pass; only a file that holds a ``#`` pays a
-    per-line comment check.  A file that fails that pass is converted again
-    line by line, which names its first bad line (and accepts fields padded
-    with characters that ``str.strip`` removes but ``float`` rejects, such as
-    U+001C).  Lines are counted at newline characters only, as iterating the
-    file does.
+    A file that is not UTF-8 text raises ValidationError naming it.  Lines
+    are counted at newline characters only, as iterating the file does, and
+    stripped.  The data lines (neither blank nor ``#`` comments) go to one
+    ``np.loadtxt`` call, whose C parser rounds each field correctly, as
+    ``float`` does, and accepts no field that :func:`_parse_lines` rejects.
+    A file it rejects, whose table is not ``columns`` wide, or that has fewer
+    than 2 data rows (loadtxt warns on empty input) is parsed again by
+    :func:`_parse_lines`, which names its first bad line before the row
+    count is checked, and accepts fields that only ``float`` takes, such as
+    ``1_000`` or Arabic-Indic digits.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -360,12 +369,14 @@ def _parse_table(path, columns):
     data = list(filter(None, lines))
     if "#" in text:
         data = [line for line in data if not line.startswith("#")]
-    try:
-        if set(map(str.count, data, repeat(","))) != {columns - 1}:
-            raise ValueError("wrong column count")
-        values = list(map(float, ",".join(data).split(",")))
-    except ValueError:
-        values = _parse_lines(path, lines, columns)
+    if len(data) >= 2:
+        try:
+            table = np.loadtxt(data, delimiter=",", dtype=float, ndmin=2, comments=None)
+        except ValueError:
+            table = None
+        if table is not None and table.shape == (len(data), columns):
+            return table
+    values = _parse_lines(path, lines, columns)
     if len(data) < 2:
         raise ValidationError(f"{path}: needs at least 2 data rows")
     return np.array(values, dtype=float).reshape(len(data), columns)

@@ -1,7 +1,12 @@
 """Hypothesis settings for the property tests.
 
-Examples are derived from each test's name rather than drawn at random, so
-every run checks the same inputs, and no example database is written.
+Examples are derived rather than drawn at random, so every run of the same
+tree checks the same inputs, and no example database is written.  They are
+derived from each test's name and also from the literals Hypothesis
+collects from the source of the loaded non-test modules (``src/speccap``):
+it mixes those numbers and strings into its draws.  So editing a literal
+there can change the examples a property test meets, and so can running one
+test file instead of the whole suite, which loads other modules.
 There is no deadline, because timings on a shared host vary too much to
 judge a single example.
 """

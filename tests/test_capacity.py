@@ -391,3 +391,28 @@ def test_report_conservation_and_ranges():
         assert 0.0 <= report.holevo_bits <= math.log2(n)
         assert 0.0 <= report.post_selected_bits <= math.log2(n)
         assert report.spectrum.min() >= 0.0
+
+
+@pytest.mark.parametrize("exponent", [1e-300, 1e-100, 1e-16, 1e-8, 1e-3, 0.1, 0.5])
+def test_two_pure_state_bits_match_their_series(exponent):
+    # 1 - h((1 - s) / 2) = sum_k s^(2k) / (2k (2k - 1) ln 2); at s = 1e-8, 1 - h cancelled to 0
+    # where the value is 7.2e-17.
+    s_sq = -math.expm1(-exponent)
+    series = math.fsum(s_sq**k / (2 * k * (2 * k - 1)) for k in range(1, 200)) / math.log(2.0)
+    assert capacity._two_pure_state_bits(exponent) == pytest.approx(series, rel=4e-15, abs=0.0)
+
+
+def test_two_pure_state_bits_of_orthogonal_states_is_one_bit():
+    assert capacity._two_pure_state_bits(40.0) == 1.0
+    assert capacity._two_pure_state_bits(math.inf) == 1.0
+    # Near s = 1, 1 - h(x) at x = c^2 / (2 (1 + s)), exact as s -> 1, is the reference.
+    s = math.sqrt(-math.expm1(-30.0))
+    assert capacity._two_pure_state_bits(30.0) == pytest.approx(binary_capacity(math.exp(-30.0) / (2.0 * (1.0 + s))), rel=1e-15)
+
+
+@pytest.mark.parametrize("lam", [1e5, 1e8, 1e20, 1e76])
+def test_two_state_max_of_very_wide_letters_approaches_its_asymptote(lam):
+    # For lam >> 1, delta_star -> 2 sqrt(2) lam, where q0 -> 1 / (e lam) and 1 - h -> 1 / (lam^2 ln 2).
+    best, separation = two_state_max(lam)
+    assert separation / lam == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-9)
+    assert best * lam**3 == pytest.approx(1.0 / (math.e * math.log(2.0)), rel=1e-9, abs=0.0)

@@ -1,4 +1,5 @@
 import csv
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -659,3 +660,45 @@ def test_every_command_turns_an_extreme_option_value_into_an_exit_code(tmp_path,
     for name, ordinary in options.items():
         argv += [name, value if name == option else ordinary]
     assert main(argv) in (EXIT_OK, EXIT_USAGE, EXIT_COMPUTATION)
+
+
+def _gram_dump_values(tmp_path, *args):
+    out = tmp_path / "gram.csv"
+    assert main(["gram-dump", *args, "--out", str(out)]) == EXIT_OK
+    return {(row["record"], row["i"], row["j"]): complex(float(row["value_re"]), float(row["value_im"] or 0.0))
+            for row in read_rows(out)}
+
+
+def test_gram_dump_through_a_gaussian_channel_at_the_top_of_its_width_range_matches_a_flat_one(tmp_path):
+    # The channel is sampled across +-10 widths, where (omega / w)^2 / 4 once overflowed.
+    letter = tmp_path / "letter.csv"
+    letter.write_text("-2,0,0\n0,1,0\n2,0,0\n", encoding="utf-8")
+    wide = _gram_dump_values(tmp_path, "--letters", str(letter), "--sigma-eta", "1.3e154")
+    flat = _gram_dump_values(tmp_path, "--letters", str(letter), "--eta", "1")
+    assert wide.keys() == flat.keys()
+    for key, value in flat.items():
+        assert abs(wide[key] - value) <= 1e-10, key
+
+
+def test_gram_dump_of_a_letter_at_the_top_of_its_width_range_through_a_tabulated_channel(tmp_path):
+    # Across the channel's grid the letter's intensity is flat at 1 / (sqrt(2 pi) w),
+    # and the piecewise-linear eta^2 integrates to 2 * 3 * (0.25 + 0.25 + 0.25 / 3) = 3.5.
+    channel = tmp_path / "channel.csv"
+    channel.write_text("-3,0.5\n0,1\n3,0.5\n", encoding="utf-8")
+    width = 1.3e154
+    values = _gram_dump_values(
+        tmp_path, "--n", "1", "--delta-omega", "1", "--sigma-psi", str(width), "--channel-file", str(channel)
+    )
+    expected = 3.5 / (math.sqrt(2.0 * math.pi) * width)
+    assert values[("survival", "0", "")].real == pytest.approx(expected, rel=1e-10, abs=0.0)
+    assert values[("gram", "0", "0")] == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("lam", ["1e8", "1e76"])
+def test_two_state_max_curve_of_very_wide_letters_has_a_maximum(tmp_path, lam):
+    # Both once reported an error: the capacity near zero separation cancelled to 0.
+    out = tmp_path / "max.csv"
+    assert main(["two-state", "--emit", "max-curve", "--lambda", lam, "--out", str(out)]) == EXIT_OK
+    (row,) = read_rows(out)
+    assert row["error"] == ""
+    assert float(row["delta_star"]) / float(lam) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-9)

@@ -338,3 +338,57 @@ def test_clamp_spectrum():
     assert clamped[2] == 0.0
     with pytest.raises(PsdViolationError):
         clamp_spectrum([1.0, -1e-9])
+
+
+def _blocks_of_a_mixed_gram(monkeypatch, panel_matrices=numerics._panel_matrices):
+    """Gram matrix of 4 tabulated and 4 Gaussian letters through a Gaussian channel, and its block sizes.
+
+    The narrow letter's segments are bisected, so the blocks span two levels.
+    """
+    rng = np.random.default_rng(7)
+    grid = np.linspace(-12.0, 12.0, 121)
+    letters = [
+        *(spectral.TabulatedAmplitude(grid, np.exp(-((grid - c) ** 2) / 4.0 + 1j * k * grid))
+          for c, k in rng.uniform(-4.0, 4.0, (4, 2))),
+        *(spectral.GaussianAmplitude(c, w) for c, w in zip(rng.uniform(-4.0, 4.0, 4), [0.05, 0.3, 1.0, 2.0])),
+    ]
+    sizes = []
+
+    def recorded(sample, lo, hi):
+        sizes.append(lo.size)
+        return panel_matrices(sample, lo, hi)
+
+    monkeypatch.setattr(numerics, "_panel_matrices", recorded)
+    return spectral.quadrature_gram(letters, spectral.GaussianPeakResponse(0.9, 3.0)), sizes
+
+
+def test_blocking_does_not_change_the_gram_matrix(monkeypatch):
+    gram, sizes = _blocks_of_a_mixed_gram(monkeypatch)
+    assert sizes == [1, 32, 32, 32, 32, 9, 4]  # 8 functions: 32 segments a block after the first
+    monkeypatch.setattr(numerics, "_BLOCK_VALUES", 1)
+    one_each, singles = _blocks_of_a_mixed_gram(monkeypatch)
+    assert set(singles) == {1} and len(singles) == sum(sizes)
+    monkeypatch.setattr(numerics, "_BLOCK_VALUES", 10**9)
+    whole, levels = _blocks_of_a_mixed_gram(monkeypatch)
+    assert levels == [1, 137, 4]  # the first segment, then the rest of each level at once
+    assert one_each.tobytes() == gram.tobytes() == whole.tobytes()
+
+
+def test_a_sampled_block_stays_within_the_budget_at_n_128(monkeypatch):
+    sampled = []
+    weighted = numerics.weighted_gram
+
+    def recorded(sample, edges):
+        def counted(omega):
+            columns, weight = sample(omega)
+            sampled.append(columns.size)
+            return columns, weight
+
+        return weighted(counted, edges)
+
+    monkeypatch.setattr(spectral, "weighted_gram", recorded)
+    letters = spectral.make_gaussian_basis(128, 0.5, 1.0)
+    spectral.quadrature_gram(letters, spectral.TabulatedResponse([-40.0, 0.0, 40.0], [0.5, 1.0, 0.5]))
+    per_segment = 21 * 128
+    assert sampled[0] == per_segment
+    assert max(sampled) == numerics._BLOCK_VALUES // per_segment * per_segment <= numerics._BLOCK_VALUES

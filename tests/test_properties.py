@@ -22,12 +22,15 @@ from speccap.capacity import (
     holevo_bound,
 )
 from speccap.channel import EncodingEnsemble, GramData, compute_gram, output_spectrum
+from speccap.errors import ValidationError
 from speccap.spectral import (
     FlatResponse,
     GaussianAmplitude,
     GaussianPeakResponse,
     TabulatedAmplitude,
     TabulatedResponse,
+    _parse_lines,
+    _parse_table,
     make_gaussian_basis,
     quadrature_gram,
 )
@@ -286,3 +289,66 @@ def test_a_zero_prior_on_a_duplicated_letter_gives_a_finite_divergence():
     assert divergences[3] == pytest.approx(divergences[0], abs=1e-10)
     chi = holevo_bound(compute_gram(EncodingEnsemble(letters, priors), response)).holevo_bits
     assert data.priors @ divergences == pytest.approx(chi, abs=1e-12)
+
+
+# Tabulated files from a hostile alphabet: float syntax, separators, comment
+# marks, whitespace that str.strip, float and numpy's parser each treat their
+# own way (\x0c, \x1c, NBSP), underscores and Arabic-Indic digits, which only
+# float accepts; blank and comment lines, and every line end.
+_FIELD_TOKENS = [*"0123456789.eE+-_,#", "inf", "nan", " ", "\t", "\x0c", "\x1c", "\xa0", "١", "٧"]
+_PADDING = st.sampled_from(["", " ", "\t", "\x0c", "\x1c", "\xa0"])
+_numbers = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["1_000", "١٢", "1e3", "-0.5", ".5", "5.", "1e999", "-inf", "NaN", "+nan", "Infinity"]),
+)
+_padded = st.tuples(_PADDING, _numbers, _PADDING).map("".join)
+# Mostly numbers, so that a fair share of files parse whole.
+_hostile = st.lists(st.sampled_from(_FIELD_TOKENS), max_size=6).map("".join)
+_fields = st.one_of(_numbers, _numbers, _numbers, _numbers, _padded, _padded, _hostile)
+_OTHER_LINES = ["", " ", "\t", "\x0c", "\x1c", "#", "# omega,eta", "  # 1,2", "\xa0#x"]
+
+
+@st.composite
+def table_files(draw):
+    """``(columns, text)``: mostly rows of ``columns`` fields, so that whole files parse."""
+    columns = draw(st.sampled_from([2, 3]))
+    widths = st.one_of(st.just(columns), st.just(columns), st.just(columns), st.integers(1, 4))
+    rows = widths.flatmap(lambda k: st.lists(_fields, min_size=k, max_size=k)).map(",".join)
+    # "#" starts a comment only at the start of a line, so a row with a trailing one is bad.
+    commented = st.tuples(rows, st.sampled_from(["#", " # eta"])).map("".join)
+    lines = st.one_of(rows, rows, rows, commented, st.sampled_from(_OTHER_LINES))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    return columns, draw(st.lists(st.tuples(lines, ends).map("".join), max_size=8).map("".join))
+
+
+@pytest.fixture(scope="module")
+def table_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("tables") / "table.csv"
+
+
+def _table_or_message(parse, path, columns):
+    try:
+        return parse(path, columns).tobytes()
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _line_by_line_table(path, columns):
+    """The table as ``_parse_lines`` alone reads it, with ``_parse_table``'s row-count check."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = [line.strip() for line in handle.read().split("\n")]
+    values = _parse_lines(path, lines, columns)
+    if len(values) < 2 * columns:
+        raise ValidationError(f"{path}: needs at least 2 data rows")
+    return np.array(values, dtype=float).reshape(-1, columns)
+
+
+@settings(max_examples=200)
+@given(table_files())
+def test_table_parse_equals_the_line_by_line_parse(table_path, table):
+    columns, text = table
+    table_path.write_bytes(text.encode("utf-8"))
+    assert _table_or_message(_parse_table, table_path, columns) == _table_or_message(
+        _line_by_line_table, table_path, columns
+    )

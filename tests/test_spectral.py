@@ -486,3 +486,24 @@ def test_tabulated_file_non_finite_value_is_rejected_with_path(tmp_path, loader,
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValidationError, match=r"nonfinite\.csv: .*finite"):
         loader(path)
+
+
+def test_a_gaussian_letter_at_the_top_of_its_width_range_has_its_peak_value():
+    # 2 pi w^2 overflows at w = 6e153, which once made the norm, and every sample, exactly 0.
+    width = 6e153
+    expected = (2.0 * math.pi) ** -0.25 / math.sqrt(width)
+    assert GaussianAmplitude(0.0, width).value(0.0) == pytest.approx(expected, rel=1e-15, abs=0.0)
+    assert GaussianAmplitude(1e150, width).value(1e150 + 2.0 * width) == pytest.approx(expected * math.exp(-1.0), rel=1e-15, abs=0.0)
+
+
+def test_gaussian_factors_are_sampled_without_overflow_at_any_accepted_width():
+    # pytest turns numpy's overflow RuntimeWarning into an error.
+    wide = GaussianPeakResponse(1.0, 1.3e154)
+    assert wide.value(np.array([0.0, 2.6e154])).tolist() == pytest.approx([1.0, math.exp(-1.0)], rel=1e-15)
+    scaled = 1.3e155 / (2.0 * 1.3e154)  # 5, to rounding
+    assert GaussianAmplitude(0.0, 1.3e154).value(1.3e155) == pytest.approx(
+        (2.0 * math.pi) ** -0.25 / math.sqrt(1.3e154) * math.exp(-scaled * scaled), rel=1e-15, abs=0.0
+    )
+    # A sample whose scaled square passes the largest float is exactly 0.
+    assert GaussianAmplitude(0.0, 1.0).value(np.array([1e200, -1e300])).tolist() == [0.0, 0.0]
+    assert GaussianPeakResponse(1.0, 1.0).value(1e200) == 0.0
