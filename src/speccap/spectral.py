@@ -34,8 +34,9 @@ class GaussianAmplitude:
     """Real Gaussian amplitude: peak at ``center``, intensity std ``width``.
 
     Keeps the closed-form constants ``_a = 1/(4 width^2)`` and ``_acc = _a
-    center^2`` (as the responses keep ``_power_k``) in plain attributes, not
-    fields, so they take no part in equality, hashing or ``repr``.  A width
+    center^2`` (as the responses keep ``_power_k``), and the sample norm
+    ``_norm = (2 pi)^(-1/4) width^(-1/2)``, in plain attributes, not fields,
+    so they take no part in equality, hashing or ``repr``.  A width
     whose square is not a positive finite float, or whose ``_a`` squared
     overflows (below about 4.3e-78 or above about 1.3e154), raises
     ValidationError: the closed form would divide by zero or meet ``inf * 0``.
@@ -55,13 +56,13 @@ class GaussianAmplitude:
         a = 0.25 / square
         object.__setattr__(self, "_a", a)
         object.__setattr__(self, "_acc", a * self.center * self.center)
+        object.__setattr__(self, "_norm", _GAUSSIAN_NORM / math.sqrt(self.width))
 
     def value(self, omega):
         # Scaled before squaring and normed by sqrt(width), so no accepted width
-        # overflows; a square past the largest float is inf, and exp(-inf) is 0.
-        with np.errstate(over="ignore"):
-            scaled = np.square((omega - self.center) / (2.0 * self.width))
-        return _GAUSSIAN_NORM / math.sqrt(self.width) * np.exp(-scaled)
+        # overflows.  A square past the largest float (far from the centre) is
+        # inf, and exp(-inf) is 0; numpy warns of it unless told not to.
+        return self._norm * np.exp(-np.square((omega - self.center) / (2.0 * self.width)))
 
     def _extent(self):
         return self.center, self.width
@@ -176,8 +177,7 @@ class GaussianPeakResponse:
 
     def value(self, omega):
         # Scaled before squaring, as for GaussianAmplitude.
-        with np.errstate(over="ignore"):
-            scaled = np.square(np.asarray(omega, dtype=float) / (2.0 * self.width))
+        scaled = np.square(np.asarray(omega, dtype=float) / (2.0 * self.width))
         return math.sqrt(self.peak_probability) * np.exp(-scaled)
 
     def _extent(self):
@@ -266,8 +266,12 @@ def quadrature_gram(letters, response):
     edges = points[np.concatenate([[True], np.diff(points) > 0])]
 
     def sample(omega):
-        eta = response.value(omega)
-        return np.stack([letter.value(omega) for letter in letters], axis=-1), eta * eta
+        # A Gaussian factor far from its centre, next to a much wider one, squares
+        # past the largest float: its sample is exp(-inf) = 0, as it should be.
+        with np.errstate(over="ignore"):
+            eta = response.value(omega)
+            columns = np.stack([letter.value(omega) for letter in letters], axis=-1)
+        return columns, eta * eta
 
     return weighted_gram(sample, edges)
 
@@ -373,9 +377,10 @@ def _parse_table(path, columns):
         try:
             table = np.loadtxt(data, delimiter=",", dtype=float, ndmin=2, comments=None)
         except ValueError:
-            table = None
-        if table is not None and table.shape == (len(data), columns):
-            return table
+            pass
+        else:
+            if table.shape == (len(data), columns):
+                return table
     values = _parse_lines(path, lines, columns)
     if len(data) < 2:
         raise ValidationError(f"{path}: needs at least 2 data rows")

@@ -364,8 +364,9 @@ def _blocks_of_a_mixed_gram(monkeypatch, panel_matrices=numerics._panel_matrices
 
 def test_blocking_does_not_change_the_gram_matrix(monkeypatch):
     gram, sizes = _blocks_of_a_mixed_gram(monkeypatch)
-    assert sizes == [1, 32, 32, 32, 32, 9, 4]  # 8 functions: 32 segments a block after the first
+    assert sizes == [16, 32, 32, 32, 26, 4]  # 8 functions: 32 segments a block after the first
     monkeypatch.setattr(numerics, "_BLOCK_VALUES", 1)
+    monkeypatch.setattr(numerics, "_MIN_BLOCK_SEGMENTS", 1)
     one_each, singles = _blocks_of_a_mixed_gram(monkeypatch)
     assert set(singles) == {1} and len(singles) == sum(sizes)
     monkeypatch.setattr(numerics, "_BLOCK_VALUES", 10**9)
@@ -374,7 +375,8 @@ def test_blocking_does_not_change_the_gram_matrix(monkeypatch):
     assert one_each.tobytes() == gram.tobytes() == whole.tobytes()
 
 
-def test_a_sampled_block_stays_within_the_budget_at_n_128(monkeypatch):
+def test_a_block_holds_the_minimum_of_16_segments_at_n_128(monkeypatch):
+    # The value budget alone would give 2; each block makes a Python call per letter.
     sampled = []
     weighted = numerics.weighted_gram
 
@@ -390,5 +392,5 @@ def test_a_sampled_block_stays_within_the_budget_at_n_128(monkeypatch):
     letters = spectral.make_gaussian_basis(128, 0.5, 1.0)
     spectral.quadrature_gram(letters, spectral.TabulatedResponse([-40.0, 0.0, 40.0], [0.5, 1.0, 0.5]))
     per_segment = 21 * 128
-    assert sampled[0] == per_segment
-    assert max(sampled) == numerics._BLOCK_VALUES // per_segment * per_segment <= numerics._BLOCK_VALUES
+    assert numerics._BLOCK_VALUES // per_segment == 2
+    assert max(sampled) == 16 * per_segment

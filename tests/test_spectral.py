@@ -504,6 +504,16 @@ def test_gaussian_factors_are_sampled_without_overflow_at_any_accepted_width():
     assert GaussianAmplitude(0.0, 1.3e154).value(1.3e155) == pytest.approx(
         (2.0 * math.pi) ** -0.25 / math.sqrt(1.3e154) * math.exp(-scaled * scaled), rel=1e-15, abs=0.0
     )
-    # A sample whose scaled square passes the largest float is exactly 0.
-    assert GaussianAmplitude(0.0, 1.0).value(np.array([1e200, -1e300])).tolist() == [0.0, 0.0]
-    assert GaussianPeakResponse(1.0, 1.0).value(1e200) == 0.0
+
+
+def test_quadrature_samples_a_narrow_letter_far_from_its_centre_as_zero_without_a_warning():
+    # The window reaches 1e101 from a letter of width 1e-70: its scaled square
+    # passes the largest float there, and pytest turns the overflow warning into an error.
+    narrow, wide = GaussianAmplitude(0.0, 1e-70), GaussianAmplitude(0.0, 1e100)
+    with np.errstate(over="ignore"):
+        assert narrow.value(np.array([1e101, -1e300])).tolist() == [0.0, 0.0]
+        assert GaussianPeakResponse(1.0, 1.0).value(1e200) == 0.0
+    gram = quadrature_gram([narrow, wide], FlatResponse(1.0))
+    overlap = math.sqrt(2.0 * 1e-70 * 1e100 / (1e-140 + 1e200))
+    assert gram.diagonal().real.tolist() == pytest.approx([1.0, 1.0], rel=1e-10)
+    assert gram[0, 1].real == pytest.approx(overlap, rel=1e-10)
