@@ -6,6 +6,7 @@ import tracemalloc
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import speccap
@@ -313,6 +314,34 @@ def test_readme_sweep_matches_its_golden_csv(tmp_path, name):
                 assert abs(g - e) <= 1e-11 * abs(e) or max(abs(e), abs(g)) < 1e-12, (want, have)
             else:
                 assert value == cell, (want, have)
+
+
+def write_tabulated_inputs(directory, seed, letters=8, points=401):
+    """Seeded letter files and a channel file in the benchmark's shape: two-peak chirped letters, rippled channel."""
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(-20.0, 20.0, points)
+    paths = []
+    for k in range(letters):
+        (c1, c2), (w1, w2) = rng.uniform(-8.0, 8.0, 2), rng.uniform(0.8, 2.5, 2)
+        second, chirp = rng.uniform(0.2, 1.0), rng.uniform(-0.2, 0.2)
+        envelope = np.exp(-((grid - c1) ** 2) / (4 * w1**2)) + second * np.exp(-((grid - c2) ** 2) / (4 * w2**2))
+        values = envelope * np.exp(1j * chirp * (grid - c1) ** 2)
+        paths.append(directory / f"letter{k}.csv")
+        paths[-1].write_text("".join(f"{w:.17g},{v.real:.17g},{v.imag:.17g}\n" for w, v in zip(grid, values)))
+    peak, ripple, period, width = rng.uniform(0.7, 0.95), rng.uniform(0.0, 0.2), rng.uniform(1.0, 4.0), rng.uniform(5.0, 9.0)
+    eta = peak * (1.0 - ripple * np.cos(2 * np.pi * grid / period)) / (1.0 + ripple) * np.exp(-(grid**2) / (4 * width**2))
+    channel = directory / "channel.csv"
+    channel.write_text("".join(f"{w:.17g},{v:.17g}\n" for w, v in zip(grid, eta)))
+    return paths, channel
+
+
+def test_tabulated_gram_dump_matches_its_golden_csv(tmp_path):
+    # The golden file was written before tabulated inputs left adaptive quadrature.
+    paths, channel = write_tabulated_inputs(tmp_path, seed=7)
+    out = tmp_path / "gram.csv"
+    args = ["gram-dump", *(arg for path in paths for arg in ("--letters", str(path)))]
+    assert main([*args, "--channel-file", str(channel), "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (DATA / "tabulated_gram_dump.csv").read_bytes()
 
 
 def test_optimal_n_curve_and_summary(tmp_path):
