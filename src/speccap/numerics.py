@@ -138,6 +138,11 @@ def weighted_gram(sample, edges):
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
         share = 0.5 * np.concatenate([share[keep], share[keep]])
+    return mirror_upper(total)
+
+
+def mirror_upper(total):
+    """The upper triangle of ``total`` mirrored into an exactly Hermitian matrix with a real diagonal."""
     gram = np.triu(total) + np.triu(total, 1).conj().T
     np.fill_diagonal(gram, total.diagonal().real)
     return gram

@@ -4,11 +4,11 @@ Frequencies are dimensionless offsets from a carrier; amplitudes are
 unit-normalized (``integral |psi|^2 = 1``) and channels are amplitude
 transmissions in [0, 1].  :func:`gram_matrix` is the one entry point from
 a set of letters to their Gram matrix.  Overlaps of Gaussian amplitudes
-through flat or Gaussian-passband channels have closed forms.  Everything
-else goes through one quadrature node rule for a whole set of letters:
-Gauss-Kronrod panels on the segments between the merged grid points of the
-tabulated factors and the centre and tails of every factor, bisected where
-the Kronrod and Gauss matrices disagree.
+through flat or Gaussian-passband channels have closed forms, and all-tabulated
+inputs an exact 3-point Gauss-Legendre rule between their merged grid points.
+Everything else goes through one adaptive node rule for a whole set of letters:
+Gauss-Kronrod panels on the segments between those grid points and the centre
+and tails of every factor, bisected where the Kronrod and Gauss matrices disagree.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from . import numerics
-from .numerics import weighted_gram
+from .numerics import mirror_upper, weighted_gram
 
 # Every factor of a quadrature integrand is covered to this many widths of its centre.
 TRUNCATION_SIGMAS = 10.0
@@ -70,7 +70,7 @@ class GaussianAmplitude:
 
 @dataclass(frozen=True)
 class _Tabulated:
-    """Finite samples on a strictly ascending grid of at least 2 points, stored read-only.
+    """Finite samples on a strictly ascending grid of at least 2 points and finite span, stored read-only.
 
     A subclass sets the ``_dtype`` of ``values`` and checks them in ``_checked``.
     """
@@ -87,8 +87,8 @@ class _Tabulated:
             raise ValidationError("grid and values must have equal length")
         if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
             raise ValidationError("tabulated grid and values must be finite")
-        if not np.all(np.diff(grid) > 0):
-            raise ValidationError("tabulated grid must be strictly ascending")
+        if not (np.all(grid[1:] > grid[:-1]) and math.isfinite(float(grid[-1]) - float(grid[0]))):
+            raise ValidationError("tabulated grid must be strictly ascending and span a finite width")
         values = self._checked(grid, values)
         grid.setflags(write=False)
         values.setflags(write=False)
@@ -111,7 +111,8 @@ class TabulatedAmplitude(_Tabulated):
     _dtype = complex
 
     def _checked(self, grid, values):
-        norm_sq = _interp_norm_squared(grid, values)
+        nodes, weights = _segment_rule(grid)  # exact for the quadratic |interpolant|^2
+        norm_sq = float(weights @ np.abs(np.interp(nodes, grid, values)) ** 2)
         if norm_sq <= 0.0:
             raise ValidationError("tabulated amplitude is identically zero")
         return values / math.sqrt(norm_sq)
@@ -120,13 +121,11 @@ class TabulatedAmplitude(_Tabulated):
         return np.interp(omega, self.grid, self.values, left=0.0, right=0.0)
 
 
-def _interp_norm_squared(grid, values):
-    """Exact integral of |linear interpolant|^2 (quadratic per segment)."""
-    steps = np.diff(grid)
-    left = values[:-1]
-    delta = np.diff(values)
-    seg = np.abs(left) ** 2 + np.real(np.conj(left) * delta) + np.abs(delta) ** 2 / 3.0
-    return float(np.sum(steps * seg))
+def _segment_rule(grid):
+    """Nodes and weights of the 3-point Gauss-Legendre rule, exact up to degree 5, on every segment of ``grid``."""
+    steps = np.diff(grid)[:, None]
+    nodes = grid[:-1, None] + steps * (0.5 + 0.5 * np.sqrt(0.6) * np.array([-1.0, 0.0, 1.0]))
+    return nodes.ravel(), (steps * np.array([5.0, 8.0, 5.0]) / 18.0).ravel()
 
 
 @dataclass(frozen=True)
@@ -209,8 +208,8 @@ def gram_matrix(letters, response):
     Gaussian letters through a flat or Gaussian channel take the closed form
     of :func:`modulated_overlap` pair by pair, in one pass over the upper
     triangle; adding the conjugate transpose and halving the diagonal
-    mirrors it.  Every other set of letters goes through
-    :func:`quadrature_gram`, one node rule for the whole matrix.
+    mirrors it.  Every other set of letters goes through :func:`quadrature_gram`,
+    exact for all-tabulated inputs and adaptive otherwise.
     """
     if not (
         isinstance(response, _CLOSED_FORM_RESPONSES)
@@ -230,40 +229,47 @@ def gram_matrix(letters, response):
 def quadrature_gram(letters, response):
     """All overlaps ``integral eta^2 conj(psi_i) psi_j`` of ``letters`` by one node rule.
 
-    The window covers every letter and the channel to ``TRUNCATION_SIGMAS``
-    times the widest width.  Tabulated factors kink the integrand at their
-    grid points, so the merged grid points inside the window split it into
-    segments on which the Gauss-Kronrod panels see a smooth integrand.  Every factor
-    with an extent ``(c, w)`` also puts breakpoints at ``c +-
-    TRUNCATION_SIGMAS * w``, because the Kronrod and Gauss rules share their
-    nodes: a narrow letter that fell between all of a wide panel's nodes
-    would read as converged.  A breakpoint at ``c`` puts each flank of a
-    peak in panels of its own.
+    Without a Gaussian factor the integrand is a polynomial of degree at most 4
+    between merged grid points, which :func:`_segment_rule` integrates exactly:
+    the matrix is one ``X^H diag(w eta^2) X`` over its nodes, mirrored.  Otherwise
+    the window covers every letter and the channel to ``TRUNCATION_SIGMAS`` times
+    the widest width.  Tabulated factors kink the integrand at their grid points,
+    so the merged grid points inside the window split it into segments on which
+    the Gauss-Kronrod panels see a smooth integrand.  Every factor with an extent
+    ``(c, w)`` also puts breakpoints at ``c +- TRUNCATION_SIGMAS * w``, because
+    the Kronrod and Gauss rules share their nodes: a narrow letter that fell
+    between all of a wide panel's nodes would read as converged.  A breakpoint
+    at ``c`` puts each flank of a peak in panels of its own.
 
     Abscissae near a Gaussian letter's centre ``c`` are rounded by up to
     ``eps |c| / 2``; a Gaussian of width ``w`` changes by a relative ``x / w``
     over a shift ``x`` within a width of its centre, and the Kronrod and
     Gauss rules share the rounded nodes, so their difference cannot see it.
     A letter narrower than ``eps |c| / (2 REL_TOLERANCE)``, about 1.1e-6
-    ``|c|``, raises ValidationError naming its centre and width.
+    ``|c|``, raises ValidationError naming its centre and width, as do
+    breakpoints (merged grids or window) that span more than the largest float.
     """
-    resolution = np.finfo(float).eps / (2.0 * numerics.REL_TOLERANCE)
-    for letter in letters:
-        if isinstance(letter, GaussianAmplitude) and letter.width < resolution * abs(letter.center):
-            raise ValidationError(
-                f"letter centred at {letter.center!r} with width {letter.width!r} is narrower than "
-                f"quadrature resolves there ({resolution:.3g} of the centre's magnitude)"
-            )
     parts = (*letters, response)
-    extents = [extent for extent in (part._extent() for part in parts) if extent is not None]
-    centers, widths = zip(*extents)
-    lo = min(centers) - TRUNCATION_SIGMAS * max(widths)
-    hi = max(centers) + TRUNCATION_SIGMAS * max(widths)
     grids = [part.grid for part in parts if isinstance(part, _Tabulated)]
-    seeds = [(c - TRUNCATION_SIGMAS * w, c, c + TRUNCATION_SIGMAS * w) for c, w in extents]
-    points = np.sort(np.concatenate([[lo, hi], np.ravel(seeds), *grids]))
-    points = points[(points >= lo) & (points <= hi)]
-    edges = points[np.concatenate([[True], np.diff(points) > 0])]
+    if exact := not any(isinstance(part, (GaussianAmplitude, GaussianPeakResponse)) for part in parts):
+        edges = np.unique(np.concatenate(grids))
+    else:
+        resolution = np.finfo(float).eps / (2.0 * numerics.REL_TOLERANCE)
+        for letter in letters:
+            if isinstance(letter, GaussianAmplitude) and letter.width < resolution * abs(letter.center):
+                raise ValidationError(
+                    f"letter centred at {letter.center!r} with width {letter.width!r} is narrower than "
+                    f"quadrature resolves there ({resolution:.3g} of the centre's magnitude)"
+                )
+        extents = [extent for extent in (part._extent() for part in parts) if extent is not None]
+        centers, widths = zip(*extents)
+        lo = min(centers) - TRUNCATION_SIGMAS * max(widths)
+        hi = max(centers) + TRUNCATION_SIGMAS * max(widths)
+        seeds = [(c - TRUNCATION_SIGMAS * w, c, c + TRUNCATION_SIGMAS * w) for c, w in extents]
+        points = np.unique(np.concatenate([[lo, hi], np.ravel(seeds), *grids]))
+        edges = points[(points >= lo) & (points <= hi)]
+    if not math.isfinite(float(edges[-1]) - float(edges[0])):
+        raise ValidationError(f"quadrature breakpoints from {edges[0]:g} to {edges[-1]:g} span more than the largest float")
 
     def sample(omega):
         # A Gaussian factor far from its centre, next to a much wider one, squares
@@ -273,7 +279,11 @@ def quadrature_gram(letters, response):
             columns = np.stack([letter.value(omega) for letter in letters], axis=-1)
         return columns, eta * eta
 
-    return weighted_gram(sample, edges)
+    if not exact:
+        return weighted_gram(sample, edges)
+    nodes, weights = _segment_rule(edges)
+    columns, power = sample(nodes)
+    return mirror_upper((columns.conj().T * (weights * power)) @ columns)
 
 
 def modulated_overlap(amp_a, amp_b, response):

@@ -241,25 +241,41 @@ class _QuadratureReached(Exception):
 
 
 def test_only_inputs_without_the_closed_form_reach_quadrature(monkeypatch):
+    # Quadrature here is the adaptive rule; all-tabulated inputs take the exact 3-node rule.
     def refuse(sample, edges):
         raise _QuadratureReached
 
     monkeypatch.setattr("speccap.spectral.weighted_gram", refuse)
     letters = make_gaussian_basis(3, 1.0, 0.8)
-    for response in (FlatResponse(0.7), GaussianPeakResponse(0.9, 2.0)):
-        modulated_overlap(letters[0], letters[1], response)
-        survival_probability(letters[0], response)
-        compute_gram(EncodingEnsemble.uniform(letters), response)
-    tabulated_letter = TabulatedAmplitude([-3.0, 0.0, 3.0], [0.0, 1.0, 0.0])
+    tabulated = [TabulatedAmplitude([-3.0, 0.0, 3.0], [0.0, 1.0, 0.0]), TabulatedAmplitude([-1.0, 2.0], [1.0, 0.5j])]
     tabulated_channel = TabulatedResponse([-8.0, 8.0], [1.0, 1.0])
-    for letter, response in ((tabulated_letter, FlatResponse(0.7)), (letters[1], tabulated_channel)):
+    gaussian_channel = GaussianPeakResponse(0.9, 2.0)
+    for group, response in (
+        (letters, FlatResponse(0.7)),
+        (letters, gaussian_channel),
+        (tabulated, FlatResponse(0.7)),
+        (tabulated, tabulated_channel),
+    ):
+        modulated_overlap(group[0], group[1], response)
+        survival_probability(group[0], response)
+        compute_gram(EncodingEnsemble.uniform(group), response)
+    mixes = (
+        (letters[0], tabulated[0], FlatResponse(0.7)),
+        (letters[0], tabulated[0], tabulated_channel),
+        (letters[0], tabulated[0], gaussian_channel),
+        (letters[0], letters[1], tabulated_channel),
+        (tabulated[0], tabulated[1], gaussian_channel),
+    )
+    for a, b, response in mixes:
         for compute in (
-            lambda: modulated_overlap(letters[0], letter, response),
-            lambda: survival_probability(letter, response),
-            lambda: compute_gram(EncodingEnsemble.uniform([letters[0], letter]), response),
+            lambda: modulated_overlap(a, b, response),
+            lambda: compute_gram(EncodingEnsemble.uniform([a, b]), response),
         ):
             with pytest.raises(_QuadratureReached):
                 compute()
+    for letter, response in ((letters[1], tabulated_channel), (tabulated[0], gaussian_channel)):
+        with pytest.raises(_QuadratureReached):
+            survival_probability(letter, response)
 
 
 def test_closed_form_gram_is_read_only_exactly_hermitian_and_the_mirrored_triangle(monkeypatch):

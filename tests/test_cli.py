@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +343,30 @@ def test_tabulated_gram_dump_matches_its_golden_csv(tmp_path):
     args = ["gram-dump", *(arg for path in paths for arg in ("--letters", str(path)))]
     assert main([*args, "--channel-file", str(channel), "--out", str(out)]) == EXIT_OK
     assert out.read_bytes() == (DATA / "tabulated_gram_dump.csv").read_bytes()
+
+
+# Grid points near the largest float: a single grid, or two grids merged, may
+# span more than it.  Each probe once met overflow warnings.
+SPAN_PROBES = {
+    "huge-channel": (["--n", "1", "--delta-omega", "0", "--channel-file", "huge.csv"], EXIT_USAGE, "huge.csv: "),
+    "disjoint-grids": (["--letters", "left.csv", "--channel-file", "right.csv"], EXIT_USAGE, "span more than"),
+    "far-letter": (["--letters", "left.csv", "--eta", "1"], EXIT_OK, ""),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(SPAN_PROBES))
+def test_gram_dump_of_grids_near_the_largest_float_exits_without_a_warning(tmp_path, monkeypatch, capsys, probe):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "huge.csv").write_text("-1e308,1\n1e308,1\n", encoding="utf-8")
+    (tmp_path / "left.csv").write_text("-1e308,1,0\n-9e307,1,0\n", encoding="utf-8")
+    (tmp_path / "right.csv").write_text("9e307,1\n1e308,1\n", encoding="utf-8")
+    args, code, message = SPAN_PROBES[probe]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["gram-dump", *args, "--out", "gram.csv"]) == code
+    assert message in capsys.readouterr().err
+    if code == EXIT_OK:
+        assert [row["value_re"] for row in read_rows(tmp_path / "gram.csv") if row["record"] == "survival"] == ["1"]
 
 
 def test_optimal_n_curve_and_summary(tmp_path):

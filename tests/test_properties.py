@@ -3,7 +3,9 @@
 The exact reference for tabulated inputs is computed here, without
 speccap's numerics: linearly interpolated letters and channel make the
 integrand a degree-4 polynomial on every grid segment, which a 3-point
-Gauss-Legendre rule integrates exactly.
+Gauss-Legendre rule integrates exactly.  speccap builds all-tabulated Gram
+matrices by that rule too, so they are also checked against speccap's
+adaptive 21-point Gauss-Kronrod quadrature, a different rule.
 """
 import math
 import warnings
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from speccap import numerics
 from speccap.capacity import (
     _entropy_bits,
     _letter_divergences,
@@ -150,6 +153,42 @@ def test_tabulated_gram_is_the_exact_segment_sum(inputs):
     data = compute_gram(EncodingEnsemble.uniform(letters), response)
     exact = exact_tabulated_gram(grid, letters, response.values)
     assert np.max(np.abs(data.gram - exact)) <= 1e-12
+
+
+@st.composite
+def separately_gridded_inputs(draw):
+    """1..4 complex letters and a flat or tabulated channel, each tabulated factor on a grid of its own."""
+
+    def grid_and_samples():
+        steps = draw(st.lists(st.floats(0.05, 2.0), min_size=1, max_size=10))
+        grid = draw(st.floats(-5.0, 0.0)) + np.concatenate([[0.0], np.cumsum(steps)])
+        return grid, st.lists(st.floats(-1.0, 1.0), min_size=grid.size, max_size=grid.size)
+
+    letters = []
+    for _ in range(draw(st.integers(1, 4))):
+        grid, samples = grid_and_samples()
+        values = np.array(draw(samples)) + 1j * np.array(draw(samples))
+        assume(np.max(np.abs(values)) > 1e-3)
+        letters.append(TabulatedAmplitude(grid, values))
+    if draw(st.booleans()):
+        return letters, FlatResponse(draw(st.floats(0.0, 1.0)))
+    grid, samples = grid_and_samples()
+    return letters, TabulatedResponse(grid, np.abs(draw(samples)))
+
+
+@given(separately_gridded_inputs())
+def test_adaptive_quadrature_agrees_with_the_tabulated_gram(inputs):
+    letters, response = inputs
+    gram = compute_gram(EncodingEnsemble.uniform(letters), response).gram
+    grids = [part.grid for part in (*letters, response) if hasattr(part, "grid")]
+
+    def sample(omega):
+        eta = response.value(omega)
+        return np.stack([letter.value(omega) for letter in letters], axis=-1), eta * eta
+
+    adaptive = numerics.weighted_gram(sample, np.unique(np.concatenate(grids)))
+    tolerance = np.maximum(numerics.REL_TOLERANCE * np.abs(gram), numerics.ABS_TOLERANCE)
+    assert np.all(np.abs(adaptive - gram) <= tolerance)
 
 
 @given(tabulated_inputs(), st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4))

@@ -99,6 +99,8 @@ TABULATED_CASES = [
     (TabulatedResponse, [0.0, 0.0], [1.0, 1.0], "strictly ascending"),
     (TabulatedResponse, [1.0, 0.0], [1.0, 1.0], "strictly ascending"),
     (TabulatedResponse, [0.0, 1.0, 2.0], [0.5, 1.5, 0.5], r"must lie in \[0, 1\]"),
+    (TabulatedAmplitude, [-1e308, 1e308], [1.0, 1.0], "span a finite width"),
+    (TabulatedResponse, [-1e308, 0.0, 1e308], [1.0, 1.0, 1.0], "span a finite width"),
 ]
 
 
@@ -339,6 +341,17 @@ def test_quadrature_refuses_a_letter_narrower_than_its_centre_resolves(center):
             quadrature_gram((GaussianAmplitude(0.0, 1.0), letter), response)
         with pytest.raises(ValidationError, match=message):
             survival_probability(letter, response)
+
+
+def test_quadrature_refuses_breakpoints_whose_span_overflows():
+    # Each factor spans a finite width; the merged grids (exact rule) or the window (adaptive) do not.
+    left = TabulatedAmplitude([-1e308, -9e307], [1.0, 1.0])
+    right = TabulatedResponse([9e307, 1e308], [1.0, 1.0])
+    wide = TabulatedResponse([-1e307, 1e307], [1.0, 1.0])
+    for letters, response in (((left,), right), ((GaussianAmplitude(0.0, 1.0),), wide)):
+        with pytest.raises(ValidationError, match="span more than the largest float"):
+            quadrature_gram(letters, response)
+    assert quadrature_gram((left,), FlatResponse(1.0))[0, 0] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_quadrature_resolves_a_letter_at_zero_of_any_width():
