@@ -269,7 +269,7 @@ def quadrature_gram(letters, response):
         points = np.unique(np.concatenate([[lo, hi], np.ravel(seeds), *grids]))
         edges = points[(points >= lo) & (points <= hi)]
     if not math.isfinite(float(edges[-1]) - float(edges[0])):
-        raise ValidationError(f"quadrature breakpoints from {edges[0]:g} to {edges[-1]:g} span more than the largest float")
+        raise ValidationError(f"quadrature breakpoints {edges[0]:g} to {edges[-1]:g} span more than the largest float")
 
     def sample(omega):
         # A Gaussian factor far from its centre, next to a much wider one, squares

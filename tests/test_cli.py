@@ -329,7 +329,8 @@ def write_tabulated_inputs(directory, seed, letters=8, points=401):
         values = envelope * np.exp(1j * chirp * (grid - c1) ** 2)
         paths.append(directory / f"letter{k}.csv")
         paths[-1].write_text("".join(f"{w:.17g},{v.real:.17g},{v.imag:.17g}\n" for w, v in zip(grid, values)))
-    peak, ripple, period, width = rng.uniform(0.7, 0.95), rng.uniform(0.0, 0.2), rng.uniform(1.0, 4.0), rng.uniform(5.0, 9.0)
+    peak, ripple = rng.uniform(0.7, 0.95), rng.uniform(0.0, 0.2)
+    period, width = rng.uniform(1.0, 4.0), rng.uniform(5.0, 9.0)
     eta = peak * (1.0 - ripple * np.cos(2 * np.pi * grid / period)) / (1.0 + ripple) * np.exp(-(grid**2) / (4 * width**2))
     channel = directory / "channel.csv"
     channel.write_text("".join(f"{w:.17g},{v:.17g}\n" for w, v in zip(grid, eta)))
