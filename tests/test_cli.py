@@ -295,6 +295,12 @@ README_SWEEPS = {
 }
 
 
+def test_readme_two_state_max_curve_matches_its_golden_csv(tmp_path):
+    out = tmp_path / "two_state.csv"
+    assert main(["two-state", "--lambda", "0.1:5:0.1", "--emit", "max-curve", "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (DATA / "readme_two_state_max.csv").read_bytes()
+
+
 @pytest.mark.parametrize("name", sorted(README_SWEEPS))
 def test_readme_sweep_matches_its_golden_csv(tmp_path, name):
     out = tmp_path / name
@@ -344,6 +350,27 @@ def test_tabulated_gram_dump_matches_its_golden_csv(tmp_path):
     args = ["gram-dump", *(arg for path in paths for arg in ("--letters", str(path)))]
     assert main([*args, "--channel-file", str(channel), "--out", str(out)]) == EXIT_OK
     assert out.read_bytes() == (DATA / "tabulated_gram_dump.csv").read_bytes()
+
+
+# The two mixed routes of adaptive quadrature: Gaussian letters through a
+# tabulated channel, and tabulated letters through a Gaussian channel.
+MIXED_GRAM_DUMPS = {
+    "gaussian_letters_tabulated_channel.csv": ["--n", "8", "--delta-omega", "1", "--channel-file", "channel.csv"],
+    "tabulated_letters_gaussian_channel.csv": ["--p-peak", "0.9", "--sigma-eta", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MIXED_GRAM_DUMPS))
+def test_mixed_gram_dump_matches_its_golden_csv(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    args = MIXED_GRAM_DUMPS[name]
+    if "--channel-file" in args:
+        (tmp_path / "channel.csv").write_text("-12,0.2\n0,0.95\n12,0.2\n", encoding="utf-8")
+    else:
+        paths, _ = write_tabulated_inputs(tmp_path, seed=7)
+        args = [*(arg for path in paths for arg in ("--letters", str(path))), *args]
+    assert main(["gram-dump", *args, "--out", "gram.csv"]) == EXIT_OK
+    assert (tmp_path / "gram.csv").read_bytes() == (DATA / name).read_bytes()
 
 
 # Grid points near the largest float: a single grid, or two grids merged, may
