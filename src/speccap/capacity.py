@@ -186,38 +186,28 @@ def _two_state_slope(delta, lam):
     return gain - _two_pure_state_bits(exponent) / (4.0 * lam_sq1)
 
 
-# Points of the coarse separation grid that brackets the two-letter maximum.
-TWO_STATE_COARSE_POINTS = 128
-
-
 def two_state_max(lam, p_peak=1.0):
     """Maximise :func:`two_state_exact` over the letter separation.
 
-    Coarse grid on [1e-6, max(50, 10 * lam)] to bracket the (unimodal)
-    maximum, then bisection on the sign of the analytic derivative, down to
-    adjacent floating-point numbers.  The best separation, about
-    2.83 * lam, does not depend on ``p_peak`` (the capacity is proportional
-    to it), so the search runs at unit peak.  A coarse maximum on either
-    edge of the window, or a bracket the derivative does not change sign
-    across, raises ConvergenceError.  Returns ``(best_bits, best_separation)``.
-    The derivative crosses zero with a nonzero slope, so ``best_separation``
-    is well conditioned even though the maximum itself is flat.
+    Bisection on the sign of the analytic derivative over the window
+    [1e-6, max(50, 10 * lam)], down to adjacent floating-point numbers; the
+    derivative changes sign once, from positive to negative.  The best
+    separation, about 2.83 * lam for wide letters, does not depend on
+    ``p_peak`` (the capacity is proportional to it), so the search runs at
+    unit peak.  Below ``lam`` of about 8e-8 it lies under the window start,
+    and a derivative that is not positive at the start and negative at the
+    end raises ConvergenceError naming that window edge.  Returns
+    ``(best_bits, best_separation)``.  The derivative crosses zero with a
+    nonzero slope, so ``best_separation`` is well conditioned even though
+    the maximum itself is flat.
     """
     _check_width_ratio(lam)
-    grid = np.linspace(1e-6, max(50.0, 10.0 * lam), TWO_STATE_COARSE_POINTS)
-    values = [two_state_exact(d, lam) for d in grid.tolist()]  # Python floats overflow to inf without a warning
-    best = int(np.argmax(values))
-    if best in (0, grid.size - 1):
-        raise ConvergenceError(
-            f"separation maximum lies on the search window edge {float(grid[best])!r}",
-            error_estimate=float(grid[1] - grid[0]),
-        )
-
-    a, b = float(grid[best - 1]), float(grid[best + 1])
-    if not _two_state_slope(a, lam) > 0.0 > _two_state_slope(b, lam):
-        raise ConvergenceError(
-            f"separation derivative does not change sign on [{a}, {b}]", error_estimate=b - a
-        )
+    a, b = 1e-6, max(50.0, 10.0 * lam)
+    for edge, inward in ((a, 1.0), (b, -1.0)):
+        if not inward * _two_state_slope(edge, lam) > 0.0:  # the capacity rises into the window
+            raise ConvergenceError(
+                f"separation maximum lies on the search window edge {edge!r}", error_estimate=b - a
+            )
     mid = 0.5 * (a + b)
     while a < mid < b:
         if _two_state_slope(mid, lam) > 0.0:

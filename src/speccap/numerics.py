@@ -47,17 +47,9 @@ _KRONROD_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _GAUSS = slice(1, None, 2)
 _GAUSS_WEIGHTS = np.concatenate([_WG, _WG[::-1]])
 
-# Panel matrices are formed for a block of segments at a time.  A block is
-# sampled by one call, which costs a Python call per function whatever the
-# block's size, so a block holds at least _MIN_BLOCK_SEGMENTS segments; below
-# N = 16 it grows to _BLOCK_VALUES sampled values (nodes times functions):
-# 32 segments at N = 8, 64 at N = 4.  Small-N blocks that size ran the 8-letter
-# tabulated Gram about 12% faster than blocks of 16, and their samples take
-# under 0.2 MB.  At N = 128 blocks of 2 segments were 1.8 times as slow as
-# blocks of 16, and the panels of all segments, not a block's samples, set
-# the memory there.
-_BLOCK_VALUES = 32 * 21 * 8
-_MIN_BLOCK_SEGMENTS = 16
+# Panel matrices are formed for a block of segments at a time, which bounds
+# the memory the samples take.
+_BLOCK_SEGMENTS = 64
 
 PSD_FLOOR = -1e-10
 
@@ -115,13 +107,11 @@ def weighted_gram(sample, edges):
     min_width = 1e-14 * (edges[-1] - edges[0])
     total = 0.0
     splits = 0
-    block = _MIN_BLOCK_SEGMENTS  # the first block's sample shows how many functions there are
     while lo.size:
-        blocks, start = [], 0
-        while start < lo.size:
-            blocks.append(_panel_matrices(sample, lo[start : start + block], hi[start : start + block]))
-            start += block
-            block = max(_MIN_BLOCK_SEGMENTS, _BLOCK_VALUES // (_GK_NODES.size * blocks[-1][0].shape[-1]))
+        blocks = [
+            _panel_matrices(sample, lo[start : start + _BLOCK_SEGMENTS], hi[start : start + _BLOCK_SEGMENTS])
+            for start in range(0, lo.size, _BLOCK_SEGMENTS)
+        ]
         panels, errors = (np.concatenate(parts) for parts in zip(*blocks))
         tolerance = np.maximum(REL_TOLERANCE * np.abs(total + panels.sum(axis=0)), ABS_TOLERANCE)
         keep = ~(np.all(errors <= share[:, None, None] * tolerance, axis=(1, 2)) | (hi - lo <= min_width))

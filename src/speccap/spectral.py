@@ -111,6 +111,11 @@ class TabulatedAmplitude(_Tabulated):
     _dtype = complex
 
     def _checked(self, grid, values):
+        # Scaled exactly, by a power of 2 that brings the largest part into [0.5, 1),
+        # so that squaring samples near the float limits neither overflows nor underflows.
+        parts = values.view(float)  # real and imaginary parts, interleaved
+        _, exponent = np.frexp(np.abs(parts).max())
+        values = np.ldexp(parts, -exponent).view(complex)
         nodes, weights = _segment_rule(grid)  # exact for the quadratic |interpolant|^2
         norm_sq = float(weights @ np.abs(np.interp(nodes, grid, values)) ** 2)
         if norm_sq <= 0.0:

@@ -145,8 +145,8 @@ def test_letter_divergences_of_identical_letters_are_zero():
 @pytest.mark.parametrize("lam", [1e-320, 1e-200, 1e-160, 3.7e-155, 8.2e76, 1e200, math.inf])
 def test_two_state_rejects_a_width_ratio_outside_the_closed_form_range(lam):
     # The overlap rate 1 / (4 lam^2 (1 + lam^2)) divides by zero, is inf or
-    # is 0 there, so the coarse grid would warn, then report a window edge or
-    # a NaN entropy argument.
+    # is 0 there, so the search would meet a division by zero, an inf or a NaN
+    # instead of a range check.
     for compute in (lambda: two_state_exact(1.0, lam), lambda: two_state_max(lam)):
         with pytest.raises(ValidationError, match="width ratio .* outside the closed form's range"):
             compute()
@@ -155,8 +155,7 @@ def test_two_state_rejects_a_width_ratio_outside_the_closed_form_range(lam):
 def test_two_state_accepts_the_ends_of_the_width_ratio_range():
     assert two_state_exact(1.0, 3.8e-155) == pytest.approx(math.exp(-1.0 / 8.0))
     assert two_state_exact(1.0, 8.1e76) == 0.0
-    # The best separation, 2.8e-155, lies below the window, and the coarse
-    # grid's exponents past the largest float are inf, not a warning.
+    # The best separation, 2.8e-155, lies below the window start.
     with pytest.raises(ConvergenceError, match="window edge"):
         two_state_max(3.8e-155)
     with pytest.raises(ValidationError, match="letter separation must be non-negative"):
@@ -213,20 +212,33 @@ def test_two_state_max_wide_photon_matches_dense_scan(lam):
     assert separation == pytest.approx(2.83 * lam, rel=0.01)
 
 
-@pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, 2.5, 5.0])
-def test_two_state_max_separation_does_not_depend_on_the_coarse_grid(lam, monkeypatch):
-    # The maximum is flat, but the derivative crosses zero steeply, so the
-    # best separation is found to rounding whichever bracket the grid gives.
+@pytest.mark.parametrize("lam", [9e-8, 1e-7, 0.1, 0.5, 1.0, 2.5, 5.0, 1e8])
+def test_two_state_max_separation_is_where_the_slope_changes_sign(lam):
+    # The maximum is flat, but the derivative crosses zero steeply, so
+    # bisection on its sign finds the best separation to rounding.
     _, separation = two_state_max(lam)
-    monkeypatch.setattr(capacity, "TWO_STATE_COARSE_POINTS", 1001)
-    _, finer = two_state_max(lam)
-    assert finer == pytest.approx(separation, rel=1e-12)
+    assert capacity._two_state_slope(separation * (1.0 - 1e-12), lam) > 0.0
+    assert capacity._two_state_slope(separation * (1.0 + 1e-12), lam) < 0.0
 
 
-def test_two_state_max_raises_on_window_edge():
-    # Best separation ~2.8e-7 lies below the window start 1e-6.
-    with pytest.raises(ConvergenceError, match="window edge"):
-        two_state_max(1e-7)
+@pytest.mark.parametrize("lam", [9e-8, 1e-7, 1.5e-7, 2e-7])
+def test_two_state_max_just_inside_the_window_start_matches_a_dense_geometric_scan(lam):
+    # The best separation, 1.08e-6 to 2.34e-6 here, lies just above the window start 1e-6.
+    grid = np.geomspace(1e-7, 1e-4, 20001)
+    i = int(np.argmax([two_state_exact(float(d), lam) for d in grid]))
+    fine = np.linspace(grid[i - 1], grid[i + 1], 2001)
+    values = [two_state_exact(float(d), lam) for d in fine]
+    best, separation = two_state_max(lam)
+    assert best == pytest.approx(max(values), rel=1e-9)
+    # On the flat maximum the scan's argmax is good only to about 0.5%.
+    assert separation == pytest.approx(float(fine[int(np.argmax(values))]), rel=1e-2)
+
+
+@pytest.mark.parametrize("lam", [1e-8, 5e-8])
+def test_two_state_max_raises_on_window_edge(lam):
+    # The best separation (1.2e-7 at lam = 1e-8, 6.1e-7 at 5e-8) lies below the window start 1e-6.
+    with pytest.raises(ConvergenceError, match="window edge 1e-06"):
+        two_state_max(lam)
 
 
 def test_two_state_max_opaque_peak_is_zero():

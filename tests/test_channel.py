@@ -171,7 +171,7 @@ def test_narrow_letters_under_a_wide_tabulated_response_converge():
     assert data.gram.diagonal() == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
-def test_reweight_keeps_gram_and_updates_statistics():
+def test_new_priors_keep_gram_and_update_statistics():
     ensemble = EncodingEnsemble.uniform(make_gaussian_basis(3, 1.0, 1.0, "zero-start"))
     response = GaussianPeakResponse(1.0, 1.0)
     data = compute_gram(ensemble, response)

@@ -41,6 +41,7 @@ def test_parse_grid_forms():
     assert parse_grid("2") == [2.0]
     assert parse_grid("1,2.5,4") == [1.0, 2.5, 4.0]
     assert parse_grid("0:1:0.5") == [0.0, 0.5, 1.0]
+    assert parse_grid("0:1:0.6") == [0.0, 0.6]  # the rounded count's last point, past max, is dropped
     assert len(parse_grid("0:10:0.5")) == 21
     assert len(parse_grid("0:1:0.1")) == 11
     for text in ("0:inf:1", "nan:1:0.5", "0:1:inf", "-1e308:1e308:1"):
@@ -397,6 +398,16 @@ def test_gram_dump_of_grids_near_the_largest_float_exits_without_a_warning(tmp_p
         assert [row["value_re"] for row in read_rows(tmp_path / "gram.csv") if row["record"] == "survival"] == ["1"]
 
 
+@pytest.mark.parametrize("sample", ["1e200", "1e-170", "5e-324"])
+def test_gram_dump_of_a_letter_sampled_near_the_float_limits_is_normalized(tmp_path, sample):
+    # Squared unscaled, 1e200 overflowed to a zero letter and 1e-170 read as identically zero.
+    letter = tmp_path / "letter.csv"
+    letter.write_text(f"0,{sample},0\n1,{sample},0\n", encoding="utf-8")
+    out = tmp_path / "gram.csv"
+    assert main(["gram-dump", "--letters", str(letter), "--eta", "1", "--out", str(out)]) == EXIT_OK
+    assert [row["value_re"] for row in read_rows(out) if row["record"] == "survival"] == ["1"]
+
+
 def test_optimal_n_curve_and_summary(tmp_path):
     out = tmp_path / "optimal.csv"
     code = main(
@@ -623,6 +634,58 @@ def test_missing_letters_file_is_io_error(tmp_path):
 
 def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == EXIT_USAGE
+
+
+# Input files for CLI_BRANCHES, and one branch of main or a command each.
+BRANCH_FILES = {
+    "empty.csv": "",
+    "text.csv": "a,b\n1,x\n",
+    "blank.csv": "a,b,c\n1,,3\n",
+    "data.csv": "a,b,c\n1,2,3\n",
+    "channel.csv": "-12,0.2\n0,0.95\n12,0.2\n",
+}
+TWO_STATE = ["two-state", "--emit", "max-curve", "--lambda"]
+SWEEP = ["sweep", "--n", "2", "--delta-omega", "1", "--mode"]
+LINE_PLOT = ["plot", "--kind", "line", "--x", "a", "--y", "b", "--in"]
+CLI_BRANCHES = {
+    "grid-pieces": ([*TWO_STATE, "0:1"], EXIT_USAGE, "bad grid '0:1': expected min:max:step"),
+    "grid-step": ([*TWO_STATE, "1:2:0"], EXIT_USAGE, "need step > 0"),
+    "n-list": ([*SWEEP, "flat", "--eta", "1", "--n", "2,x"], EXIT_USAGE, "bad integer list '2,x'"),
+    "gaussian-sweep": ([*SWEEP, "gaussian"], EXIT_USAGE, "gaussian mode requires --sigma-eta"),
+    "letters-and-n": (["gram-dump", "--letters", "a.csv", "--n", "2", "--eta", "1"], EXIT_USAGE, "not both"),
+    "no-letters": (["gram-dump", "--eta", "1"], EXIT_USAGE, "need --letters files or both --n and --delta-omega"),
+    "heatmap-value": (
+        ["plot", "--in", "data.csv", "--kind", "heatmap", "--x", "a", "--y", "b"],
+        EXIT_USAGE,
+        "heatmap requires --value",
+    ),
+    "empty-csv": ([*LINE_PLOT, "empty.csv"], EXIT_USAGE, "empty.csv: empty CSV"),
+    "text-cell": ([*LINE_PLOT, "text.csv"], EXIT_USAGE, "column 'b' has non-numeric cell 'x'"),
+    "no-line-rows": ([*LINE_PLOT, "blank.csv"], EXIT_USAGE, "no plottable rows"),
+    "no-heatmap-rows": (
+        ["plot", "--in", "blank.csv", "--kind", "heatmap", "--x", "a", "--y", "c", "--value", "b"],
+        EXIT_USAGE,
+        "no plottable rows",
+    ),
+    "computation": (
+        ["gram-dump", "--n", "2", "--delta-omega", "1", "--channel-file", "channel.csv"],
+        EXIT_COMPUTATION,
+        "speccap: computation failed: Gram entry",
+    ),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(CLI_BRANCHES))
+def test_cli_branch_exit_code_and_message(tmp_path, monkeypatch, capsys, branch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in BRANCH_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    # No subdivision is allowed; only the mixed gram-dump reaches adaptive quadrature.
+    monkeypatch.setattr(speccap.numerics, "MAX_SUBDIVISIONS", 0)
+    args, code, message = CLI_BRANCHES[branch]
+    assert main([*args, "--out", "out.csv"]) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_thread_env_var_validation(tmp_path):

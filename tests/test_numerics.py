@@ -30,12 +30,12 @@ def one(omega):
     return np.ones_like(omega)
 
 
-def test_integrate_normalized_gaussian_density():
+def test_weighted_gram_of_a_normalized_gaussian_density():
     gram = weighted_gram(sampler(gaussian_pdf, one), window(0.0, 1.0))
     assert gram[0, 0] == pytest.approx(1.0, abs=1e-10)
 
 
-def test_integrate_gaussian_amplitude_product():
+def test_weighted_gram_of_two_gaussian_amplitudes():
     # Two unit-width normalized Gaussian amplitudes two units apart.
     norm = (2.0 * math.pi) ** -0.25
     left = lambda w: norm * np.exp(-((w + 1.0) ** 2) / 4.0)  # noqa: E731
@@ -46,12 +46,12 @@ def test_integrate_gaussian_amplitude_product():
     assert gram[1, 1] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_integrate_odd_function_vanishes():
+def test_weighted_gram_of_an_odd_function_vanishes():
     gram = weighted_gram(sampler(lambda w: np.exp(-(w**2)), one, lambda w: w), window(0.0, 1.0))
     assert abs(gram[0, 1]) <= 1e-12
 
 
-def test_integrate_is_linear():
+def test_weighted_gram_is_linear():
     f = gaussian_pdf
     g = lambda w: np.cos(w) * np.exp(-(w**2))  # noqa: E731
     combined = lambda w: 2.5 * f(w) - 1.25 * g(w)  # noqa: E731
@@ -60,12 +60,12 @@ def test_integrate_is_linear():
 
 
 @pytest.mark.parametrize("shift", [-17.0, -3.5, 0.0, 2.25, 40.0])
-def test_integrate_translation_invariant(shift):
+def test_weighted_gram_is_translation_invariant(shift):
     gram = weighted_gram(sampler(lambda w: gaussian_pdf(w - shift), one), window(shift, 1.0))
     assert gram[0, 0] == pytest.approx(1.0, abs=1e-10)
 
 
-def test_integrate_handles_complex_integrands():
+def test_weighted_gram_handles_complex_integrands():
     gram = weighted_gram(sampler(gaussian_pdf, one, lambda w: np.exp(1j * w)), window(0.0, 1.0))
     # Characteristic function of a standard normal at t = 1.
     assert gram[0, 1] == pytest.approx(math.exp(-0.5), abs=1e-10)
@@ -74,14 +74,14 @@ def test_integrate_handles_complex_integrands():
     assert gram[1, 1] == pytest.approx(1.0, abs=1e-10)
 
 
-def test_integrate_rejects_bad_width():
+def test_weighted_gram_rejects_bad_edges():
     sample = sampler(gaussian_pdf, one)
     for edges in ([0.0, 0.0], [1.0, 0.0], [0.0], [0.0, 2.0, 1.0]):
         with pytest.raises(ValidationError):
             weighted_gram(sample, edges)
 
 
-def test_integrate_convergence_error_carries_estimate(monkeypatch):
+def test_weighted_gram_convergence_error_carries_estimate(monkeypatch):
     monkeypatch.setattr(numerics, "MAX_SUBDIVISIONS", 1)
     spike = lambda w: np.exp(-((w / 0.05) ** 2))  # noqa: E731
     with pytest.raises(ConvergenceError, match=r"\(0, 0\)") as excinfo:
@@ -170,7 +170,7 @@ def test_piecewise_linear_input_is_sampled_once_per_segment():
     assert np.max(np.abs(gram - exact)) <= 1e-12
 
 
-def test_default_quadrature_spec_values():
+def test_quadrature_constant_values():
     assert numerics.REL_TOLERANCE == 1e-10
     assert numerics.ABS_TOLERANCE == 1e-14
     assert numerics.MAX_SUBDIVISIONS == 4096
@@ -364,19 +364,17 @@ def _blocks_of_a_mixed_gram(monkeypatch, panel_matrices=numerics._panel_matrices
 
 def test_blocking_does_not_change_the_gram_matrix(monkeypatch):
     gram, sizes = _blocks_of_a_mixed_gram(monkeypatch)
-    assert sizes == [16, 32, 32, 32, 26, 4]  # 8 functions: 32 segments a block after the first
-    monkeypatch.setattr(numerics, "_BLOCK_VALUES", 1)
-    monkeypatch.setattr(numerics, "_MIN_BLOCK_SEGMENTS", 1)
+    assert sizes == [64, 64, 10, 4]  # 138 segments, then the 4 halves of the narrow letter's two
+    monkeypatch.setattr(numerics, "_BLOCK_SEGMENTS", 1)
     one_each, singles = _blocks_of_a_mixed_gram(monkeypatch)
     assert set(singles) == {1} and len(singles) == sum(sizes)
-    monkeypatch.setattr(numerics, "_BLOCK_VALUES", 10**9)
+    monkeypatch.setattr(numerics, "_BLOCK_SEGMENTS", 10**9)
     whole, levels = _blocks_of_a_mixed_gram(monkeypatch)
-    assert levels == [1, 137, 4]  # the first segment, then the rest of each level at once
+    assert levels == [138, 4]  # each level at once
     assert one_each.tobytes() == gram.tobytes() == whole.tobytes()
 
-
-def test_a_block_holds_the_minimum_of_16_segments_at_n_128(monkeypatch):
-    # The value budget alone would give 2; each block makes a Python call per letter.
+    # The block size does not depend on N: at N = 128 a block still holds 64 segments.
+    monkeypatch.undo()
     sampled = []
     weighted = numerics.weighted_gram
 
@@ -391,6 +389,4 @@ def test_a_block_holds_the_minimum_of_16_segments_at_n_128(monkeypatch):
     monkeypatch.setattr(spectral, "weighted_gram", recorded)
     letters = spectral.make_gaussian_basis(128, 0.5, 1.0)
     spectral.quadrature_gram(letters, spectral.TabulatedResponse([-40.0, 0.0, 40.0], [0.5, 1.0, 0.5]))
-    per_segment = 21 * 128
-    assert numerics._BLOCK_VALUES // per_segment == 2
-    assert max(sampled) == 16 * per_segment
+    assert max(sampled) == 64 * 21 * 128

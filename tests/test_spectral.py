@@ -236,7 +236,7 @@ def test_analytic_path_matches_quadrature_on_parameter_grid():
     assert worst <= 1e-10
 
 
-def test_method_is_checked_on_closed_form_inputs():
+def test_quadrature_gram_matches_the_closed_form_on_gaussian_inputs():
     letter = GaussianAmplitude(0.4, 0.9)
     other = GaussianAmplitude(-0.7, 1.3)
     response = GaussianPeakResponse(0.8, 1.5)
