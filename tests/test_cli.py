@@ -356,21 +356,23 @@ def test_tabulated_gram_dump_matches_its_golden_csv(tmp_path):
 # The two mixed routes of adaptive quadrature: Gaussian letters through a
 # tabulated channel, and tabulated letters through a Gaussian channel.
 MIXED_GRAM_DUMPS = {
-    "gaussian_letters_tabulated_channel.csv": ["--n", "8", "--delta-omega", "1", "--channel-file", "channel.csv"],
-    "tabulated_letters_gaussian_channel.csv": ["--p-peak", "0.9", "--sigma-eta", "3"],
+    "gaussian_letters_tabulated_channel.csv": ["--n", "8", "--delta-omega", "1", "--channel-file", "three_point.csv"],
+    "tabulated_letters_gaussian_channel.csv": [
+        *(arg for k in range(8) for arg in ("--letters", f"letter{k}.csv")),
+        "--p-peak",
+        "0.9",
+        "--sigma-eta",
+        "3",
+    ],
 }
 
 
 @pytest.mark.parametrize("name", sorted(MIXED_GRAM_DUMPS))
 def test_mixed_gram_dump_matches_its_golden_csv(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
-    args = MIXED_GRAM_DUMPS[name]
-    if "--channel-file" in args:
-        (tmp_path / "channel.csv").write_text("-12,0.2\n0,0.95\n12,0.2\n", encoding="utf-8")
-    else:
-        paths, _ = write_tabulated_inputs(tmp_path, seed=7)
-        args = [*(arg for path in paths for arg in ("--letters", str(path))), *args]
-    assert main(["gram-dump", *args, "--out", "gram.csv"]) == EXIT_OK
+    (tmp_path / "three_point.csv").write_text("-12,0.2\n0,0.95\n12,0.2\n", encoding="utf-8")
+    write_tabulated_inputs(tmp_path, seed=7)
+    assert main(["gram-dump", *MIXED_GRAM_DUMPS[name], "--out", "gram.csv"]) == EXIT_OK
     assert (tmp_path / "gram.csv").read_bytes() == (DATA / name).read_bytes()
 
 
