@@ -196,19 +196,20 @@ def test_two_state_max_linear_in_peak_probability():
     assert sep_half == sep_full
 
 
-def _dense_scan_two_state_max(lam, points=20001):
-    grid = np.linspace(1e-6, 1000.0, points)
-    values = [two_state_exact(float(d), lam) for d in grid]
-    i = int(np.argmax(values))
+def _dense_scan_two_state_max(lam, grid):
+    """Best value and its separation: the argmax on ``grid``, refined on 2001 points between its neighbours."""
+    i = int(np.argmax([two_state_exact(float(d), lam) for d in grid]))
     fine = np.linspace(grid[i - 1], grid[i + 1], 2001)
-    return max(two_state_exact(float(d), lam) for d in fine)
+    values = [two_state_exact(float(d), lam) for d in fine]
+    j = int(np.argmax(values))
+    return values[j], float(fine[j])
 
 
 @pytest.mark.parametrize("lam", [18.0, 20.0, 50.0])
 def test_two_state_max_wide_photon_matches_dense_scan(lam):
     # The best separation (about 2.83 * lam) lies beyond 50 from lam ~ 18 on.
     best, separation = two_state_max(lam)
-    assert best == pytest.approx(_dense_scan_two_state_max(lam), rel=1e-9)
+    assert best == pytest.approx(_dense_scan_two_state_max(lam, np.linspace(1e-6, 1000.0, 20001))[0], rel=1e-9)
     assert separation == pytest.approx(2.83 * lam, rel=0.01)
 
 
@@ -224,14 +225,11 @@ def test_two_state_max_separation_is_where_the_slope_changes_sign(lam):
 @pytest.mark.parametrize("lam", [9e-8, 1e-7, 1.5e-7, 2e-7])
 def test_two_state_max_just_inside_the_window_start_matches_a_dense_geometric_scan(lam):
     # The best separation, 1.08e-6 to 2.34e-6 here, lies just above the window start 1e-6.
-    grid = np.geomspace(1e-7, 1e-4, 20001)
-    i = int(np.argmax([two_state_exact(float(d), lam) for d in grid]))
-    fine = np.linspace(grid[i - 1], grid[i + 1], 2001)
-    values = [two_state_exact(float(d), lam) for d in fine]
+    scan_best, scan_separation = _dense_scan_two_state_max(lam, np.geomspace(1e-7, 1e-4, 20001))
     best, separation = two_state_max(lam)
-    assert best == pytest.approx(max(values), rel=1e-9)
+    assert best == pytest.approx(scan_best, rel=1e-9)
     # On the flat maximum the scan's argmax is good only to about 0.5%.
-    assert separation == pytest.approx(float(fine[int(np.argmax(values))]), rel=1e-2)
+    assert separation == pytest.approx(scan_separation, rel=1e-2)
 
 
 @pytest.mark.parametrize("lam", [1e-8, 5e-8])

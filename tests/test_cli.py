@@ -400,13 +400,24 @@ def test_gram_dump_of_grids_near_the_largest_float_exits_without_a_warning(tmp_p
         assert [row["value_re"] for row in read_rows(tmp_path / "gram.csv") if row["record"] == "survival"] == ["1"]
 
 
-@pytest.mark.parametrize("sample", ["1e200", "1e-170", "5e-324"])
+# Squared unscaled, samples of 1e200 overflowed to a zero letter and 1e-170 read
+# as identically zero; on a grid 1e308 wide the weights and the norm overflowed.
+LETTERS_NEAR_THE_FLOAT_LIMITS = {
+    "1e200": "0,1e200,0\n1,1e200,0\n",
+    "1e-170": "0,1e-170,0\n1,1e-170,0\n",
+    "5e-324": "0,5e-324,0\n1,5e-324,0\n",
+    "1e308-wide": "-5e307,0.99,0.99\n5e307,0.99,0.99\n",
+}
+
+
+@pytest.mark.parametrize("sample", sorted(LETTERS_NEAR_THE_FLOAT_LIMITS))
 def test_gram_dump_of_a_letter_sampled_near_the_float_limits_is_normalized(tmp_path, sample):
-    # Squared unscaled, 1e200 overflowed to a zero letter and 1e-170 read as identically zero.
     letter = tmp_path / "letter.csv"
-    letter.write_text(f"0,{sample},0\n1,{sample},0\n", encoding="utf-8")
+    letter.write_text(LETTERS_NEAR_THE_FLOAT_LIMITS[sample], encoding="utf-8")
     out = tmp_path / "gram.csv"
-    assert main(["gram-dump", "--letters", str(letter), "--eta", "1", "--out", str(out)]) == EXIT_OK
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["gram-dump", "--letters", str(letter), "--eta", "1", "--out", str(out)]) == EXIT_OK
     assert [row["value_re"] for row in read_rows(out) if row["record"] == "survival"] == ["1"]
 
 
