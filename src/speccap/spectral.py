@@ -115,7 +115,7 @@ class TabulatedAmplitude(_Tabulated):
         # so that squaring samples near the float limits neither overflows nor underflows,
         # and the norm, at most half the span, stays finite on the widest finite grid.
         parts = values.view(float)  # real and imaginary parts, interleaved
-        _, exponent = np.frexp(np.abs(parts).max())
+        _, exponent = math.frexp(float(np.abs(parts).max()))
         values = np.ldexp(parts, -exponent - 1).view(complex)
         nodes, weights = _segment_rule(grid)  # exact for the quadratic |interpolant|^2
         norm_sq = float(weights @ np.abs(np.interp(nodes, grid, values)) ** 2)
@@ -131,10 +131,9 @@ def _segment_rule(grid):
     """Nodes and weights of the 3-point Gauss-Legendre rule, exact up to degree 5, on every segment of ``grid``."""
     steps = np.diff(grid)[:, None]
     nodes = grid[:-1, None] + steps * (0.5 + 0.5 * np.sqrt(0.6) * np.array([-1.0, 0.0, 1.0]))
-    # Weighted with the widest step scaled exactly into [0.5, 1), so 8 times a step near the largest float is finite.
-    _, exponent = np.frexp(steps.max())
-    weights = np.ldexp(np.ldexp(steps, -exponent) * np.array([5.0, 8.0, 5.0]) / 18.0, exponent)
-    return nodes.ravel(), weights.ravel()
+    # The weights (steps [5, 8, 5]) / 18 as 8 (steps [5/8, 1, 5/8]) / 18: the same floats,
+    # but no product exceeds the step, so a step near the largest float gives finite weights.
+    return nodes.ravel(), (steps * np.array([0.625, 1.0, 0.625]) / 18.0 * 8.0).ravel()
 
 
 @dataclass(frozen=True)
