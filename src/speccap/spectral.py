@@ -131,8 +131,9 @@ def _segment_rule(grid):
     """Nodes and weights of the 3-point Gauss-Legendre rule, exact up to degree 5, on every segment of ``grid``."""
     steps = np.diff(grid)[:, None]
     nodes = grid[:-1, None] + steps * (0.5 + 0.5 * np.sqrt(0.6) * np.array([-1.0, 0.0, 1.0]))
-    # The weights (steps [5, 8, 5]) / 18 as 8 (steps [5/8, 1, 5/8]) / 18: the same floats,
-    # but no product exceeds the step, so a step near the largest float gives finite weights.
+    # The weights (steps [5, 8, 5]) / 18 as 8 (steps [5/8, 1, 5/8]) / 18: the same floats
+    # for steps above 6.5e-307, and no product exceeds the step, so a step near the
+    # largest float gives finite weights.
     return nodes.ravel(), (steps * np.array([0.625, 1.0, 0.625]) / 18.0 * 8.0).ravel()
 
 
