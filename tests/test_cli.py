@@ -324,6 +324,15 @@ def test_readme_sweep_matches_its_golden_csv(tmp_path, name):
                 assert value == cell, (want, have)
 
 
+def test_blocked_gaussian_sweep_matches_its_golden_csv(tmp_path):
+    # 39 points per comb: the golden file was written when every point was
+    # solved on its own, and the sweep now solves them in blocks of 16, 16 and 7.
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--mode", "gaussian", "--n", "2,8,32", "--delta-omega", "0,1.5", "--sigma-eta", "1:20:0.5"]
+    assert main([*args, "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (DATA / "blocked_gaussian_sweep.csv").read_bytes()
+
+
 def write_tabulated_inputs(directory, seed, letters=8, points=401):
     """Seeded letter files and a channel file in the benchmark's shape: two-peak chirped letters, rippled channel."""
     rng = np.random.default_rng(seed)
