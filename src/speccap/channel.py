@@ -66,9 +66,12 @@ class GramData:
     clipped to [0, 1], computed once here, ``loss = 1 - survival``,
     ``mean_loss`` is the prior-weighted loss, and ``weighted = sqrt(P) gram
     sqrt(P)`` is the matrix carrying the output spectrum, checked by
-    :func:`~speccap.numerics.hermitian_eigenvalues`.  Construction raises
-    ``ValidationError`` for a non-square gram and ``ComputationError`` when
-    the diagonal is NaN or leaves [0, 1] by more than 1e-10.
+    :func:`~speccap.numerics.hermitian_eigenvalues`.  ``gram`` may also be a
+    ``(..., N, N)`` stack of matrices sharing the priors; every statistic
+    then carries the stack's leading axes, and ``mean_loss`` is an array
+    instead of a float.  Construction raises ``ValidationError`` for a
+    non-square gram and ``ComputationError`` when a diagonal is NaN or
+    leaves [0, 1] by more than 1e-10.
     """
 
     gram: np.ndarray
@@ -76,14 +79,14 @@ class GramData:
 
     def __post_init__(self):
         gram = np.asarray(self.gram, dtype=complex)
-        if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+        if gram.ndim < 2 or gram.shape[-1] != gram.shape[-2]:
             raise ValidationError(f"Gram matrix must be square, got shape {gram.shape}")
         if gram.flags.writeable and np.may_share_memory(gram, self.gram):  # the caller's array: copy it
             gram = gram.copy()
         gram.setflags(write=False)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "priors", _validated_priors(self.priors, self.n))
-        diagonal = gram.diagonal().real
+        diagonal = gram.diagonal(axis1=-2, axis2=-1).real
         if not np.all((diagonal >= -1e-10) & (diagonal <= 1.0 + 1e-10)):  # NaN fails too
             raise ComputationError(f"survival probabilities outside [0, 1]: {diagonal!r}")
         survival = np.clip(diagonal, 0.0, 1.0)
@@ -92,7 +95,7 @@ class GramData:
 
     @property
     def n(self):
-        return self.gram.shape[0]
+        return self.gram.shape[-1]
 
     @property
     def survival(self):
@@ -104,12 +107,13 @@ class GramData:
 
     @property
     def mean_loss(self):
-        return float(self.priors @ self.loss)
+        mean = np.vecdot(self.loss, self.priors)  # the bits of priors @ loss, per matrix of a stack
+        return float(mean) if mean.ndim == 0 else mean
 
     @property
     def weighted(self):
         root = np.sqrt(self.priors)
-        return root[:, None] * self.gram * root[None, :]
+        return root[:, None] * self.gram * root
 
 
 def compute_gram(ensemble, response):
@@ -126,16 +130,19 @@ def compute_gram(ensemble, response):
 
 
 def output_spectrum(gram_data):
-    """Eigenvalues of the single-photon output block, descending, clamped.
+    """Eigenvalues of the single-photon output block, descending, clamped, and the mean loss.
 
-    The spectrum plus the vacuum weight must form a probability vector;
-    deviation beyond 1e-10 means the eigensolve went wrong.
+    For a stack of Gram matrices both carry its leading axes, from one
+    eigensolve.  Each spectrum plus its vacuum weight must form a
+    probability vector; deviation beyond 1e-10 means the eigensolve went
+    wrong.
     """
     values = clamp_spectrum(hermitian_eigenvalues(gram_data.weighted))
     mean_loss = gram_data.mean_loss
-    total = float(values.sum()) + mean_loss
-    if abs(total - 1.0) > 1e-10:
+    total = values.sum(axis=-1) + mean_loss
+    wrong = np.abs(total - 1.0) > 1e-10
+    if wrong.any():
         raise ComputationError(
-            f"output spectrum plus mean loss sums to {total!r}, expected 1"
+            f"output spectrum plus mean loss sums to {float(np.extract(wrong, total)[0])!r}, expected 1"
         )
     return values, mean_loss

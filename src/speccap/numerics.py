@@ -7,8 +7,9 @@ Kronrod nodes; a matmul per rule gives its panel matrices of weighted
 overlaps, and their difference is the per-entry error estimate.  Segments
 whose estimate is too large are bisected level by level.  Eigenvalues come
 from LAPACK through ``numpy.linalg.eigvalsh`` (``eigh`` when eigenvectors
-are asked for); matrices are small (N up to ~128) and are plain arrays,
-validated and symmetrized in :func:`hermitian_eigenvalues` on their way in.
+are asked for); matrices are small (N up to ~128) and are plain arrays, or
+stacks of them solved in one call, validated and symmetrized in
+:func:`hermitian_eigenvalues` on their way in.
 """
 from __future__ import annotations
 
@@ -139,28 +140,29 @@ def mirror_upper(total):
 
 
 def hermitian_eigenvalues(matrix, *, vectors=False):
-    """All eigenvalues of a Hermitian matrix, sorted descending (LAPACK ``eigvalsh``).
+    """All eigenvalues of a Hermitian matrix, or of each in a stack, sorted descending (LAPACK ``eigvalsh``).
 
-    The one check every matrix passes before LAPACK: ``matrix`` (any square
-    array-like) is copied to complex; non-finite entries or asymmetry
-    ``|A - A^H|`` above 1e-12 raise ValidationError, and ``(A + A^H) / 2`` is
-    solved.  ``vectors=True`` returns ``(values, vectors)`` from ``eigh``,
-    eigenvectors as columns.
+    The one check every matrix passes before LAPACK: ``matrix`` (any array-like
+    of shape ``(..., N, N)``) is copied to complex; non-finite entries or
+    asymmetry ``|A - A^H|`` above 1e-12 anywhere in it raise ValidationError,
+    and ``(A + A^H) / 2`` is solved, a stack in one call.  ``vectors=True``
+    returns ``(values, vectors)`` from ``eigh``, eigenvectors as columns.
     """
     arr = np.array(matrix, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValidationError("matrix must be square")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("matrix entries must be finite")
-    deviation = np.max(np.abs(arr - arr.conj().T)) if arr.size else 0.0
+    adjoint = arr.conj().swapaxes(-1, -2)
+    deviation = np.max(np.abs(arr - adjoint)) if arr.size else 0.0
     if deviation > 1e-12:
         raise ValidationError(f"matrix is not Hermitian (max asymmetry {deviation:.3e})")
-    arr = 0.5 * (arr + arr.conj().T)
+    arr = 0.5 * (arr + adjoint)
     try:
         if vectors:
             values, basis = np.linalg.eigh(arr)
-            return values[::-1], basis[:, ::-1]
-        return np.linalg.eigvalsh(arr)[::-1]
+            return values[..., ::-1], basis[..., ::-1]
+        return np.linalg.eigvalsh(arr)[..., ::-1]
     except np.linalg.LinAlgError as exc:
         raise ComputationError(f"Hermitian eigensolve failed: {exc}") from exc
 
@@ -168,8 +170,8 @@ def hermitian_eigenvalues(matrix, *, vectors=False):
 def clamp_spectrum(values):
     """Zero out roundoff-negative eigenvalues; reject real negativity.
 
-    Values in ``[PSD_FLOOR, 0)`` become 0; anything below ``PSD_FLOOR`` raises
-    PsdViolationError.
+    Values in ``[PSD_FLOOR, 0)`` become 0; anything below ``PSD_FLOOR``, in
+    any spectrum of a stack, raises PsdViolationError.
     """
     vals = np.asarray(values, dtype=float)
     smallest = float(vals.min()) if vals.size else 0.0

@@ -195,7 +195,7 @@ def test_gram_diagonal_outside_the_unit_interval_raises():
 
 
 def test_gram_data_rejects_a_non_square_gram_and_a_nan_diagonal():
-    for gram in (np.zeros(2), np.zeros((2, 3)), np.zeros((2, 2, 2))):
+    for gram in (np.zeros(2), np.zeros((2, 3)), np.zeros((2, 3, 2))):
         with pytest.raises(ValidationError, match="square"):
             GramData(gram, [0.5, 0.5])
     # NaN fails the survival range check, so mean_loss is never silently NaN.
@@ -205,6 +205,24 @@ def test_gram_data_rejects_a_non_square_gram_and_a_nan_diagonal():
     data = GramData([[0.5, np.nan], [np.nan, 0.5]], [0.5, 0.5])
     with pytest.raises(ValidationError, match="finite"):
         output_spectrum(data)
+
+
+def test_gram_data_of_a_stack_carries_its_leading_axes():
+    members = [np.diag([0.9, 0.4]), np.array([[0.5, 0.25j], [-0.25j, 0.5]]), np.diag([1.0, 0.0])]
+    priors = [0.7, 0.3]
+    stack = GramData(np.stack(members).reshape(3, 1, 2, 2), priors)
+    assert stack.n == 2 and stack.survival.shape == (3, 1, 2) and stack.mean_loss.shape == (3, 1)
+    spectra, losses = output_spectrum(stack)
+    for k, member in enumerate(members):
+        single = GramData(member, priors)
+        assert np.array_equal(stack.survival[k, 0], single.survival)
+        assert stack.mean_loss[k, 0] == single.mean_loss and isinstance(single.mean_loss, float)
+        assert np.array_equal(stack.weighted[k, 0], single.weighted)
+        spectrum, loss = output_spectrum(single)
+        assert np.array_equal(spectra[k, 0], spectrum) and losses[k, 0] == loss
+    # One member's survival out of range fails the whole stack.
+    with pytest.raises(ComputationError, match="survival"):
+        GramData(np.stack([members[0], np.diag([1.5, 0.0])]), priors)
 
 
 def test_gram_data_holds_a_read_only_copy_of_a_caller_array():

@@ -333,6 +333,51 @@ def test_blocked_gaussian_sweep_matches_its_golden_csv(tmp_path):
     assert out.read_bytes() == (DATA / "blocked_gaussian_sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize("bad", [0, 6, 14])
+def test_a_failure_inside_a_block_errors_only_its_own_point(tmp_path, monkeypatch, bad):
+    # One comb of 15 points: one block.  The patched point's survival is 1.5.
+    args = ["sweep", "--mode", "gaussian", "--n", "4", "--delta-omega", "1", "--sigma-eta", "1:8:0.5"]
+    clean = tmp_path / "clean.csv"
+    assert main([*args, "--out", str(clean)]) == EXIT_OK
+    bad_width = 1.0 + 0.5 * bad
+    gram_matrix = speccap.cli.gram_matrix
+    broken = []
+
+    def patched(letters, response):
+        entries = gram_matrix(letters, response)
+        if response.width == bad_width:
+            entries[0, 0] = 1.5
+            broken.append(entries.copy())
+        return entries
+
+    monkeypatch.setattr("speccap.cli.gram_matrix", patched)
+    out = tmp_path / "sweep.csv"
+    assert main([*args, "--out", str(out)]) == EXIT_OK
+    with pytest.raises(speccap.ComputationError, match="survival") as alone:
+        speccap.GramData(broken[0], np.full(4, 0.25))
+    got, want = out.read_text().splitlines(), clean.read_text().splitlines()
+    assert len(got) == len(want) == 16
+    assert next(csv.reader([got[1 + bad]])) == ["4", "1", format(bad_width, "g"), "1", "0", "", "", "", str(alone.value)]
+    assert got[: 1 + bad] + got[2 + bad :] == want[: 1 + bad] + want[2 + bad :]
+
+
+@pytest.mark.parametrize("name, block", [("readme_flat_sweep.csv", 11), ("readme_gaussian_sweep.csv", 15)])
+def test_readme_sweeps_solve_one_stack_per_comb(tmp_path, monkeypatch, name, block):
+    # 21 spacings, each a comb of `block` points: 21 eigensolves, not one per point.
+    shapes = []
+    solve = speccap.numerics.hermitian_eigenvalues
+
+    def counted(matrix, **kwargs):
+        shapes.append(np.shape(matrix))
+        return solve(matrix, **kwargs)
+
+    for module in (speccap, speccap.numerics, speccap.channel, speccap.capacity):
+        monkeypatch.setattr(module, "hermitian_eigenvalues", counted)
+    args = ["sweep", "--n", "32", "--delta-omega", "0:10:0.5", *README_SWEEPS[name], "--out", str(tmp_path / name)]
+    assert main(args) == EXIT_OK
+    assert shapes == [(block, 32, 32)] * 21
+
+
 def write_tabulated_inputs(directory, seed, letters=8, points=401):
     """Seeded letter files and a channel file in the benchmark's shape: two-peak chirped letters, rippled channel."""
     rng = np.random.default_rng(seed)

@@ -332,6 +332,44 @@ def test_small_asymmetry_is_symmetrized():
     assert np.array_equal(values, np.linalg.eigh(hermitian_part)[0][::-1])
 
 
+def _random_hermitian_stack(shape, seed=7):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return 0.5 * (raw + raw.conj().swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("matrix", [3.0, np.zeros(3), np.zeros((2, 3)), np.zeros((4, 2, 3)), np.zeros((2, 3, 3, 1))])
+def test_a_stack_must_end_in_square_matrices(matrix):
+    with pytest.raises(ValidationError, match="matrix must be square"):
+        hermitian_eigenvalues(matrix)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [(math.nan, "matrix entries must be finite"), (math.inf, "matrix entries must be finite"), (0.5, "not Hermitian")],
+)
+def test_one_bad_member_rejects_the_whole_stack(entry, message):
+    stack = _random_hermitian_stack((3, 4, 4))
+    stack[2, 0, 1] += entry
+    for vectors in (False, True):
+        with pytest.raises(ValidationError, match=message):
+            hermitian_eigenvalues(stack, vectors=vectors)
+
+
+def test_a_stack_gives_each_member_its_own_eigenpairs():
+    stack = _random_hermitian_stack((2, 3, 5, 5))
+    values, vectors = hermitian_eigenvalues(stack, vectors=True)
+    assert values.shape == (2, 3, 5) and vectors.shape == (2, 3, 5, 5)
+    assert np.max(np.abs(hermitian_eigenvalues(stack) - values)) <= 1e-12  # eigvalsh against eigh
+    for index in np.ndindex(2, 3):
+        assert np.array_equal(hermitian_eigenvalues(stack)[index], hermitian_eigenvalues(stack[index]))
+        member_values, member_vectors = hermitian_eigenvalues(stack[index], vectors=True)
+        assert np.array_equal(values[index], member_values) and np.array_equal(vectors[index], member_vectors)
+        # Descending, with eigenvectors as columns in the same order.
+        assert np.all(np.diff(values[index]) <= 0.0)
+        assert np.max(np.abs(stack[index] @ vectors[index] - vectors[index] * values[index])) <= 1e-12
+
+
 def test_clamp_spectrum():
     clamped = clamp_spectrum([1.0, 0.0, -5e-11])
     assert np.all(clamped >= 0.0)

@@ -7,6 +7,7 @@ Gauss-Legendre rule integrates exactly.  speccap builds all-tabulated Gram
 matrices by that rule too, so they are also checked against speccap's
 adaptive 21-point Gauss-Kronrod quadrature, a different rule.
 """
+import dataclasses
 import math
 import warnings
 
@@ -202,6 +203,33 @@ def test_tabulated_reweight_matches_a_fresh_gram_and_conserves_probability(input
     assert float(np.trace(shifted.weighted).real) == pytest.approx(1.0 - shifted.mean_loss, abs=1e-12)
     spectrum, mean_loss = output_spectrum(shifted)
     assert spectrum.sum() + mean_loss == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def gram_stacks(draw):
+    """1..16 Gram matrices of one random set of Gaussian or tabulated letters, each through its own random channel, and random priors."""
+    count = draw(st.integers(1, 16))
+    if draw(st.booleans()):
+        letters = draw(gaussian_letters)
+        channels = draw(st.lists(closed_form_channels, min_size=count, max_size=count))
+    else:
+        grid, letters, _ = draw(tabulated_inputs())
+        eta = st.lists(st.floats(0.0, 1.0), min_size=grid.size, max_size=grid.size)
+        channels = [TabulatedResponse(grid, draw(eta)) for _ in range(count)]
+    raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(letters), max_size=len(letters))))
+    ensemble = EncodingEnsemble.uniform(letters)
+    return np.stack([compute_gram(ensemble, channel).gram for channel in channels]), raw / raw.sum()
+
+
+@given(gram_stacks())
+def test_a_stack_of_gram_matrices_gives_each_the_bounds_of_its_own_solve(inputs):
+    stack, priors = inputs
+    report = holevo_bound(GramData(stack, priors))
+    for k, gram in enumerate(stack):
+        single = holevo_bound(GramData(gram, priors))
+        for field in dataclasses.fields(single):
+            assert np.array_equal(getattr(report, field.name)[k], getattr(single, field.name)), field.name
+        assert all(type(bits) is float for bits in (single.holevo_bits, single.post_selected_bits, single.mean_loss))
 
 
 @given(gaussian_ensembles(), closed_form_channels)
