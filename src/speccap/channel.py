@@ -113,7 +113,9 @@ class GramData:
     @property
     def weighted(self):
         root = np.sqrt(self.priors)
-        return root[:, None] * self.gram * root
+        weighted = root[:, None] * self.gram
+        weighted *= root
+        return weighted
 
 
 def compute_gram(ensemble, response):

@@ -1,7 +1,8 @@
 """Command-line front end: parameter sweeps, curves, and plots as flat files.
 
 Exit codes: 0 success, 1 usage or validation, 2 computation failure, 3 I/O.
-Grid points are computed one after another and rows are emitted in grid
+A sweep solves up to 16 consecutive points of one comb as one stacked
+eigensolve, point by point where that stack fails, and emits its rows in grid
 order.  ``sweep`` and ``two-state`` reject a SPECCAP_THREADS that is set but
 not a positive integer (exit 1); a valid value schedules nothing, so output
 never depends on it.
@@ -170,7 +171,7 @@ def cmd_sweep(args):
         group = [channel_value for _, _, channel_value in group]
         ensemble = None  # the comb, built at the first point whose channel is valid
         for start in range(0, len(group), _BLOCK_POINTS):
-            pending = []  # (row, gram) of the block's points that await its stacked solve
+            pending, grams = [], []  # rows and Gram matrices of the block's points that await its stacked solve
             for channel_value in group[start : start + _BLOCK_POINTS]:
                 row = [n, _fmt(delta), _fmt(channel_value)]
                 if args.mode == "gaussian":
@@ -188,14 +189,15 @@ def cmd_sweep(args):
                     if args.priors == "optimized" and n >= 2:
                         row += _report_cells(optimize_priors(ensemble, response)[1])[0]
                     else:
-                        pending.append((row, gram_matrix(ensemble.letters, response)))
+                        grams.append(gram_matrix(ensemble.letters, response))
+                        pending.append(row)
                 except (ValidationError, ComputationError) as exc:
                     row += ["", "", "", str(exc)]
-            if pending:
-                block_rows, grams = zip(*pending)
+            if grams:
                 stack = np.stack(grams)
-                stack.setflags(write=False)  # GramData shares it instead of copying
-                for row, cells in zip(block_rows, _stack_cells(stack, ensemble.priors)):
+                grams.clear()  # the stack is the only copy while it is solved
+                stack.setflags(write=False)  # so GramData shares it instead of copying
+                for row, cells in zip(pending, _stack_cells(stack, ensemble.priors)):
                     row += cells
     _write_csv(args.out, header, rows)
     return EXIT_OK

@@ -143,12 +143,12 @@ def hermitian_eigenvalues(matrix, *, vectors=False):
     """All eigenvalues of a Hermitian matrix, or of each in a stack, sorted descending (LAPACK ``eigvalsh``).
 
     The one check every matrix passes before LAPACK: ``matrix`` (any array-like
-    of shape ``(..., N, N)``) is copied to complex; non-finite entries or
+    of shape ``(..., N, N)``) is read as complex; non-finite entries or
     asymmetry ``|A - A^H|`` above 1e-12 anywhere in it raise ValidationError,
     and ``(A + A^H) / 2`` is solved, a stack in one call.  ``vectors=True``
     returns ``(values, vectors)`` from ``eigh``, eigenvectors as columns.
     """
-    arr = np.array(matrix, dtype=complex)
+    arr = np.asarray(matrix, dtype=complex)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValidationError("matrix must be square")
     if not np.all(np.isfinite(arr)):
@@ -157,7 +157,9 @@ def hermitian_eigenvalues(matrix, *, vectors=False):
     deviation = np.max(np.abs(arr - adjoint)) if arr.size else 0.0
     if deviation > 1e-12:
         raise ValidationError(f"matrix is not Hermitian (max asymmetry {deviation:.3e})")
-    arr = 0.5 * (arr + adjoint)
+    adjoint += arr  # in place: a stack's temporaries stay few
+    adjoint *= 0.5
+    arr = adjoint
     try:
         if vectors:
             values, basis = np.linalg.eigh(arr)

@@ -357,7 +357,8 @@ def test_a_failure_inside_a_block_errors_only_its_own_point(tmp_path, monkeypatc
         speccap.GramData(broken[0], np.full(4, 0.25))
     got, want = out.read_text().splitlines(), clean.read_text().splitlines()
     assert len(got) == len(want) == 16
-    assert next(csv.reader([got[1 + bad]])) == ["4", "1", format(bad_width, "g"), "1", "0", "", "", "", str(alone.value)]
+    row = ["4", "1", format(bad_width, "g"), "1", "0", "", "", "", str(alone.value)]
+    assert next(csv.reader([got[1 + bad]])) == row
     assert got[: 1 + bad] + got[2 + bad :] == want[: 1 + bad] + want[2 + bad :]
 
 

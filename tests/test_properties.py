@@ -207,7 +207,10 @@ def test_tabulated_reweight_matches_a_fresh_gram_and_conserves_probability(input
 
 @st.composite
 def gram_stacks(draw):
-    """1..16 Gram matrices of one random set of Gaussian or tabulated letters, each through its own random channel, and random priors."""
+    """1..16 Gram matrices of one set of random Gaussian or tabulated letters, each through its own channel.
+
+    Returns the stack and random priors.
+    """
     count = draw(st.integers(1, 16))
     if draw(st.booleans()):
         letters = draw(gaussian_letters)
