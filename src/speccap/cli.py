@@ -161,8 +161,6 @@ def cmd_sweep(args):
         channel_grid = parse_grid(args.sigma_eta)
         header = ["n", "delta_omega", "sigma_eta", "p_peak"]
     header += ["post_select", "holevo_bits", "post_selected_bits", "eps_bar", "error"]
-    if not n_list or not delta_grid or not channel_grid:
-        raise UsageError("all sweep grids must be non-empty")
     points = _grid_points(n_list, delta_grid, channel_grid)
 
     _check_thread_env()

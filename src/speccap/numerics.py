@@ -133,8 +133,12 @@ def weighted_gram(sample, edges):
 
 
 def mirror_upper(total):
-    """The upper triangle of ``total`` mirrored into an exactly Hermitian matrix with a real diagonal."""
-    gram = np.triu(total) + np.triu(total, 1).conj().T
+    """The upper triangle of ``total`` mirrored into an exactly Hermitian matrix with a real diagonal.
+
+    The one mirror of all three routes of ``spectral.gram_matrix``: closed form, exact and adaptive quadrature.
+    """
+    gram = np.triu(total, 1)
+    gram += gram.T.conj()
     np.fill_diagonal(gram, total.diagonal().real)
     return gram
 

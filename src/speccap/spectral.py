@@ -216,9 +216,9 @@ def gram_matrix(letters, response):
 
     Gaussian letters through a flat or Gaussian channel take the closed form
     of :func:`modulated_overlap` pair by pair, in one pass over the upper
-    triangle; adding the conjugate transpose and halving the diagonal
-    mirrors it.  Every other set of letters goes through :func:`quadrature_gram`,
-    exact for all-tabulated inputs and adaptive otherwise.
+    triangle.  Every other set of letters goes through :func:`quadrature_gram`,
+    exact for all-tabulated inputs and adaptive otherwise.  All three routes
+    end in :func:`numerics.mirror_upper`, which mirrors their upper triangle.
     """
     if not (
         isinstance(response, _CLOSED_FORM_RESPONSES)
@@ -230,9 +230,7 @@ def gram_matrix(letters, response):
     entries[np.tri(n, dtype=bool).T] = [  # the upper triangle, row by row
         modulated_overlap(a, b, response) for a, b in combinations_with_replacement(letters, 2)
     ]
-    entries += entries.T.conj()
-    entries.flat[:: n + 1] *= 0.5
-    return entries
+    return mirror_upper(entries)
 
 
 def quadrature_gram(letters, response):

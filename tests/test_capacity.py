@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import continuum_holevo
 from speccap import capacity
 from speccap.capacity import (
     _letter_divergences,
@@ -426,3 +427,34 @@ def test_two_state_max_of_very_wide_letters_approaches_its_asymptote(lam):
     best, separation = two_state_max(lam)
     assert separation / lam == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-9)
     assert best * lam**3 == pytest.approx(1.0 / (math.e * math.log(2.0)), rel=1e-9, abs=0.0)
+
+
+def gaussian_prior_comb_report(channel, n, spacing):
+    """Bounds of an n-letter comb whose priors sample the centre distribution ``N(0, center_std^2)``."""
+    width, channel_width, p_peak, center_std = channel
+    letters = make_gaussian_basis(n, spacing, width)
+    centers = np.array([letter.center for letter in letters])
+    priors = np.exp(-(centers**2) / (2.0 * center_std**2))
+    ensemble = EncodingEnsemble(letters, priors / priors.sum())
+    return holevo_bound(compute_gram(ensemble, GaussianPeakResponse(p_peak, channel_width)))
+
+
+# (width, channel width, peak probability, centre std), letter count and spacing.
+# Each comb reaches at least 6 centre stds on either side of its mean.
+@pytest.mark.parametrize(
+    "channel, n, spacing",
+    [((1.0, 2.0, 0.9, 1.0), 128, 0.1), ((1.0, 2.0, 0.9, 1.0), 64, 0.2), ((1.0, 1.0, 1.0, 0.7), 128, 0.08)],
+)
+def test_a_fine_comb_with_gaussian_priors_reaches_the_continuum_limit(channel, n, spacing):
+    holevo, post_selected, q = continuum_holevo(*channel)
+    report = gaussian_prior_comb_report(channel, n, spacing)
+    assert abs(report.holevo_bits - holevo) <= 1e-9
+    assert abs(report.post_selected_bits - post_selected) <= 1e-9
+    assert abs(report.spectrum[1] / report.spectrum[0] - q) <= 1e-12
+
+
+def test_a_comb_that_cuts_off_the_prior_tails_misses_the_continuum_limit():
+    # 128 letters at spacing 0.1 reach 4.2 centre stds of 1.5 on either side: about 2.3e-5 bits short.
+    channel = (0.5, 3.0, 0.8, 1.5)
+    holevo, _, _ = continuum_holevo(*channel)
+    assert 1e-5 < holevo - gaussian_prior_comb_report(channel, 128, 0.1).holevo_bits < 1e-4

@@ -9,9 +9,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import speccap
-from speccap.cli import EXIT_COMPUTATION, EXIT_IO, EXIT_OK, EXIT_USAGE, MAX_GRID_POINTS, UsageError, main, parse_grid
+from speccap.cli import (
+    EXIT_COMPUTATION,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_USAGE,
+    MAX_GRID_POINTS,
+    UsageError,
+    main,
+    parse_grid,
+    parse_int_list,
+)
 from speccap.spectral import make_gaussian_basis
 from speccap.svgplot import render_line
 
@@ -47,6 +59,38 @@ def test_parse_grid_forms():
     for text in ("0:inf:1", "nan:1:0.5", "0:1:inf", "-1e308:1e308:1"):
         with pytest.raises(UsageError, match="bad grid"):
             parse_grid(text)
+
+
+# Numbers as a user might type them, and pieces that are not numbers at all.
+grid_pieces = st.one_of(
+    st.floats(-1e3, 1e3).map(repr),
+    st.floats().map(repr),
+    st.integers(-100, 100).map(str),
+    st.text(alphabet="0123456789.-+e _", max_size=5),
+)
+
+
+@given(
+    st.one_of(
+        st.tuples(grid_pieces, grid_pieces, grid_pieces).map(":".join),
+        st.lists(grid_pieces, min_size=1, max_size=4).map(",".join),
+    ),
+    st.lists(st.one_of(st.integers().map(str), st.text(alphabet="0123456789-+ _", max_size=4)), min_size=1, max_size=4),
+)
+def test_parsed_grids_and_integer_lists_are_never_empty(grid, integers):
+    # cmd_sweep relies on this: every grid it parses has a point, or the parse raised UsageError.
+    try:
+        points = parse_grid(grid)
+    except UsageError:
+        pass
+    else:
+        assert points and all(isinstance(point, float) for point in points)
+    try:
+        values = parse_int_list(",".join(integers))
+    except UsageError:
+        pass
+    else:
+        assert values and all(isinstance(value, int) for value in values)
 
 
 def test_parse_grid_rejects_a_range_over_the_point_limit_before_building_it():
