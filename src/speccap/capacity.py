@@ -14,7 +14,11 @@ import numpy as np
 from .channel import EncodingEnsemble, GramData, compute_gram, output_spectrum
 from .errors import ComputationError, ConvergenceError, ValidationError
 from .numerics import clamp_spectrum, hermitian_eigenvalues
-from .spectral import make_gaussian_basis
+from .spectral import GaussianAmplitude, GaussianPeakResponse, make_gaussian_basis
+
+# Stopping gain in bits and iteration budget of :func:`optimize_priors`, read at call time.
+PRIOR_TOLERANCE = 1e-9
+MAX_PRIOR_ITERATIONS = 100_000
 
 
 def _plog2p(x):
@@ -118,15 +122,13 @@ def erasure_bounds(sigma_psi, sigma_eta, p_peak, n_letters):
     The survival probability of a Gaussian letter is maximised by centring
     it on the passband; treating every transmission failure as a flagged
     erasure bounds the classical and both quantum capacities by
-    ``q_max * log2(N)``.
+    ``q_max * log2(N)``, finite in the ranges of the letter and channel that check its arguments.
     """
-    if not (sigma_psi > 0 and sigma_eta > 0):
-        raise ValidationError("widths must be positive")
-    if not 0.0 <= p_peak <= 1.0:
-        raise ValidationError("peak transmission probability must lie in [0, 1]")
+    letter = GaussianAmplitude(0.0, sigma_psi)
+    response = GaussianPeakResponse(p_peak, sigma_eta)
     if not (isinstance(n_letters, (int, np.integer)) and n_letters >= 1):
         raise ValidationError("letter count must be a positive integer")
-    q_max = p_peak / (sigma_psi * math.sqrt(sigma_psi**-2 + sigma_eta**-2))
+    q_max = response.peak_probability / (letter.width * math.sqrt(letter.width**-2 + response.width**-2))
     return ErasureBounds(
         q_max=q_max,
         erasure_probability=1.0 - q_max,
@@ -258,18 +260,18 @@ def _letter_divergences(gram, loss, weights):
     return -_entropy_bits(np.stack([loss, 1.0 - loss], axis=-1)) - vacuum - photon
 
 
-def optimize_priors(ensemble, response, tol=1e-9, max_iterations=100_000):
+def optimize_priors(ensemble, response):
     """Priors raising the Holevo bound, by over-relaxed Blahut-Arimoto steps.
 
     The gradient in prior i is ``D_i - log2 e`` (:func:`_letter_divergences`).
     From the uniform prior, each iteration tries ``p_i <- p_i e^{step D_i} / Z``
     (Nagaoka 1998; Matz & Duhamel, ITW 2004), doubling ``step`` (to at most
     1e6) after a gain and halving it until the Holevo quantity rises.  The
-    stop, a gain below ``tol`` bits or none, is a heuristic: where the
-    objective is flat it can fall well short of the maximum.  Returns
+    stop, a gain below ``PRIOR_TOLERANCE`` bits or none, is a heuristic: where
+    the objective is flat it can fall well short of the maximum.  Returns
     ``(priors, report)``, never worse than the uniform prior.  Running out of
-    iterations raises ConvergenceError carrying ``max_i D_i - chi``, which
-    bounds the distance to capacity from above while every prior is positive.
+    ``MAX_PRIOR_ITERATIONS`` raises ConvergenceError carrying ``max_i D_i - chi``,
+    which bounds the distance to capacity from above while every prior is positive.
     """
     if ensemble.n < 2:
         raise ValidationError("prior optimization needs at least two letters")
@@ -281,11 +283,11 @@ def optimize_priors(ensemble, response, tol=1e-9, max_iterations=100_000):
     value = float(weights @ divergences)
     step = 1.0
 
-    for _ in range(max_iterations):
+    for _ in range(MAX_PRIOR_ITERATIONS):
         # The letter with the largest divergence in the support keeps the factor
         # e^0, so the sum stays positive; no factor exceeds 1, so 0 stays 0.
         exponent = np.minimum(divergences - divergences[weights > 0.0].max(), 0.0)
-        improvement = -math.inf  # stays below any tol if no step gains
+        improvement = -math.inf  # stays below PRIOR_TOLERANCE if no step gains
         while step > 1e-14:
             candidate = weights * np.exp(step * exponent)
             candidate /= candidate.sum()
@@ -297,11 +299,11 @@ def optimize_priors(ensemble, response, tol=1e-9, max_iterations=100_000):
                 step = min(step * 2.0, 1e6)
                 break
             step *= 0.5
-        if improvement < tol:
+        if improvement < PRIOR_TOLERANCE:
             break
     else:
         raise ConvergenceError(
-            f"prior optimization did not converge within {max_iterations} iterations",
+            f"prior optimization did not converge within {MAX_PRIOR_ITERATIONS} iterations",
             error_estimate=float(divergences.max()) - value,
         )
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ComputationError, ValidationError
 from .numerics import clamp_spectrum, hermitian_eigenvalues
-from .spectral import gram_matrix
+from .spectral import gram_matrix, survival_window
 
 
 def _validated_priors(priors, n):
@@ -62,16 +62,16 @@ class GramData:
 
     ``gram[i][j] = integral eta^2 conj(psi_i) psi_j`` is kept as a read-only
     complex array: a read-only complex one is shared, a writable one copied
-    and any other converted once; ``survival[i]`` is its diagonal
-    clipped to [0, 1], computed once here, ``loss = 1 - survival``,
-    ``mean_loss`` is the prior-weighted loss, and ``weighted = sqrt(P) gram
-    sqrt(P)`` is the matrix carrying the output spectrum, checked by
-    :func:`~speccap.numerics.hermitian_eigenvalues`.  ``gram`` may also be a
-    ``(..., N, N)`` stack of matrices sharing the priors; every statistic
-    then carries the stack's leading axes, and ``mean_loss`` is an array
-    instead of a float.  Construction raises ``ValidationError`` for a
-    non-square gram and ``ComputationError`` when a diagonal is NaN or
-    leaves [0, 1] by more than 1e-10.
+    and any other converted once; ``survival[i]`` is its diagonal, computed
+    once here by :func:`~speccap.spectral.survival_window`, ``loss = 1 -
+    survival``, ``mean_loss`` is the prior-weighted loss, and ``weighted =
+    sqrt(P) gram sqrt(P)`` is the matrix carrying the output spectrum,
+    checked by :func:`~speccap.numerics.hermitian_eigenvalues`.  ``gram``
+    may also be a ``(..., N, N)`` stack of matrices sharing the priors;
+    every statistic then carries the stack's leading axes, and
+    ``mean_loss`` is an array instead of a float.  Construction raises
+    ``ValidationError`` for a non-square gram and ``ComputationError`` when
+    a diagonal is NaN or leaves [0, 1] by more than 1e-10.
     """
 
     gram: np.ndarray
@@ -86,20 +86,11 @@ class GramData:
         gram.setflags(write=False)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "priors", _validated_priors(self.priors, self.n))
-        diagonal = gram.diagonal(axis1=-2, axis2=-1).real
-        if not np.all((diagonal >= -1e-10) & (diagonal <= 1.0 + 1e-10)):  # NaN fails too
-            raise ComputationError(f"survival probabilities outside [0, 1]: {diagonal!r}")
-        survival = np.clip(diagonal, 0.0, 1.0)
-        survival.setflags(write=False)
-        object.__setattr__(self, "_survival", survival)
+        object.__setattr__(self, "survival", survival_window(gram.diagonal(axis1=-2, axis2=-1).real))
 
     @property
     def n(self):
         return self.gram.shape[-1]
-
-    @property
-    def survival(self):
-        return self._survival
 
     @property
     def loss(self):

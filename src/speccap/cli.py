@@ -54,9 +54,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value):
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".12g")
-    return str(value)
+    return format(float(value), ".12g")
 
 
 def parse_grid(text):
@@ -317,9 +315,12 @@ def _column(header, rows, name):
             values.append(None)
         else:
             try:
-                values.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise UsageError(f"column {name!r} has non-numeric cell {cell!r}") from None
+            if not math.isfinite(value):
+                raise UsageError(f"column {name!r} has non-finite cell {cell!r}")
+            values.append(value)
     return values
 
 

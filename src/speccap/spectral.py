@@ -18,7 +18,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ComputationError, ValidationError
 from . import numerics
 from .numerics import mirror_upper, weighted_gram
 
@@ -40,6 +40,8 @@ class GaussianAmplitude:
     whose square is not a positive finite float, or whose ``_a`` squared
     overflows (below about 4.3e-78 or above about 1.3e154), raises
     ValidationError: the closed form would divide by zero or meet ``inf * 0``.
+    Both parameters are stored as Python floats, so these limits hold for
+    numpy scalars too.
     """
 
     center: float = 0.0
@@ -50,6 +52,8 @@ class GaussianAmplitude:
             raise ValidationError("amplitude center must be finite")
         if not 0 < self.width < math.inf:
             raise ValidationError("amplitude width must be positive and finite")
+        object.__setattr__(self, "center", float(self.center))
+        object.__setattr__(self, "width", float(self.width))
         square = self.width * self.width
         if not (0.0 < square < math.inf and (0.25 / square) * (0.25 / square) < math.inf):
             raise ValidationError(f"amplitude width {self.width!r} is outside the closed form's range")
@@ -146,6 +150,7 @@ class FlatResponse:
     def __post_init__(self):
         if not 0.0 <= self.transmission <= 1.0:
             raise ValidationError("flat transmission must lie in [0, 1]")
+        object.__setattr__(self, "transmission", float(self.transmission))
         object.__setattr__(self, "_power_k", (self.transmission**2, 0.0))
 
     def value(self, omega):
@@ -164,7 +169,8 @@ class GaussianPeakResponse:
     letter's ``_a``, a width whose rate is not a positive finite float, or
     whose rate squared overflows (below about 6.1e-78 or above about
     1.3e154), raises ValidationError; ``FlatResponse`` is the channel of
-    infinite width.
+    infinite width.  Both parameters are stored as Python floats, as a
+    letter's are.
     """
 
     peak_probability: float
@@ -175,6 +181,8 @@ class GaussianPeakResponse:
             raise ValidationError("peak transmission probability must lie in [0, 1]")
         if not self.width > 0:
             raise ValidationError("channel width must be positive")
+        object.__setattr__(self, "peak_probability", float(self.peak_probability))
+        object.__setattr__(self, "width", float(self.width))
         try:
             rate = 0.5 / self.width**2
         except (OverflowError, ZeroDivisionError):
@@ -338,12 +346,18 @@ def modulated_overlap(amp_a, amp_b, response):
     return complex(quadrature_gram(letters, response)[0, -1])
 
 
+def survival_window(overlaps):
+    """Self-overlaps clipped to [0, 1], read-only; NaN, or 1e-10 past an end, raises ComputationError."""
+    if not np.all((overlaps >= -1e-10) & (overlaps <= 1.0 + 1e-10)):  # NaN fails too
+        raise ComputationError(f"survival probabilities outside [0, 1]: {overlaps!r}")
+    survival = np.clip(overlaps, 0.0, 1.0)
+    survival.setflags(write=False)
+    return survival
+
+
 def survival_probability(amp, response):
-    """Probability that the photon is transmitted rather than absorbed."""
-    q = modulated_overlap(amp, amp, response).real
-    if q < -1e-10 or q > 1.0 + 1e-10:
-        raise ValidationError(f"survival probability {q!r} outside [0, 1]")
-    return min(max(q, 0.0), 1.0)
+    """Probability that the photon is transmitted rather than absorbed, checked by :func:`survival_window`."""
+    return float(survival_window(modulated_overlap(amp, amp, response).real))
 
 
 def make_gaussian_basis(n, spacing, width, centering="symmetric"):

@@ -38,6 +38,7 @@ def _color(fraction):
 
 
 def _axis_scale(values, pixel_lo, pixel_hi):
+    """A value-linear map of ``values`` onto the pixel range, and 5 evenly spaced ``(pixel, value)`` ticks."""
     lo, hi = min(values), max(values)
     if hi == lo:
         lo, hi = lo - 0.5, hi + 0.5
@@ -46,23 +47,24 @@ def _axis_scale(values, pixel_lo, pixel_hi):
     def scale(v):
         return pixel_lo + (v - lo) / span * (pixel_hi - pixel_lo)
 
-    return lo, hi, scale
-
-def _ticks(lo, hi, count=5):
-    return [lo + (hi - lo) * k / (count - 1) for k in range(count)]
+    return scale, [(scale(tick), tick) for tick in (lo + (hi - lo) * k / 4 for k in range(5))]
 
 
-def _frame(parts, x_label, y_label, x_axis, y_axis):
-    x_lo, x_hi, sx = x_axis
-    y_lo, y_hi, sy = y_axis
+def _cell_ticks(grid, pixel_start, cell_size):
+    """``(pixel, value)`` ticks at the centres of at most 5 cells of ``grid``, the first and last included."""
+    picked = sorted({round(k * (len(grid) - 1) / 4) for k in range(5)})
+    return [(pixel_start + (index + 0.5) * cell_size, grid[index]) for index in picked]
+
+
+def _frame(parts, x_label, y_label, x_ticks, y_ticks):
+    """The plot frame, axis labels and ticks, each tick a ``(pixel, value)`` pair."""
     parts.append(
         f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" '
         f'width="{WIDTH - MARGIN_LEFT - MARGIN_RIGHT}" '
         f'height="{HEIGHT - MARGIN_TOP - MARGIN_BOTTOM}" '
         'fill="none" stroke="#000000" stroke-width="1"/>'
     )
-    for tick in _ticks(x_lo, x_hi):
-        px = sx(tick)
+    for px, tick in x_ticks:
         parts.append(
             f'<line x1="{px:.2f}" y1="{HEIGHT - MARGIN_BOTTOM}" '
             f'x2="{px:.2f}" y2="{HEIGHT - MARGIN_BOTTOM + 6}" stroke="#000000"/>'
@@ -71,8 +73,7 @@ def _frame(parts, x_label, y_label, x_axis, y_axis):
             f'<text x="{px:.2f}" y="{HEIGHT - MARGIN_BOTTOM + 20}" '
             f'font-size="12" text-anchor="middle">{tick:.6g}</text>'
         )
-    for tick in _ticks(y_lo, y_hi):
-        py = sy(tick)
+    for py, tick in y_ticks:
         parts.append(
             f'<line x1="{MARGIN_LEFT - 6}" y1="{py:.2f}" '
             f'x2="{MARGIN_LEFT}" y2="{py:.2f}" stroke="#000000"/>'
@@ -107,11 +108,10 @@ def render_line(points, x_label, y_label):
     """Polyline through ``points`` (sequence of (x, y)) as an SVG string."""
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
-    x_axis = _axis_scale(xs, MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
-    y_axis = _axis_scale(ys, HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
+    sx, x_ticks = _axis_scale(xs, MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
+    sy, y_ticks = _axis_scale(ys, HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
     parts = []
-    _frame(parts, x_label, y_label, x_axis, y_axis)
-    sx, sy = x_axis[2], y_axis[2]
+    _frame(parts, x_label, y_label, x_ticks, y_ticks)
     coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in points)
     parts.append(
         f'<polyline points="{coords}" fill="none" stroke="#1f4e9c" stroke-width="2"/>'
@@ -120,7 +120,11 @@ def render_line(points, x_label, y_label):
 
 
 def render_heatmap(cells, x_label, y_label, value_label):
-    """Colored grid from ``cells`` (sequence of (x, y, value)) as an SVG string."""
+    """Colored grid from ``cells`` (sequence of (x, y, value)) as an SVG string.
+
+    Cells are placed by the index of their x and y among the distinct grid
+    values, so the ticks sit at cell centres and name grid values.
+    """
     xs = sorted({c[0] for c in cells})
     ys = sorted({c[1] for c in cells})
     values = [c[2] for c in cells]
@@ -135,9 +139,9 @@ def render_heatmap(cells, x_label, y_label, value_label):
     cell_h = plot_h / len(ys)
 
     parts = []
-    x_axis = _axis_scale(xs, MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
-    y_axis = _axis_scale(ys, HEIGHT - MARGIN_BOTTOM, MARGIN_TOP)
-    _frame(parts, f"{x_label}  ({value_label}: {v_lo:.6g} to {v_hi:.6g})", y_label, x_axis, y_axis)
+    x_ticks = _cell_ticks(xs, MARGIN_LEFT, cell_w)
+    y_ticks = _cell_ticks(ys, HEIGHT - MARGIN_BOTTOM, -cell_h)
+    _frame(parts, f"{x_label}  ({value_label}: {v_lo:.6g} to {v_hi:.6g})", y_label, x_ticks, y_ticks)
     for x, y, value in cells:
         fraction = 0.5 if span == 0 else (value - v_lo) / span
         px = MARGIN_LEFT + x_index[x] * cell_w

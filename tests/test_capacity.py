@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import continuum_holevo
 from speccap import capacity
@@ -17,7 +19,7 @@ from speccap.capacity import (
     two_state_max,
 )
 from speccap.channel import EncodingEnsemble, compute_gram
-from speccap.errors import ConvergenceError, ValidationError
+from speccap.errors import ComputationError, ConvergenceError, ValidationError
 from speccap.spectral import (
     FlatResponse,
     GaussianAmplitude,
@@ -102,6 +104,11 @@ def test_erasure_bounds_limits():
     assert wide.q_max == pytest.approx(1.0, abs=1e-9)
     assert wide.bound_bits == pytest.approx(5.0, abs=1e-8)
     assert erasure_bounds(1.0, 1.0, 0.0, 32).bound_bits == 0.0
+    # At every corner of the letter's and the channel's width ranges q_max stays finite.
+    for sigma_psi in (4.4e-78, 1.0, 1.34e154):
+        for sigma_eta in (6.2e-78, 1.0, 1.34e154):
+            q_max = erasure_bounds(sigma_psi, sigma_eta, 1.0, 4).q_max
+            assert q_max == pytest.approx(1.0 / math.hypot(1.0, sigma_psi / sigma_eta), rel=1e-14)
 
 
 def test_erasure_bounds_validation():
@@ -111,6 +118,11 @@ def test_erasure_bounds_validation():
         erasure_bounds(1.0, 1.0, 1.5, 4)
     with pytest.raises(ValidationError):
         erasure_bounds(1.0, 1.0, 1.0, 0)
+    # Widths outside the letter's and the channel's closed-form ranges, whose
+    # sigma**-2 once overflowed.
+    for sigma_psi, sigma_eta in ((1e-200, 1.0), (1e200, 1e-200), (1.0, 1e200), (np.float64(1e-200), 1.0)):
+        with pytest.raises(ValidationError, match="width .* outside the closed form's range"):
+            erasure_bounds(sigma_psi, sigma_eta, 1.0, 4)
 
 
 def test_two_state_exact_zero_separation():
@@ -296,15 +308,16 @@ def test_optimize_priors_survives_a_weight_reaching_zero():
     assert report.holevo_bits >= uniform.holevo_bits
 
 
-def test_optimize_priors_out_of_iterations_carries_the_duality_gap():
+def test_optimize_priors_out_of_iterations_carries_the_duality_gap(monkeypatch):
     ensemble = EncodingEnsemble.uniform([GaussianAmplitude(c, 1.0) for c in (0.0, 1.0, 2.0)])
     response = GaussianPeakResponse(1.0, 1.0)
     _, optimum = optimize_priors(ensemble, response)
     uniform = holevo_bound(compute_gram(ensemble, response)).holevo_bits
     gaps = []
     for iterations in (0, 1):
-        with pytest.raises(ConvergenceError) as caught:
-            optimize_priors(ensemble, response, max_iterations=iterations)
+        monkeypatch.setattr(capacity, "MAX_PRIOR_ITERATIONS", iterations)
+        with pytest.raises(ConvergenceError, match=f"within {iterations} iterations") as caught:
+            optimize_priors(ensemble, response)
         gaps.append(caught.value.error_estimate)
     # With no step taken the iterate is the uniform prior, so the gap
     # max_i D_i - chi must cover the whole distance to the optimum.
@@ -404,6 +417,17 @@ def test_report_conservation_and_ranges():
         assert report.spectrum.min() >= 0.0
 
 
+def test_bounds_outside_zero_to_log2_n_raise(monkeypatch):
+    # Two orthogonal letters that each lose 0.2944 of the photon.  A spectrum
+    # of three halves gives more than log2(2) bits, and a pure one with no
+    # vacuum less than 0, by more than roundoff; neither may be clipped into range.
+    data = compute_gram(EncodingEnsemble.uniform(make_gaussian_basis(2, 20.0, 1.0)), FlatResponse(0.84))
+    for spectrum, mean_loss, sign in (([0.5, 0.5, 0.5], data.mean_loss, ""), ([1.0, 0.0], 0.0, "-")):
+        monkeypatch.setattr(capacity, "output_spectrum", lambda gram_data: (np.array(spectrum), mean_loss))
+        with pytest.raises(ComputationError, match=rf"capacity {sign}[0-9.]+ outside \[0, 1\.0\]"):
+            holevo_bound(data)
+
+
 @pytest.mark.parametrize("exponent", [1e-300, 1e-100, 1e-16, 1e-8, 1e-3, 0.1, 0.5])
 def test_two_pure_state_bits_match_their_series(exponent):
     # 1 - h((1 - s) / 2) = sum_k s^(2k) / (2k (2k - 1) ln 2); at s = 1e-8, 1 - h cancelled to 0
@@ -451,6 +475,18 @@ def test_a_fine_comb_with_gaussian_priors_reaches_the_continuum_limit(channel, n
     assert abs(report.holevo_bits - holevo) <= 1e-9
     assert abs(report.post_selected_bits - post_selected) <= 1e-9
     assert abs(report.spectrum[1] / report.spectrum[0] - q) <= 1e-12
+
+
+@given(st.floats(0.2, 5.0), st.floats(0.3, 4.0), st.floats(0.3, 1.0), st.floats(0.3, 1.0))
+def test_a_comb_spanning_12_5_centre_stds_reaches_the_continuum_limit(width, channel_ratio, p_peak, center_ratio):
+    # 128 letters at spacing 12.5 s_c / 127 reach 6.25 centre stds on either
+    # side, beyond which the prior has about 4e-10 of its mass.
+    channel = (width, channel_ratio * width, p_peak, center_ratio * width)
+    holevo, post_selected, q = continuum_holevo(*channel)
+    report = gaussian_prior_comb_report(channel, 128, 12.5 * channel[3] / 127)
+    assert abs(report.holevo_bits - holevo) <= 1e-8
+    assert abs(report.post_selected_bits - post_selected) <= 1e-8
+    assert abs(report.spectrum[1] / report.spectrum[0] - q) <= 1e-9
 
 
 def test_a_comb_that_cuts_off_the_prior_tails_misses_the_continuum_limit():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import explicit_basis_spectrum, quadrature_overlap_matrix
-from speccap import numerics
+from speccap import numerics, spectral
 from speccap.channel import EncodingEnsemble, GramData, compute_gram, output_spectrum
 from speccap.errors import ComputationError, ConvergenceError, ValidationError
 from speccap.numerics import hermitian_eigenvalues
@@ -148,6 +148,14 @@ def test_gram_data_invariants():
     assert hermitian_eigenvalues(data.weighted).min() >= -1e-10
 
 
+def test_an_eigensolve_that_breaks_conservation_raises(monkeypatch):
+    # The spectrum plus the mean loss must sum to 1; more than 1e-10 off means the eigensolve went wrong.
+    data = compute_gram(EncodingEnsemble.uniform(make_gaussian_basis(3, 1.0, 1.0)), GaussianPeakResponse(0.8, 1.0))
+    monkeypatch.setattr("speccap.channel.hermitian_eigenvalues", lambda matrix: (1.0 + 1e-8) * hermitian_eigenvalues(matrix))
+    with pytest.raises(ComputationError, match="output spectrum plus mean loss sums to .*, expected 1"):
+        output_spectrum(data)
+
+
 def test_convergence_failure_names_the_letter_pair(monkeypatch):
     # Narrow letters under a wide tabulated response need more than one
     # panel split to resolve.
@@ -185,13 +193,21 @@ def test_new_priors_keep_gram_and_update_statistics():
         GramData(data.gram, [0.5, 0.5])
 
 
-def test_gram_diagonal_outside_the_unit_interval_raises():
+def test_gram_diagonal_outside_the_unit_interval_raises(monkeypatch):
     for diagonal in ([1.0 + 1e-9, 0.5], [0.5, -1e-9]):
         with pytest.raises(ComputationError, match="survival"):
             GramData(np.diag(diagonal), [0.5, 0.5])
     data = GramData(np.diag([1.0 + 1e-11, -1e-11]), [0.5, 0.5])
     assert np.array_equal(data.survival, [1.0, 0.0])
     assert data.mean_loss == 0.5
+    # A lone survival probability passes the same window, NaN included.
+    for overlap, survival in ((1.0 + 1e-9, None), (-1e-9, None), (np.nan, None), (1.0 + 1e-11, 1.0), (-1e-11, 0.0)):
+        monkeypatch.setattr(spectral, "modulated_overlap", lambda a, b, response: complex(overlap))
+        if survival is None:
+            with pytest.raises(ComputationError, match="survival"):
+                survival_probability(GaussianAmplitude(), FlatResponse(1.0))
+        else:
+            assert survival_probability(GaussianAmplitude(), FlatResponse(1.0)) == survival
 
 
 def test_gram_data_rejects_a_non_square_gram_and_a_nan_diagonal():

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -25,7 +26,7 @@ from speccap.cli import (
     parse_int_list,
 )
 from speccap.spectral import make_gaussian_basis
-from speccap.svgplot import render_line
+from speccap.svgplot import render_heatmap, render_line
 
 DATA = Path(__file__).parent / "data"
 
@@ -686,6 +687,13 @@ def test_plot_heatmap(tmp_path):
     )
     assert code == EXIT_OK
     assert out.read_text(encoding="utf-8").count("<rect") == 5 * 5 + 2
+    # Cells are placed by index, so ticks sit at cell centres and name grid
+    # values: of x = 0, 1, 10, the last is the third of three 230-pixel cells.
+    svg = render_heatmap([(x, 0.0, x) for x in (0.0, 1.0, 10.0)], "x", "y", "v")
+    assert '<text x="655.00" y="560" font-size="12" text-anchor="middle">10</text>' in svg
+    # Of 7 grid values at most 5 are ticked, the first and last included.
+    svg = render_heatmap([(0.0, y, y) for y in range(7)], "x", "y", "v")
+    assert re.findall(r'text-anchor="end">(\d+)</text>', svg) == ["0", "2", "3", "4", "6"]
 
 
 def test_plot_labels_are_xml_escaped():
@@ -752,6 +760,7 @@ def test_unknown_subcommand_is_usage_error():
 BRANCH_FILES = {
     "empty.csv": "",
     "text.csv": "a,b\n1,x\n",
+    "nan.csv": "a,b\n1,nan\n2,inf\n",
     "blank.csv": "a,b,c\n1,,3\n",
     "data.csv": "a,b,c\n1,2,3\n",
     "channel.csv": "-12,0.2\n0,0.95\n12,0.2\n",
@@ -773,6 +782,7 @@ CLI_BRANCHES = {
     ),
     "empty-csv": ([*LINE_PLOT, "empty.csv"], EXIT_USAGE, "empty.csv: empty CSV"),
     "text-cell": ([*LINE_PLOT, "text.csv"], EXIT_USAGE, "column 'b' has non-numeric cell 'x'"),
+    "nan-cell": ([*LINE_PLOT, "nan.csv"], EXIT_USAGE, "column 'b' has non-finite cell 'nan'"),
     "no-line-rows": ([*LINE_PLOT, "blank.csv"], EXIT_USAGE, "no plottable rows"),
     "no-heatmap-rows": (
         ["plot", "--in", "blank.csv", "--kind", "heatmap", "--x", "a", "--y", "c", "--value", "b"],

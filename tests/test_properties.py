@@ -35,6 +35,7 @@ from speccap.spectral import (
     TabulatedResponse,
     _parse_lines,
     _parse_table,
+    gram_matrix,
     make_gaussian_basis,
     quadrature_gram,
 )
@@ -289,6 +290,36 @@ def test_holevo_stays_below_the_erasure_bound(n, spacing, sigma_psi, sigma_eta, 
     letters = make_gaussian_basis(n, spacing, sigma_psi, centering)
     report = holevo_bound(compute_gram(EncodingEnsemble.uniform(letters), GaussianPeakResponse(p_peak, sigma_eta)))
     assert report.holevo_bits <= erasure_bounds(sigma_psi, sigma_eta, p_peak, n).bound_bits + 1e-12
+
+
+@st.composite
+def letter_sets(draw):
+    """Gaussian letters, tabulated letters on one random grid, or both, and that grid's tabulated channel."""
+    _, tabulated, channel = draw(tabulated_inputs(max_letters=3))
+    gaussian = draw(st.lists(gaussian_letter, min_size=1, max_size=3))
+    return draw(st.sampled_from([gaussian, tabulated, gaussian + tabulated])), channel
+
+
+@given(letter_sets(), closed_form_channels, st.booleans())
+def test_a_channel_gram_lies_below_the_free_gram_in_loewner_order(inputs, closed_form, tabulated):
+    # The lost part F - G = integral (1 - eta^2) conj(psi_i) psi_j is a Gram matrix too.
+    letters, channel = inputs
+    response = channel if tabulated else closed_form
+    lost = gram_matrix(letters, FlatResponse(1.0)) - gram_matrix(letters, response)
+    assert np.linalg.eigvalsh(lost).min() >= -1e-10
+
+
+@given(letter_sets(), st.floats(0.0, 1.0), st.lists(st.floats(0.01, 1.0), min_size=6, max_size=6))
+def test_a_flat_channel_scales_the_holevo_bound_by_its_power_and_post_selects_it_whole(inputs, eta, raw):
+    # A flat channel erases every letter alike: G = eta^2 F, and the loss
+    # entropy h(1 - eta^2) is the same for every letter.
+    letters, _ = inputs
+    raw = np.array(raw[: len(letters)])
+    ensemble = EncodingEnsemble(letters, raw / raw.sum())
+    lossless = holevo_bound(compute_gram(ensemble, FlatResponse(1.0)))
+    report = holevo_bound(compute_gram(ensemble, FlatResponse(eta)))
+    assert report.holevo_bits == pytest.approx(eta * eta * lossless.holevo_bits, abs=1e-12)
+    assert report.post_selected_bits == pytest.approx(report.holevo_bits, abs=1e-12)
 
 
 # Up to 7 entries, which numpy sums in order as Python's sum does, so only

@@ -52,15 +52,19 @@ def test_gaussian_amplitude_rejects_a_width_outside_the_closed_form_range():
     # Above about 1.34e154, width^2 overflows and a = 1/(4 width^2) is 0, so a
     # flat channel divides by A = 0; width^2 = 0 at 1e-200 divides by zero in
     # the constructor; below about 4.3e-78, a * a overflows and a
-    # self-overlap is inf * 0 = NaN.
-    for width in (1e200, 1e-200, 1e-100):
+    # self-overlap is inf * 0 = NaN.  A numpy scalar is held as a float, so
+    # it meets the same limits instead of an overflow warning.
+    for number in (float, np.float64):
+        for width in (1e200, 1e-200, 1e-100):
+            with pytest.raises(ValidationError, match="amplitude width .* outside the closed form's range"):
+                GaussianAmplitude(0.0, number(width))
         with pytest.raises(ValidationError, match="amplitude width .* outside the closed form's range"):
-            GaussianAmplitude(0.0, width)
-    for width in (1.34e154, 4.4e-78):
-        letter = GaussianAmplitude(0.0, width)
-        assert modulated_overlap(letter, letter, FlatResponse(1.0)) == pytest.approx(1.0, abs=1e-15)
-        survival = modulated_overlap(letter, letter, GaussianPeakResponse(1.0, 1.0))
-        assert survival == pytest.approx(1.0 / math.sqrt(1.0 + width * width), rel=1e-15)
+            make_gaussian_basis(3, 1.0, number(1e-100))
+        for width in (1.34e154, 4.4e-78):
+            letter = GaussianAmplitude(0.0, number(width))
+            assert modulated_overlap(letter, letter, FlatResponse(1.0)) == pytest.approx(1.0, abs=1e-15)
+            survival = modulated_overlap(letter, letter, GaussianPeakResponse(1.0, 1.0))
+            assert survival == pytest.approx(1.0 / math.sqrt(1.0 + width * width), rel=1e-15)
 
 
 def test_tabulated_amplitude_zero_outside_grid():
@@ -118,14 +122,15 @@ def test_gaussian_peak_response_rejects_a_width_outside_the_closed_form_range():
     # 1e-200 squares to 0 (a ZeroDivisionError), 1e-160 to a subnormal whose
     # rate 0.5 / width^2 is inf, and 1e200 overflows; below about 6.1e-78 the
     # rate squared overflows, as a letter's a does.  An infinite width is a
-    # FlatResponse.
-    for width in (1e-320, 1e-200, 1e-160, 1e-100, 1e200, math.inf):
-        with pytest.raises(ValidationError, match="channel width .* outside the closed form's range"):
-            GaussianPeakResponse(1.0, width)
+    # FlatResponse.  A numpy scalar meets the same limits, as for a letter.
     letter = GaussianAmplitude(0.0, 1.0)
-    for width in (6.2e-78, 1.34e154):
-        survival = modulated_overlap(letter, letter, GaussianPeakResponse(1.0, width))
-        assert survival == pytest.approx(1.0 / math.sqrt(1.0 + 1.0 / (width * width)), rel=1e-15)
+    for number in (float, np.float64):
+        for width in (1e-320, 1e-200, 1e-160, 1e-100, 1e200, math.inf):
+            with pytest.raises(ValidationError, match="channel width .* outside the closed form's range"):
+                GaussianPeakResponse(1.0, number(width))
+        for width in (6.2e-78, 1.34e154):
+            survival = modulated_overlap(letter, letter, GaussianPeakResponse(number(1.0), number(width)))
+            assert survival == pytest.approx(1.0 / math.sqrt(1.0 + 1.0 / (width * width)), rel=1e-15)
 
 
 def test_channel_response_validation():
@@ -183,11 +188,14 @@ def test_overlap_of_a_narrow_letter_far_from_zero_is_exact():
 
 def test_flat_channel_overlap_of_a_letter_beyond_1e154_is_finite():
     # a c^2 overflows to inf there; a flat channel (k = 0) must add no
-    # k * inf = NaN term to the exponent.
-    far = GaussianAmplitude(1e160, 1.0)
-    assert modulated_overlap(far, far, FlatResponse(1.0)) == 1.0
-    assert modulated_overlap(far, far, FlatResponse(0.5)) == pytest.approx(0.25, abs=1e-15)
-    assert modulated_overlap(far, far, GaussianPeakResponse(1.0, 1.0)) == 0.0
+    # k * inf = NaN term to the exponent.  A numpy scalar centre overflows
+    # as a float does, without a warning.
+    for number in (float, np.float64):
+        far = GaussianAmplitude(number(1e160), 1.0)
+        assert modulated_overlap(far, far, FlatResponse(number(1.0))) == 1.0
+        assert modulated_overlap(far, far, FlatResponse(number(0.5))) == pytest.approx(0.25, abs=1e-15)
+        assert modulated_overlap(far, far, GaussianPeakResponse(1.0, 1.0)) == 0.0
+        assert modulated_overlap(GaussianAmplitude(number(1e200), 1.0), GaussianAmplitude(), FlatResponse(1.0)) == 0j
 
 
 def test_overlap_of_letters_further_apart_than_1e154_is_zero():
@@ -196,6 +204,8 @@ def test_overlap_of_letters_further_apart_than_1e154_is_zero():
     for response in (FlatResponse(1.0), GaussianPeakResponse(1.0, 1.0)):
         assert modulated_overlap(left, right, response) == 0.0
         assert modulated_overlap(right, left, response) == 0.0
+    for number in (float, np.float64):
+        assert modulated_overlap(*make_gaussian_basis(2, number(1e300), 1.0), FlatResponse(1.0)) == 0j
 
 
 @pytest.mark.parametrize("center,width", [(5e154, 1e100), (9e307, 1e100), (9e307, 1.0), (5e159, 1e150)])
