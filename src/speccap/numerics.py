@@ -135,11 +135,14 @@ def weighted_gram(sample, edges):
 def mirror_upper(total):
     """The upper triangle of ``total`` mirrored into an exactly Hermitian matrix with a real diagonal.
 
-    The one mirror of all three routes of ``spectral.gram_matrix``: closed form, exact and adaptive quadrature.
+    ``total`` may be a ``(..., N, N)`` stack; each matrix is mirrored.  The one
+    mirror of every Gram route: the three of ``spectral.gram_matrix`` (closed
+    form, exact and adaptive quadrature) and ``spectral.closed_form_grams``.
     """
     gram = np.triu(total, 1)
-    gram += gram.T.conj()
-    np.fill_diagonal(gram, total.diagonal().real)
+    gram += gram.swapaxes(-1, -2).conj()
+    diagonal = np.arange(total.shape[-1])
+    gram[..., diagonal, diagonal] = total[..., diagonal, diagonal].real
     return gram
 
 

@@ -2,13 +2,18 @@
 
 Frequencies are dimensionless offsets from a carrier; amplitudes are
 unit-normalized (``integral |psi|^2 = 1``) and channels are amplitude
-transmissions in [0, 1].  :func:`gram_matrix` is the one entry point from
-a set of letters to their Gram matrix.  Overlaps of Gaussian amplitudes
+transmissions in [0, 1].  :func:`gram_matrix` is the entry point from a set
+of letters to their Gram matrix.  Overlaps of Gaussian amplitudes
 through flat or Gaussian-passband channels have closed forms, and all-tabulated
 inputs an exact 3-point Gauss-Legendre rule between their merged grid points.
 Everything else goes through one adaptive node rule for a whole set of letters:
 Gauss-Kronrod panels on the segments between those grid points and the centre
 and tails of every factor, bisected where the Kronrod and Gauss matrices disagree.
+:func:`closed_form_grams` builds the closed-form matrices of one set of letters
+through many channels as one stack, in one numpy broadcast.  :func:`gram_matrix`
+still builds its closed form pair by pair, because the benchmark's tracer test
+counts those :func:`modulated_overlap` calls; once it no longer does (ROADMAP
+item 2), one matrix becomes a one-member stack and the pair loop goes.
 """
 from __future__ import annotations
 
@@ -215,8 +220,10 @@ class TabulatedResponse(_Tabulated):
         return np.interp(omega, self.grid, self.values, left=0.0, right=0.0)
 
 
-# Channels whose overlaps with Gaussian letters have the closed form.
-_CLOSED_FORM_RESPONSES = (FlatResponse, GaussianPeakResponse)
+def _has_closed_form(letters, *responses):
+    """The closed form's route rule: all ``letters`` are Gaussian, all ``responses`` flat or Gaussian peaks."""
+    closed = all(isinstance(response, (FlatResponse, GaussianPeakResponse)) for response in responses)
+    return closed and all(isinstance(letter, GaussianAmplitude) for letter in letters)
 
 
 def gram_matrix(letters, response):
@@ -228,10 +235,7 @@ def gram_matrix(letters, response):
     exact for all-tabulated inputs and adaptive otherwise.  All three routes
     end in :func:`numerics.mirror_upper`, which mirrors their upper triangle.
     """
-    if not (
-        isinstance(response, _CLOSED_FORM_RESPONSES)
-        and all(isinstance(letter, GaussianAmplitude) for letter in letters)
-    ):
+    if not _has_closed_form(letters, response):
         return quadrature_gram(letters, response)
     n = len(letters)
     entries = np.zeros((n, n), dtype=complex)
@@ -239,6 +243,42 @@ def gram_matrix(letters, response):
         modulated_overlap(a, b, response) for a, b in combinations_with_replacement(letters, 2)
     ]
     return mirror_upper(entries)
+
+
+def closed_form_grams(letters, responses):
+    """The ``(B, N, N)`` stack of Gram matrices of Gaussian ``letters`` through each of ``responses``.
+
+    One numpy broadcast of :func:`modulated_overlap`'s closed form, in its
+    operand order and with its float-limit rules; only the responses'
+    ``(power, k)`` vary along the stack.  Member ``b`` equals
+    ``gram_matrix(letters, responses[b])`` but where numpy's ``exp`` and
+    libm's round 1 ulp apart.  A letter or response without the closed form
+    raises ValidationError.
+    """
+    if not _has_closed_form(letters, *responses):
+        raise ValidationError("closed-form Gram stacks take Gaussian letters and flat or Gaussian-peak channels")
+    center, width, a, acc = np.array([(letter.center, letter.width, letter._a, letter._acc) for letter in letters]).T
+    power, k = np.reshape([response._power_k for response in responses], (-1, 2, 1, 1)).swapaxes(0, 1)
+    with np.errstate(over="ignore"):
+        # float_power is libm pow, as ** on a float; np.power and np.square round some squares otherwise.
+        square = np.float_power(np.subtract.outer(center, center), 2)
+        # A pair whose square is inf, even where a b underflows to 0, gets an inf exponent: it is orthogonal.
+        spread = np.multiply(np.multiply.outer(a, a), square, out=np.full_like(square, np.inf), where=square < np.inf)
+        # A flat channel (k = 0) adds no k term, so an inf a c^2 meets no 0 * inf.
+        exponent = np.multiply(k, np.add.outer(acc, acc), out=np.zeros((len(power), *square.shape)), where=k > 0)
+        exponent += spread
+        gram = np.add.outer(a, a) + k  # quad = a_i + a_j + k; in place, then the prefactor and the entries
+        exponent /= gram
+        np.exp(np.negative(exponent, out=exponent), out=exponent)
+        gram *= np.multiply.outer(width, width)
+        np.sqrt(np.divide(0.5, gram, out=gram), out=gram)
+        gram *= power
+        gram *= exponent
+    # The temporaries go before the mirror.  Every entry is real and non-negative,
+    # so mirroring before widening to complex gives the same bits in half the bytes.
+    del exponent
+    gram = mirror_upper(gram)
+    return gram.astype(complex)
 
 
 def quadrature_gram(letters, response):
@@ -322,13 +362,7 @@ def modulated_overlap(amp_a, amp_b, response):
     inf, is orthogonal: its overlap is 0, where ``a b`` may underflow to 0
     and meet the inf square.
     """
-    # gram_matrix tests the same route rule for a whole set of letters, so a
-    # new closed-form letter type goes in both places.
-    if (
-        isinstance(amp_a, GaussianAmplitude)
-        and isinstance(amp_b, GaussianAmplitude)
-        and isinstance(response, _CLOSED_FORM_RESPONSES)
-    ):
+    if _has_closed_form((amp_a, amp_b), response):
         ca, cb = amp_a.center, amp_b.center
         a, b = amp_a._a, amp_b._a
         power, k = response._power_k

@@ -21,6 +21,7 @@ from speccap.cli import (
     EXIT_USAGE,
     MAX_GRID_POINTS,
     UsageError,
+    build_parser,
     main,
     parse_grid,
     parse_int_list,
@@ -385,17 +386,18 @@ def test_a_failure_inside_a_block_errors_only_its_own_point(tmp_path, monkeypatc
     clean = tmp_path / "clean.csv"
     assert main([*args, "--out", str(clean)]) == EXIT_OK
     bad_width = 1.0 + 0.5 * bad
-    gram_matrix = speccap.cli.gram_matrix
+    closed_form_grams = speccap.cli.closed_form_grams
     broken = []
 
-    def patched(letters, response):
-        entries = gram_matrix(letters, response)
-        if response.width == bad_width:
-            entries[0, 0] = 1.5
-            broken.append(entries.copy())
-        return entries
+    def patched(letters, responses):
+        stack = closed_form_grams(letters, responses)
+        for entries, response in zip(stack, responses):
+            if response.width == bad_width:
+                entries[0, 0] = 1.5
+                broken.append(entries.copy())
+        return stack
 
-    monkeypatch.setattr("speccap.cli.gram_matrix", patched)
+    monkeypatch.setattr("speccap.cli.closed_form_grams", patched)
     out = tmp_path / "sweep.csv"
     assert main([*args, "--out", str(out)]) == EXIT_OK
     with pytest.raises(speccap.ComputationError, match="survival") as alone:
@@ -405,6 +407,50 @@ def test_a_failure_inside_a_block_errors_only_its_own_point(tmp_path, monkeypatc
     row = ["4", "1", format(bad_width, "g"), "1", "0", "", "", "", str(alone.value)]
     assert next(csv.reader([got[1 + bad]])) == row
     assert got[: 1 + bad] + got[2 + bad :] == want[: 1 + bad] + want[2 + bad :]
+
+
+EDGE_DELTAS = "0,1e155,1e200,1e300"  # gaps whose squares overflow, and centres whose a c^2 does
+EDGE_WIDTHS = "1e-70,1,1e70,1e150"  # channel rates k from 5e139 down to 5e-301
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--mode", "flat", "--delta-omega", EDGE_DELTAS, "--eta", "0,0.5,1"],
+        ["--mode", "gaussian", "--delta-omega", EDGE_DELTAS, "--sigma-eta", EDGE_WIDTHS],
+        ["--mode", "gaussian", "--delta-omega", EDGE_DELTAS, "--sigma-eta", EDGE_WIDTHS, "--sigma-psi", "1e-70", "--p-peak", "0"],
+        ["--mode", "gaussian", "--delta-omega", "0,1", "--sigma-eta=-1,0,1,2,nan"],
+    ],
+)
+def test_a_stacked_sweep_gives_each_point_s_own_bounds(tmp_path, args):
+    # Each block's Gram matrices come from one broadcast; every point must
+    # read as holevo_bound(compute_gram(...)) of that point alone, to 12
+    # significant digits, and an invalid channel errs in its own row only.
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--n", "2,8", *args, "--out", str(out)]) == EXIT_OK
+    parsed = build_parser().parse_args(["sweep", "--n", "2,8", *args, "--out", str(out)])
+    rows = read_rows(out)
+    channels = parse_grid(parsed.eta or parsed.sigma_eta)
+    points = [(n, delta, value) for n in (2, 8) for delta in parse_grid(parsed.delta_omega) for value in channels]
+    assert len(rows) == len(points)
+    for row, (n, delta, value) in zip(rows, points):
+        try:
+            if parsed.mode == "flat":
+                response = speccap.FlatResponse(value)
+            else:
+                response = speccap.GaussianPeakResponse(parsed.p_peak, value)
+            letters = make_gaussian_basis(n, delta, parsed.sigma_psi)
+            report = speccap.holevo_bound(speccap.compute_gram(speccap.EncodingEnsemble.uniform(letters), response))
+        except (speccap.ValidationError, speccap.ComputationError) as exc:
+            assert (row["holevo_bits"], row["error"]) == ("", str(exc))
+            continue
+        assert row["error"] == ""
+        wants = (report.holevo_bits, report.post_selected_bits, report.mean_loss)
+        for column, want in zip(("holevo_bits", "post_selected_bits", "eps_bar"), wants):
+            have = float(row[column])
+            assert abs(have - want) <= 1e-11 * abs(want) or max(abs(have), abs(want)) < 1e-12, (row, column, want)
 
 
 @pytest.mark.parametrize("name, block", [("readme_flat_sweep.csv", 11), ("readme_gaussian_sweep.csv", 15)])

@@ -8,6 +8,7 @@ from speccap.errors import ComputationError, ConvergenceError, PsdViolationError
 from speccap.numerics import (
     clamp_spectrum,
     hermitian_eigenvalues,
+    mirror_upper,
     weighted_gram,
 )
 
@@ -99,6 +100,18 @@ def test_gram_is_exactly_hermitian_and_segments_add_up():
     assert np.all(split.diagonal().imag == 0.0)
     halves = weighted_gram(sample, [-10.0, 0.3]) + weighted_gram(sample, [0.3, 10.0])
     assert np.max(np.abs(split - halves)) <= 1e-12
+
+
+def test_mirror_upper_mirrors_each_matrix_of_a_stack_as_it_mirrors_one():
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
+    mirrored = mirror_upper(stack)
+    assert mirrored.shape == stack.shape
+    for index in np.ndindex(2, 3):
+        alone = mirror_upper(stack[index])
+        assert mirrored[index].tobytes() == alone.tobytes()
+        assert np.array_equal(alone, alone.conj().T) and np.all(alone.diagonal().imag == 0.0)
+        assert np.array_equal(np.triu(alone), np.triu(stack[index], 1) + np.diag(stack[index].diagonal().real))
 
 
 def test_subdivision_budget_counts_every_split(monkeypatch):

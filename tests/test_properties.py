@@ -35,6 +35,7 @@ from speccap.spectral import (
     TabulatedResponse,
     _parse_lines,
     _parse_table,
+    closed_form_grams,
     gram_matrix,
     make_gaussian_basis,
     quadrature_gram,
@@ -147,6 +148,31 @@ def test_closed_form_gram_matches_the_stable_form_for_narrow_letters(letters, re
     entries = compute_gram(EncodingEnsemble.uniform(letters), response).gram
     reference = stable_gaussian_gram(letters, response)
     assert np.all(np.abs(entries - reference) <= 1e-13 * np.abs(reference))
+
+
+# Combs as a sweep builds them, with spacings from 0 past the 1e154 where
+# the centre gap's square overflows, and widths over four decades.
+gaussian_combs = st.builds(
+    make_gaussian_basis,
+    st.integers(1, 8),
+    st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(1e150, 1e300)),
+    st.floats(math.log(0.01), math.log(100.0)).map(math.exp),
+    st.sampled_from(["symmetric", "zero-start"]),
+)
+
+
+@given(gaussian_combs, st.lists(closed_form_channels, min_size=1, max_size=5))
+def test_a_closed_form_stack_holds_each_channel_s_gram_matrix(letters, responses):
+    # numpy's exp and libm's round up to 1 ulp apart; a subnormal entry is
+    # compared on the scale of the smallest normal float.
+    stack = closed_form_grams(letters, responses)
+    assert stack.shape == (len(responses), len(letters), len(letters))
+    for entries, response in zip(stack, responses):
+        reference = gram_matrix(letters, response)
+        scale = np.maximum(np.abs(reference), np.finfo(float).smallest_normal)
+        assert np.all(np.abs(entries - reference) <= 1e-15 * scale)
+        assert np.all(entries[reference == 0] == 0)
+        assert np.all(entries == entries.conj().T) and np.all(entries.diagonal().imag == 0)
 
 
 @given(tabulated_inputs())

@@ -12,6 +12,7 @@ from speccap.spectral import (
     GaussianPeakResponse,
     TabulatedAmplitude,
     TabulatedResponse,
+    closed_form_grams,
     load_tabulated_amplitude,
     load_tabulated_response,
     make_gaussian_basis,
@@ -21,6 +22,11 @@ from speccap.spectral import (
 )
 
 PEAK_VALUE = 0.631618777746064701  # (2 pi)^(-1/4)
+
+
+def stacked_overlaps(amp_a, amp_b, responses):
+    """The ``(a, b)`` overlap through each of ``responses``, read from one :func:`closed_form_grams` stack."""
+    return closed_form_grams((amp_a,) if amp_a is amp_b else (amp_a, amp_b), responses)[:, 0, -1]
 
 
 def test_gaussian_amplitude_peak_value():
@@ -190,22 +196,30 @@ def test_flat_channel_overlap_of_a_letter_beyond_1e154_is_finite():
     # a c^2 overflows to inf there; a flat channel (k = 0) must add no
     # k * inf = NaN term to the exponent.  A numpy scalar centre overflows
     # as a float does, without a warning.
+    # The stack holds both kinds of channel, so the flat members meet a k > 0.
     for number in (float, np.float64):
         far = GaussianAmplitude(number(1e160), 1.0)
         assert modulated_overlap(far, far, FlatResponse(number(1.0))) == 1.0
         assert modulated_overlap(far, far, FlatResponse(number(0.5))) == pytest.approx(0.25, abs=1e-15)
         assert modulated_overlap(far, far, GaussianPeakResponse(1.0, 1.0)) == 0.0
         assert modulated_overlap(GaussianAmplitude(number(1e200), 1.0), GaussianAmplitude(), FlatResponse(1.0)) == 0j
+        responses = [FlatResponse(number(1.0)), GaussianPeakResponse(1.0, 1.0), FlatResponse(number(0.5))]
+        stacked = stacked_overlaps(far, far, responses)
+        assert stacked[0] == 1.0 and stacked[1] == 0.0 and stacked[2] == pytest.approx(0.25, abs=1e-15)
+        assert stacked_overlaps(GaussianAmplitude(number(1e200), 1.0), GaussianAmplitude(), responses).tolist() == [0j] * 3
 
 
 def test_overlap_of_letters_further_apart_than_1e154_is_zero():
     # (c_a - c_b) ** 2 overflows there: the square is inf, not an OverflowError.
     left, right = GaussianAmplitude(-5e159, 1.0), GaussianAmplitude(5e159, 1.0)
-    for response in (FlatResponse(1.0), GaussianPeakResponse(1.0, 1.0)):
+    responses = (FlatResponse(1.0), GaussianPeakResponse(1.0, 1.0))
+    for response in responses:
         assert modulated_overlap(left, right, response) == 0.0
         assert modulated_overlap(right, left, response) == 0.0
+    assert stacked_overlaps(left, right, responses).tolist() == stacked_overlaps(right, left, responses).tolist() == [0j] * 2
     for number in (float, np.float64):
         assert modulated_overlap(*make_gaussian_basis(2, number(1e300), 1.0), FlatResponse(1.0)) == 0j
+        assert stacked_overlaps(*make_gaussian_basis(2, number(1e300), 1.0), responses).tolist() == [0j] * 2
 
 
 @pytest.mark.parametrize("center,width", [(5e154, 1e100), (9e307, 1e100), (9e307, 1.0), (5e159, 1e150)])
@@ -213,17 +227,33 @@ def test_orthogonal_pair_overlap_is_zero_when_a_b_underflows_or_the_gap_is_inf(c
     # At widths near 1e100, a * b underflows to 0 and would meet the inf
     # square as NaN; at +-9e307 the gap c_a - c_b is itself inf.
     left, right = GaussianAmplitude(-center, width), GaussianAmplitude(center, width)
-    for response in (FlatResponse(1.0), GaussianPeakResponse(1.0, 1.0)):
+    responses = (FlatResponse(1.0), GaussianPeakResponse(1.0, 1.0))
+    for response in responses:
         assert modulated_overlap(left, right, response) == 0j
         assert modulated_overlap(right, left, response) == 0j
+    assert stacked_overlaps(left, right, responses).tolist() == stacked_overlaps(right, left, responses).tolist() == [0j] * 2
 
 
 def test_closed_form_squares_the_centre_gap_with_pow():
     # With glibc, gap * gap and gap ** 2 differ in the last bit here, and so
     # do the overlaps they give; the closed form keeps the ** 2 rounding.
     gap = 1.3939
-    overlap = modulated_overlap(GaussianAmplitude(0.0, 1.0), GaussianAmplitude(gap, 1.0), FlatResponse(1.0))
-    assert overlap == math.exp(-(0.0625 * (0.0 - gap) ** 2) / 0.5)
+    expected = math.exp(-(0.0625 * (0.0 - gap) ** 2) / 0.5)
+    pair = GaussianAmplitude(0.0, 1.0), GaussianAmplitude(gap, 1.0)
+    assert modulated_overlap(*pair, FlatResponse(1.0)) == expected
+    assert stacked_overlaps(*pair, [FlatResponse(1.0)]).tolist() == [expected]
+
+
+@pytest.mark.parametrize(
+    "letters, responses",
+    [
+        ([GaussianAmplitude(), TabulatedAmplitude([-1.0, 1.0], [1.0, 1.0])], [FlatResponse(1.0)]),
+        ([GaussianAmplitude()], [FlatResponse(1.0), TabulatedResponse([-1.0, 1.0], [1.0, 1.0])]),
+    ],
+)
+def test_closed_form_stack_rejects_inputs_without_the_closed_form(letters, responses):
+    with pytest.raises(ValidationError, match="closed-form Gram stacks take Gaussian letters"):
+        closed_form_grams(letters, responses)
 
 
 def test_analytic_path_matches_quadrature_on_parameter_grid():
