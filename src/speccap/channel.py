@@ -61,10 +61,11 @@ class GramData:
     """Modulated-letter Gram matrix and priors; the per-letter statistics derive from them.
 
     ``gram[i][j] = integral eta^2 conj(psi_i) psi_j`` is kept as a read-only
-    complex array: a read-only complex one is shared, a writable one copied
-    and any other converted once; ``survival[i]`` is its diagonal, computed
-    once here by :func:`~speccap.spectral.survival_window`, ``loss = 1 -
-    survival``, ``mean_loss`` is the prior-weighted loss, and ``weighted =
+    array, float64 if it is real and complex128 otherwise: a read-only one of
+    that dtype is shared, a writable one copied and any other converted
+    once; ``survival[i]`` is its diagonal, computed once here by
+    :func:`~speccap.spectral.survival_window`, ``loss = 1 - survival``,
+    ``mean_loss`` is the prior-weighted loss, and ``weighted =
     sqrt(P) gram sqrt(P)`` is the matrix carrying the output spectrum,
     checked by :func:`~speccap.numerics.hermitian_eigenvalues`.  ``gram``
     may also be a ``(..., N, N)`` stack of matrices sharing the priors;
@@ -78,7 +79,8 @@ class GramData:
     priors: np.ndarray
 
     def __post_init__(self):
-        gram = np.asarray(self.gram, dtype=complex)
+        gram = np.asarray(self.gram)
+        gram = gram.astype(np.result_type(gram, float), copy=False)
         if gram.ndim < 2 or gram.shape[-1] != gram.shape[-2]:
             raise ValidationError(f"Gram matrix must be square, got shape {gram.shape}")
         if gram.flags.writeable and np.may_share_memory(gram, self.gram):  # the caller's array: copy it

@@ -41,7 +41,7 @@ EXIT_IO = 3
 # Most points a range, or a product of grids, may have; checked before building it.
 MAX_GRID_POINTS = 10**6
 
-# Most sweep points built and solved as one stack: 16 N^2 complex entries, 4 MB at
+# Most sweep points built and solved as one stack: 16 N^2 float64 entries, 2 MB at
 # N = 128, whose build peaks at 6.6 MB traced (tracemalloc).
 _BLOCK_POINTS = 16
 

@@ -8,8 +8,9 @@ overlaps, and their difference is the per-entry error estimate.  Segments
 whose estimate is too large are bisected level by level.  Eigenvalues come
 from LAPACK through ``numpy.linalg.eigvalsh`` (``eigh`` when eigenvectors
 are asked for); matrices are small (N up to ~128) and are plain arrays, or
-stacks of them solved in one call, validated and symmetrized in
-:func:`hermitian_eigenvalues` on their way in.
+stacks of them solved in one call, validated in :func:`hermitian_eigenvalues`
+on their way in.  A real matrix stays real, so LAPACK solves it as a real
+symmetric one.
 """
 from __future__ import annotations
 
@@ -150,23 +151,25 @@ def hermitian_eigenvalues(matrix, *, vectors=False):
     """All eigenvalues of a Hermitian matrix, or of each in a stack, sorted descending (LAPACK ``eigvalsh``).
 
     The one check every matrix passes before LAPACK: ``matrix`` (any array-like
-    of shape ``(..., N, N)``) is read as complex; non-finite entries or
-    asymmetry ``|A - A^H|`` above 1e-12 anywhere in it raise ValidationError,
-    and ``(A + A^H) / 2`` is solved, a stack in one call.  ``vectors=True``
-    returns ``(values, vectors)`` from ``eigh``, eigenvectors as columns.
+    of shape ``(..., N, N)``) is read as float64 if it is real and as complex128
+    otherwise; non-finite entries or asymmetry ``|A - A^H|`` above 1e-12
+    anywhere in it raise ValidationError.  An exactly Hermitian matrix is
+    solved as it is, any other as ``(A + A^H) / 2``, a stack in one call.
+    ``vectors=True`` returns ``(values, vectors)`` from ``eigh``, eigenvectors
+    as columns.
     """
-    arr = np.asarray(matrix, dtype=complex)
+    arr = np.asarray(matrix)
+    arr = arr.astype(np.result_type(arr, float), copy=False)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValidationError("matrix must be square")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("matrix entries must be finite")
-    adjoint = arr.conj().swapaxes(-1, -2)
+    adjoint = arr.conj().swapaxes(-1, -2)  # for a real arr, a view of arr itself: never written to
     deviation = np.max(np.abs(arr - adjoint)) if arr.size else 0.0
     if deviation > 1e-12:
         raise ValidationError(f"matrix is not Hermitian (max asymmetry {deviation:.3e})")
-    adjoint += arr  # in place: a stack's temporaries stay few
-    adjoint *= 0.5
-    arr = adjoint
+    if deviation > 0.0:
+        arr = 0.5 * (arr + adjoint)
     try:
         if vectors:
             values, basis = np.linalg.eigh(arr)

@@ -246,14 +246,14 @@ def gram_matrix(letters, response):
 
 
 def closed_form_grams(letters, responses):
-    """The ``(B, N, N)`` stack of Gram matrices of Gaussian ``letters`` through each of ``responses``.
+    """The real ``(B, N, N)`` stack of Gram matrices of Gaussian ``letters`` through each of ``responses``.
 
     One numpy broadcast of :func:`modulated_overlap`'s closed form, in its
     operand order and with its float-limit rules; only the responses'
-    ``(power, k)`` vary along the stack.  Member ``b`` equals
-    ``gram_matrix(letters, responses[b])`` but where numpy's ``exp`` and
-    libm's round 1 ulp apart.  A letter or response without the closed form
-    raises ValidationError.
+    ``(power, k)`` vary along the stack.  Every entry is real, so the stack
+    is float64.  Member ``b`` equals ``gram_matrix(letters, responses[b])``
+    but where numpy's ``exp`` and libm's round 1 ulp apart.  A letter or
+    response without the closed form raises ValidationError.
     """
     if not _has_closed_form(letters, *responses):
         raise ValidationError("closed-form Gram stacks take Gaussian letters and flat or Gaussian-peak channels")
@@ -274,11 +274,8 @@ def closed_form_grams(letters, responses):
         np.sqrt(np.divide(0.5, gram, out=gram), out=gram)
         gram *= power
         gram *= exponent
-    # The temporaries go before the mirror.  Every entry is real and non-negative,
-    # so mirroring before widening to complex gives the same bits in half the bytes.
-    del exponent
-    gram = mirror_upper(gram)
-    return gram.astype(complex)
+    del exponent  # the temporaries go before the mirror
+    return mirror_upper(gram)
 
 
 def quadrature_gram(letters, response):

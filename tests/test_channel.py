@@ -253,21 +253,38 @@ def test_gram_data_holds_a_read_only_copy_of_a_caller_array():
             getattr(data, name)[0] = 0.0
 
 
-def test_gram_data_converts_a_real_gram_once_and_shares_a_read_only_complex_one():
-    n = 256
-    real = np.diag(np.linspace(0.1, 0.9, n))
-    priors = np.full(n, 1.0 / n)
+def _traced_gram_data(gram, priors):
     tracemalloc.start()
     try:
-        data = GramData(real, priors)
+        data = GramData(gram, priors)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 16 * n * n  # one complex n x n array, not a second copy of it
-    assert data.gram.dtype == complex and not data.gram.flags.writeable
+    return data, peak
+
+
+def test_gram_data_keeps_a_real_gram_real_and_copies_or_converts_it_once():
+    n = 256
+    real = np.diag(np.linspace(0.1, 0.9, n))
+    priors = np.full(n, 1.0 / n)
+    data, peak = _traced_gram_data(real, priors)
+    assert peak < 1.5 * 8 * n * n  # one float64 n x n copy, not a second one
+    assert data.gram.dtype == np.float64 and not data.gram.flags.writeable
     assert not np.shares_memory(data.gram, real)
     assert np.array_equal(data.gram, real)
     assert GramData(data.gram, priors).gram is data.gram
+    for other in (np.eye(n, dtype=int), np.eye(n, dtype=bool), real.astype(np.float32)):
+        converted, peak = _traced_gram_data(other, priors)
+        assert peak < 1.5 * 8 * n * n  # converted once, not converted and then copied
+        assert converted.gram.dtype == np.float64 and not converted.gram.flags.writeable
+        assert np.array_equal(converted.gram, other.astype(np.float64))
+    for dtype in (np.complex64, np.complex128):
+        caller = real.astype(dtype)
+        kept = GramData(caller, priors)
+        assert kept.gram.dtype == np.complex128 and not kept.gram.flags.writeable
+        assert not np.shares_memory(kept.gram, caller)
+        assert np.array_equal(kept.gram, caller)
+        assert GramData(kept.gram, priors).gram is kept.gram
 
 
 class _QuadratureReached(Exception):

@@ -409,6 +409,21 @@ def test_a_failure_inside_a_block_errors_only_its_own_point(tmp_path, monkeypatc
     assert got[: 1 + bad] + got[2 + bad :] == want[: 1 + bad] + want[2 + bad :]
 
 
+@pytest.mark.parametrize("name", sorted(README_SWEEPS))
+def test_a_sweep_solves_its_real_gram_stacks_as_real(tmp_path, monkeypatch, name):
+    solve = speccap.channel.hermitian_eigenvalues
+    dtypes = []
+
+    def recorded(matrix, **kwargs):
+        dtypes.append((matrix.dtype, matrix.ndim))
+        return solve(matrix, **kwargs)
+
+    monkeypatch.setattr("speccap.channel.hermitian_eigenvalues", recorded)
+    args = ["sweep", "--n", "1,8", "--delta-omega", "0,1.5", *README_SWEEPS[name], "--out", str(tmp_path / name)]
+    assert main(args) == EXIT_OK
+    assert dtypes and set(dtypes) == {(np.dtype(np.float64), 3)}
+
+
 EDGE_DELTAS = "0,1e155,1e200,1e300"  # gaps whose squares overflow, and centres whose a c^2 does
 EDGE_WIDTHS = "1e-70,1,1e70,1e150"  # channel rates k from 5e139 down to 5e-301
 

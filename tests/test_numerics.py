@@ -350,6 +350,32 @@ def test_small_asymmetry_is_symmetrized():
     assert np.array_equal(values, np.linalg.eigh(hermitian_part)[0][::-1])
 
 
+# Exactly Hermitian matrices with entries past half the largest float, and their
+# eigenvalues: averaging A with A^H would overflow them to inf and then NaN.
+NEAR_FLOAT_LIMIT = [
+    (np.diag([1e308, 1.0]), [1e308, 1.0]),
+    (np.array([[1.0, 1e308], [1e308, 1.0]]), [1e308, -1e308]),
+    (np.array([[1.0, 1e308j], [-1e308j, 1.0]]), [1e308, -1e308]),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("matrix, expected", NEAR_FLOAT_LIMIT)
+def test_an_exactly_hermitian_matrix_near_the_float_limit_is_solved_as_it_is(matrix, expected):
+    for arr in (matrix, matrix.astype(complex)):
+        assert np.allclose(hermitian_eigenvalues(arr), expected, rtol=1e-15, atol=0.0)
+        values, vectors = hermitian_eigenvalues(arr, vectors=True)
+        assert np.allclose(values, expected, rtol=1e-15, atol=0.0) and np.all(np.isfinite(vectors))
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_stack_near_the_float_limit_is_solved_as_it_is():
+    matrices, expected = zip(*NEAR_FLOAT_LIMIT)
+    for count in (2, 3):  # the two real matrices, then all three as a complex stack
+        values = hermitian_eigenvalues(np.stack(matrices[:count]))
+        assert np.allclose(values, expected[:count], rtol=1e-15, atol=0.0)
+
+
 def _random_hermitian_stack(shape, seed=7):
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)

@@ -262,6 +262,33 @@ def test_a_stack_of_gram_matrices_gives_each_the_bounds_of_its_own_solve(inputs)
         assert all(type(bits) is float for bits in (single.holevo_bits, single.post_selected_bits, single.mean_loss))
 
 
+@st.composite
+def real_gram_stacks(draw):
+    """The real closed-form stack of a random Gaussian comb through 1..16 flat or Gaussian-peak channels.
+
+    Spacing 0, a rank-one comb, is drawn on its own.  Returns the stack and random priors.
+    """
+    n = draw(st.integers(1, 24))
+    spacing = draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
+    width, centering = draw(st.floats(0.3, 3.0)), draw(st.sampled_from(["symmetric", "zero-start"]))
+    letters = make_gaussian_basis(n, spacing, width, centering)
+    channels = draw(st.lists(closed_form_channels, min_size=1, max_size=16))
+    raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    return closed_form_grams(letters, channels), raw / raw.sum()
+
+
+@given(real_gram_stacks())
+def test_a_real_gram_stack_gives_the_bounds_of_its_complex_solve(inputs):
+    stack, priors = inputs
+    real, widened = GramData(stack, priors), GramData(stack.astype(complex), priors)
+    assert real.gram.dtype == np.float64 and widened.gram.dtype == np.complex128
+    assert np.array_equal(real.survival, widened.survival)
+    report, widened_report = holevo_bound(real), holevo_bound(widened)
+    assert np.array_equal(report.mean_loss, widened_report.mean_loss)
+    for field in ("holevo_bits", "post_selected_bits"):
+        assert np.max(np.abs(getattr(report, field) - getattr(widened_report, field))) <= 1e-12, field
+
+
 @given(gaussian_ensembles(), closed_form_channels)
 def test_gaussian_ensembles_conserve_probability_and_order_the_bounds(ensemble, response):
     report = holevo_bound(compute_gram(ensemble, response))
