@@ -41,8 +41,8 @@ EXIT_IO = 3
 # Most points a range, or a product of grids, may have; checked before building it.
 MAX_GRID_POINTS = 10**6
 
-# Most sweep points built and solved as one stack: 16 N^2 float64 entries, 2 MB at
-# N = 128, whose build peaks at 6.6 MB traced (tracemalloc).
+# Most sweep points built and solved as one stack: 16 N^2 float64 entries, 2.1 MB at
+# N = 128, whose build peaks at 4.4 MB traced (tracemalloc).
 _BLOCK_POINTS = 16
 
 
@@ -145,9 +145,11 @@ def _stack_cells(gram, priors):
 def cmd_sweep(args):
     """One CSV row per grid point, in grid order; each ``(n, spacing)`` comb is built once for all its points.
 
-    Uniform-prior points of a comb are solved in blocks of up to
-    ``_BLOCK_POINTS`` consecutive points, one :func:`closed_form_grams` build
-    and one stacked eigensolve each.
+    Each channel value's response, or its validation message, and its key
+    cell are built once per sweep and shared by every comb.  Uniform-prior
+    points of a comb are solved in blocks of up to ``_BLOCK_POINTS``
+    consecutive points, one :func:`closed_form_grams` build and one stacked
+    eigensolve each.
     """
     n_list = parse_int_list(args.n)
     delta_grid = parse_grid(args.delta_omega)
@@ -162,26 +164,34 @@ def cmd_sweep(args):
         channel_grid = parse_grid(args.sigma_eta)
         header = ["n", "delta_omega", "sigma_eta", "p_peak"]
     header += ["post_select", "holevo_bits", "post_selected_bits", "eps_bar", "error"]
-    points = _grid_points(n_list, delta_grid, channel_grid)
+    channels = []
+    for channel_value in channel_grid:
+        try:
+            if args.mode == "flat":
+                response = FlatResponse(channel_value)
+            else:
+                response = GaussianPeakResponse(args.p_peak, channel_value)
+            channels.append((_fmt(channel_value), response, None))
+        except (ValidationError, ComputationError) as exc:
+            channels.append((_fmt(channel_value), None, str(exc)))
+    peak_cells = [_fmt(args.p_peak)] if args.mode == "gaussian" else []
+    points = _grid_points(n_list, delta_grid, channels)
 
     _check_thread_env()
     rows = []
     for (n, delta), group in itertools.groupby(points, key=lambda point: point[:2]):
-        group = [channel_value for _, _, channel_value in group]
+        group = [channel for _, _, channel in group]
+        key = [n, _fmt(delta)]
         ensemble = None  # the comb, built at the first point whose channel is valid
         for start in range(0, len(group), _BLOCK_POINTS):
             pending, responses = [], []  # rows and channels of the block's points that await its stacked solve
-            for channel_value in group[start : start + _BLOCK_POINTS]:
-                row = [n, _fmt(delta), _fmt(channel_value)]
-                if args.mode == "gaussian":
-                    row.append(_fmt(args.p_peak))
-                row.append(int(args.post_select))
+            for channel_cell, response, message in group[start : start + _BLOCK_POINTS]:
+                row = [*key, channel_cell, *peak_cells, int(args.post_select)]
                 rows.append(row)
+                if response is None:
+                    row += ["", "", "", message]
+                    continue
                 try:
-                    if args.mode == "flat":
-                        response = FlatResponse(channel_value)
-                    else:
-                        response = GaussianPeakResponse(args.p_peak, channel_value)
                     ensemble = ensemble or EncodingEnsemble.uniform(
                         make_gaussian_basis(n, delta, args.sigma_psi, args.centering)
                     )

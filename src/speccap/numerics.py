@@ -14,6 +14,9 @@ symmetric one.
 """
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 from .errors import ComputationError, ConvergenceError, PsdViolationError, ValidationError
@@ -130,20 +133,55 @@ def weighted_gram(sample, edges):
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
         share = 0.5 * np.concatenate([share[keep], share[keep]])
-    return mirror_upper(total)
+    return mirror_upper(total[upper_triangle(len(total))])
 
 
-def mirror_upper(total):
-    """The upper triangle of ``total`` mirrored into an exactly Hermitian matrix with a real diagonal.
+@functools.lru_cache(maxsize=16)
+def upper_triangle(n):
+    """``np.triu_indices(n)``: the ``N (N + 1) / 2`` upper-triangle places of an N x N matrix, row by row; cached, read-only."""
+    rows, cols = np.triu_indices(n)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
-    ``total`` may be a ``(..., N, N)`` stack; each matrix is mirrored.  The one
-    mirror of every Gram route: the three of ``spectral.gram_matrix`` (closed
-    form, exact and adaptive quadrature) and ``spectral.closed_form_grams``.
+
+@functools.lru_cache(maxsize=16)
+def _mirror_index(size):
+    """Where :func:`mirror_upper` reads each entry of an N x N matrix, ``size = N (N + 1) / 2``, and the diagonal's places.
+
+    ``(i, j)`` reads packed place ``p`` of ``(min(i, j), max(i, j))``, and below
+    the diagonal ``size + p``: a conjugated second half, or wrapped, ``p`` itself.
     """
-    gram = np.triu(total, 1)
-    gram += gram.swapaxes(-1, -2).conj()
-    diagonal = np.arange(total.shape[-1])
-    gram[..., diagonal, diagonal] = total[..., diagonal, diagonal].real
+    n = (math.isqrt(8 * size + 1) - 1) // 2
+    rows, cols = upper_triangle(n)
+    index = np.empty((n, n), dtype=np.intp)
+    index[cols, rows] = np.arange(size, 2 * size)
+    index[rows, cols] = np.arange(size)
+    index.setflags(write=False)
+    return index, index.diagonal()
+
+
+def mirror_upper(upper):
+    """The exactly Hermitian matrix, with a real diagonal, whose upper triangle is the packed ``upper``.
+
+    ``upper`` has shape ``(..., N (N + 1) / 2)``: the upper triangle of each
+    matrix in :func:`upper_triangle` order, which is also the order of a
+    pair loop over ``itertools.combinations_with_replacement``.  Each value
+    is gathered to ``(i, j)`` and its conjugate to ``(j, i)``, so the result
+    is Hermitian by construction.  Off the diagonal both are added to a zero,
+    ``u + conj(0)`` and ``conj(u) + 0``, which turns a -0.0 part into 0.0 as
+    ``triu(A, 1) + triu(A, 1)^H`` does.  The one mirror of every Gram route:
+    the three of ``spectral.gram_matrix`` (closed form, exact and adaptive
+    quadrature) and ``spectral.closed_form_grams``.
+    """
+    index, diagonal = _mirror_index(upper.shape[-1])
+    zero = np.zeros((), upper.dtype)
+    source = upper + zero.conj()
+    if np.iscomplexobj(upper):  # a real conj(u) + 0 is u + 0 itself
+        source = np.concatenate([source, upper.conj() + zero], axis=-1)
+    gram = np.take(source, index, axis=-1, mode="wrap")
+    places = np.arange(len(diagonal))
+    gram[..., places, places] = upper[..., diagonal].real
     return gram
 
 
@@ -153,8 +191,10 @@ def hermitian_eigenvalues(matrix, *, vectors=False):
     The one check every matrix passes before LAPACK: ``matrix`` (any array-like
     of shape ``(..., N, N)``) is read as float64 if it is real and as complex128
     otherwise; non-finite entries or asymmetry ``|A - A^H|`` above 1e-12
-    anywhere in it raise ValidationError.  An exactly Hermitian matrix is
-    solved as it is, any other as ``(A + A^H) / 2``, a stack in one call.
+    anywhere in it raise ValidationError.  An exactly Hermitian matrix, found
+    by one comparison with ``A^H``, is solved as it is; only any other has its
+    asymmetry measured, and is solved as ``(A + A^H) / 2``.  A stack is solved
+    in one call.
     ``vectors=True`` returns ``(values, vectors)`` from ``eigh``, eigenvectors
     as columns.
     """
@@ -165,10 +205,11 @@ def hermitian_eigenvalues(matrix, *, vectors=False):
     if not np.all(np.isfinite(arr)):
         raise ValidationError("matrix entries must be finite")
     adjoint = arr.conj().swapaxes(-1, -2)  # for a real arr, a view of arr itself: never written to
-    deviation = np.max(np.abs(arr - adjoint)) if arr.size else 0.0
-    if deviation > 1e-12:
-        raise ValidationError(f"matrix is not Hermitian (max asymmetry {deviation:.3e})")
-    if deviation > 0.0:
+    if not np.array_equal(arr, adjoint):
+        with np.errstate(over="ignore"):  # a difference past the largest float is inf, and rejected
+            deviation = np.max(np.abs(arr - adjoint))
+        if deviation > 1e-12:
+            raise ValidationError(f"matrix is not Hermitian (max asymmetry {deviation:.3e})")
         arr = 0.5 * (arr + adjoint)
     try:
         if vectors:

@@ -10,7 +10,8 @@ Everything else goes through one adaptive node rule for a whole set of letters:
 Gauss-Kronrod panels on the segments between those grid points and the centre
 and tails of every factor, bisected where the Kronrod and Gauss matrices disagree.
 :func:`closed_form_grams` builds the closed-form matrices of one set of letters
-through many channels as one stack, in one numpy broadcast.  :func:`gram_matrix`
+through many channels as one stack, in one numpy broadcast over the pairs of
+one upper triangle, mirrored by :func:`numerics.mirror_upper`.  :func:`gram_matrix`
 still builds its closed form pair by pair, because the benchmark's tracer test
 counts those :func:`modulated_overlap` calls; once it no longer does (ROADMAP
 item 2), one matrix becomes a one-member stack and the pair loop goes.
@@ -233,44 +234,46 @@ def gram_matrix(letters, response):
     of :func:`modulated_overlap` pair by pair, in one pass over the upper
     triangle.  Every other set of letters goes through :func:`quadrature_gram`,
     exact for all-tabulated inputs and adaptive otherwise.  All three routes
-    end in :func:`numerics.mirror_upper`, which mirrors their upper triangle.
+    end in :func:`numerics.mirror_upper`, which mirrors their packed upper
+    triangle.
     """
     if not _has_closed_form(letters, response):
         return quadrature_gram(letters, response)
-    n = len(letters)
-    entries = np.zeros((n, n), dtype=complex)
-    entries[np.tri(n, dtype=bool).T] = [  # the upper triangle, row by row
-        modulated_overlap(a, b, response) for a, b in combinations_with_replacement(letters, 2)
-    ]
-    return mirror_upper(entries)
+    upper = [modulated_overlap(a, b, response) for a, b in combinations_with_replacement(letters, 2)]
+    return mirror_upper(np.array(upper, dtype=complex))
 
 
 def closed_form_grams(letters, responses):
     """The real ``(B, N, N)`` stack of Gram matrices of Gaussian ``letters`` through each of ``responses``.
 
-    One numpy broadcast of :func:`modulated_overlap`'s closed form, in its
-    operand order and with its float-limit rules; only the responses'
-    ``(power, k)`` vary along the stack.  Every entry is real, so the stack
-    is float64.  Member ``b`` equals ``gram_matrix(letters, responses[b])``
-    but where numpy's ``exp`` and libm's round 1 ulp apart.  A letter or
-    response without the closed form raises ValidationError.
+    One numpy broadcast of :func:`modulated_overlap`'s closed form over the
+    ``N (N + 1) / 2`` pairs ``i <= j``, in its operand order and with its
+    float-limit rules; only the responses' ``(power, k)`` vary along the
+    stack.  :func:`numerics.mirror_upper` writes each pair's value to both
+    ``(i, j)`` and ``(j, i)``, so every member is exactly symmetric.  Every
+    entry is real, so the stack is float64.  Member ``b`` equals
+    ``gram_matrix(letters, responses[b])`` but where numpy's ``exp`` and
+    libm's round 1 ulp apart.  A letter or response without the closed form
+    raises ValidationError.
     """
     if not _has_closed_form(letters, *responses):
         raise ValidationError("closed-form Gram stacks take Gaussian letters and flat or Gaussian-peak channels")
+    rows, cols = numerics.upper_triangle(len(letters))
     center, width, a, acc = np.array([(letter.center, letter.width, letter._a, letter._acc) for letter in letters]).T
-    power, k = np.reshape([response._power_k for response in responses], (-1, 2, 1, 1)).swapaxes(0, 1)
+    power, k = np.reshape([response._power_k for response in responses], (-1, 2, 1)).swapaxes(0, 1)
     with np.errstate(over="ignore"):
         # float_power is libm pow, as ** on a float; np.power and np.square round some squares otherwise.
-        square = np.float_power(np.subtract.outer(center, center), 2)
+        square = np.float_power(center[rows] - center[cols], 2)
         # A pair whose square is inf, even where a b underflows to 0, gets an inf exponent: it is orthogonal.
-        spread = np.multiply(np.multiply.outer(a, a), square, out=np.full_like(square, np.inf), where=square < np.inf)
-        # A flat channel (k = 0) adds no k term, so an inf a c^2 meets no 0 * inf.
-        exponent = np.multiply(k, np.add.outer(acc, acc), out=np.zeros((len(power), *square.shape)), where=k > 0)
-        exponent += spread
-        gram = np.add.outer(a, a) + k  # quad = a_i + a_j + k; in place, then the prefactor and the entries
+        spread = np.multiply(a[rows] * a[cols], square, out=np.full_like(square, np.inf), where=square < np.inf)
+        # The negated exponent: (-k) s - spread is exactly -(k s + spread).  A flat
+        # channel (k = 0) adds no k term, so an inf a c^2 meets no 0 * inf.
+        exponent = np.multiply(-k, acc[rows] + acc[cols], out=np.zeros((len(power), rows.size)), where=k > 0)
+        exponent -= spread
+        gram = a[rows] + a[cols] + k  # quad = a_i + a_j + k; in place, then the prefactor and the entries
         exponent /= gram
-        np.exp(np.negative(exponent, out=exponent), out=exponent)
-        gram *= np.multiply.outer(width, width)
+        np.exp(exponent, out=exponent)
+        gram *= width[rows] * width[cols]
         np.sqrt(np.divide(0.5, gram, out=gram), out=gram)
         gram *= power
         gram *= exponent
@@ -335,7 +338,8 @@ def quadrature_gram(letters, response):
         return weighted_gram(sample, edges)
     nodes, weights = _segment_rule(edges)
     columns, power = sample(nodes)
-    return mirror_upper((columns.conj().T * (weights * power)) @ columns)
+    gram = (columns.conj().T * (weights * power)) @ columns
+    return mirror_upper(gram[numerics.upper_triangle(len(letters))])
 
 
 def modulated_overlap(amp_a, amp_b, response):

@@ -435,12 +435,16 @@ EDGE_WIDTHS = "1e-70,1,1e70,1e150"  # channel rates k from 5e139 down to 5e-301
         ["--mode", "gaussian", "--delta-omega", EDGE_DELTAS, "--sigma-eta", EDGE_WIDTHS],
         ["--mode", "gaussian", "--delta-omega", EDGE_DELTAS, "--sigma-eta", EDGE_WIDTHS, "--sigma-psi", "1e-70", "--p-peak", "0"],
         ["--mode", "gaussian", "--delta-omega", "0,1", "--sigma-eta=-1,0,1,2,nan"],
+        # Repeated, nan and signed-zero channel values, shared by every comb.
+        ["--mode", "gaussian", "--delta-omega", "0,0.5,1e200", "--sigma-eta=1,1,nan,nan,-0.0,0"],
+        ["--mode", "flat", "--delta-omega", "0,0.5,1e200", "--eta=-0.0,0,0.5,0.5"],
     ],
 )
 def test_a_stacked_sweep_gives_each_point_s_own_bounds(tmp_path, args):
     # Each block's Gram matrices come from one broadcast; every point must
     # read as holevo_bound(compute_gram(...)) of that point alone, to 12
-    # significant digits, and an invalid channel errs in its own row only.
+    # significant digits, under its own key cells, and an invalid channel
+    # errs in its own row only.
     out = tmp_path / "sweep.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -451,6 +455,8 @@ def test_a_stacked_sweep_gives_each_point_s_own_bounds(tmp_path, args):
     points = [(n, delta, value) for n in (2, 8) for delta in parse_grid(parsed.delta_omega) for value in channels]
     assert len(rows) == len(points)
     for row, (n, delta, value) in zip(rows, points):
+        key = [row["n"], row["delta_omega"], row.get("eta") or row["sigma_eta"]]
+        assert key == [str(n), format(delta, ".12g"), format(value, ".12g")]
         try:
             if parsed.mode == "flat":
                 response = speccap.FlatResponse(value)

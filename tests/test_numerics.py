@@ -103,15 +103,24 @@ def test_gram_is_exactly_hermitian_and_segments_add_up():
 
 
 def test_mirror_upper_mirrors_each_matrix_of_a_stack_as_it_mirrors_one():
+    # Packed upper triangles with parts of both signed zeros; each member must be,
+    # bit for bit, the triangle plus its adjoint with the diagonal's real part.
     rng = np.random.default_rng(3)
-    stack = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
-    mirrored = mirror_upper(stack)
-    assert mirrored.shape == stack.shape
-    for index in np.ndindex(2, 3):
-        alone = mirror_upper(stack[index])
-        assert mirrored[index].tobytes() == alone.tobytes()
-        assert np.array_equal(alone, alone.conj().T) and np.all(alone.diagonal().imag == 0.0)
-        assert np.array_equal(np.triu(alone), np.triu(stack[index], 1) + np.diag(stack[index].diagonal().real))
+    rows, cols = np.triu_indices(4)
+    parts = rng.choice([-0.0, 0.0, -1.5, 2.0], size=(2, 2, 3, rows.size)) * rng.normal(size=(2, 2, 3, rows.size))
+    for stack in (parts[0], parts[0] + 1j * parts[1]):
+        mirrored = mirror_upper(stack)
+        assert mirrored.shape == (2, 3, 4, 4) and mirrored.dtype == stack.dtype
+        for index in np.ndindex(2, 3):
+            alone = mirror_upper(stack[index])
+            assert mirrored[index].tobytes() == alone.tobytes()
+            full = np.zeros((4, 4), dtype=stack.dtype)
+            full[rows, cols] = stack[index]
+            want = np.triu(full, 1)
+            want += want.conj().T
+            want[np.diag_indices(4)] = full.diagonal().real
+            assert alone.tobytes() == want.tobytes()
+            assert np.array_equal(alone, alone.conj().T) and np.all(alone.diagonal().imag == 0.0)
 
 
 def test_subdivision_budget_counts_every_split(monkeypatch):
@@ -288,6 +297,22 @@ def test_non_hermitian_rejected():
         for vectors in (False, True):
             with pytest.raises(ValidationError, match="not Hermitian"):
                 hermitian_eigenvalues(matrix, vectors=vectors)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[1.0, 1e308], [-1e308, 1.0]],
+        [[1.0, complex(1e308, 1e308)], [complex(-1e308, 1e308), 1.0]],
+        [np.eye(2), [[1.0, -1.5e308], [1.5e308, 1.0]]],  # a stack whose second member alone is asymmetric
+    ],
+)
+def test_an_asymmetry_past_the_largest_float_is_rejected_without_a_warning(matrix):
+    # A - A^H overflows to inf here; that is an asymmetry to reject, not a float error.
+    for vectors in (False, True):
+        with pytest.raises(ValidationError, match=r"not Hermitian \(max asymmetry inf\)"):
+            hermitian_eigenvalues(matrix, vectors=vectors)
 
 
 @pytest.mark.parametrize("matrix", [3.0, np.zeros(3), np.zeros((2, 3)), np.zeros((4, 2, 3)), np.zeros((2, 3, 3, 1))])

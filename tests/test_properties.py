@@ -175,6 +175,24 @@ def test_a_closed_form_stack_holds_each_channel_s_gram_matrix(letters, responses
         assert np.all(entries == entries.conj().T) and np.all(entries.diagonal().imag == 0)
 
 
+@pytest.mark.parametrize("spacing", [0.0, 0.5, 1e200])
+@pytest.mark.parametrize("n", [32, 128])
+def test_a_closed_form_stack_at_sweep_sizes_holds_each_channel_s_gram_matrix(n, spacing):
+    # The comb sizes a sweep builds, which the property above does not reach:
+    # each member against the pair loop, and mirrored bit for bit.
+    letters = make_gaussian_basis(n, spacing, 1.0)
+    responses = [FlatResponse(1.0), FlatResponse(0.3), GaussianPeakResponse(0.8, 1.5), GaussianPeakResponse(1.0, 20.0)]
+    stack = closed_form_grams(letters, responses)
+    assert stack.shape == (len(responses), n, n) and stack.dtype == np.float64
+    bits = stack.view(np.uint64)
+    assert np.array_equal(bits, bits.swapaxes(1, 2))
+    for entries, response in zip(stack, responses):
+        reference = gram_matrix(letters, response)
+        scale = np.maximum(np.abs(reference), np.finfo(float).smallest_normal)
+        assert np.all(np.abs(entries - reference) <= 1e-15 * scale)
+        assert np.all(entries[reference == 0] == 0)
+
+
 @given(tabulated_inputs())
 def test_tabulated_gram_is_the_exact_segment_sum(inputs):
     grid, letters, response = inputs
