@@ -31,6 +31,12 @@ def _entropy_bits(probabilities):
     return -np.sum(p * np.log2(np.where(p > 0.0, p, 1.0)), axis=-1)
 
 
+def _binary_entropies(loss):
+    """``_entropy_bits`` of each ``[loss, 1 - loss]``, unstacked: a loss ``1 - survival`` has no -0.0 term to sum."""
+    kept = 1.0 - loss
+    return -(loss * np.log2(np.where(loss > 0.0, loss, 1.0)) + kept * np.log2(np.where(kept > 0.0, kept, 1.0)))
+
+
 def binary_entropy(x):
     """Entropy h(x) of a biased coin, in bits, with h(0) = h(1) = 0."""
     if not -1e-12 <= x <= 1.0 + 1e-12:
@@ -94,7 +100,7 @@ def holevo_bound(gram_data):
     """
     spectrum, mean_loss = output_spectrum(gram_data)
     loss = gram_data.loss
-    letter_entropies = _entropy_bits(np.stack([loss, 1.0 - loss], axis=-1))
+    letter_entropies = _binary_entropies(loss)
     spectrum_entropy = _entropy_bits(spectrum)
     vacuum = -mean_loss * np.log2(np.where(mean_loss > 0.0, mean_loss, 1.0))
     holevo = vacuum + spectrum_entropy - np.vecdot(letter_entropies, gram_data.priors)
@@ -257,7 +263,7 @@ def _letter_divergences(gram, loss, weights):
     photon = (np.log2(safe) / safe) @ np.abs(vectors.conj().T @ (root[:, None] * gram)) ** 2
     mean_loss = float(weights @ loss)
     vacuum = loss * math.log2(mean_loss) if mean_loss > 0.0 else 0.0
-    return -_entropy_bits(np.stack([loss, 1.0 - loss], axis=-1)) - vacuum - photon
+    return -_binary_entropies(loss) - vacuum - photon
 
 
 def optimize_priors(ensemble, response):

@@ -65,14 +65,14 @@ class GramData:
     that dtype is shared, a writable one copied and any other converted
     once; ``survival[i]`` is its diagonal, computed once here by
     :func:`~speccap.spectral.survival_window`, ``loss = 1 - survival``,
-    ``mean_loss`` is the prior-weighted loss, and ``weighted =
-    sqrt(P) gram sqrt(P)`` is the matrix carrying the output spectrum,
-    checked by :func:`~speccap.numerics.hermitian_eigenvalues`.  ``gram``
-    may also be a ``(..., N, N)`` stack of matrices sharing the priors;
-    every statistic then carries the stack's leading axes, and
-    ``mean_loss`` is an array instead of a float.  Construction raises
-    ``ValidationError`` for a non-square gram and ``ComputationError`` when
-    a diagonal is NaN or leaves [0, 1] by more than 1e-10.
+    ``mean_loss`` is the prior-weighted loss, and ``weighted = sqrt(P) gram
+    sqrt(P)`` is the matrix carrying the output spectrum, checked by
+    :func:`~speccap.numerics.hermitian_eigenvalues`.  ``gram`` may also be a
+    ``(..., N, N)`` stack of matrices sharing the priors; every statistic
+    then carries the stack's leading axes, and ``mean_loss`` is an array
+    instead of a float.  Construction raises ``ValidationError`` for a
+    non-square gram or bad priors and ``ComputationError`` when a diagonal
+    is NaN or leaves [0, 1] by more than 1e-10.
     """
 
     gram: np.ndarray

@@ -1,12 +1,12 @@
 """Command-line front end: parameter sweeps, curves, and plots as flat files.
 
 Exit codes: 0 success, 1 usage or validation, 2 computation failure, 3 I/O.
-A sweep builds the Gram matrices of up to 16 consecutive points of one comb
-in one closed-form broadcast and solves them as one stacked eigensolve, point
-by point where that stack fails, and emits its rows in grid order.  ``sweep``
-and ``two-state`` reject a SPECCAP_THREADS that is set but not a positive
-integer (exit 1); a valid value schedules nothing, so output never depends on
-it.
+A sweep builds each comb once, as arrays, and the Gram matrices of up to 16
+consecutive points of it in one closed-form broadcast; it solves them as one
+stacked eigensolve, point by point where that stack fails, and emits its rows
+in grid order.  ``sweep`` and ``two-state`` reject a SPECCAP_THREADS that is
+set but not a positive integer (exit 1); a valid value schedules nothing, so
+output never depends on it.
 """
 from __future__ import annotations
 
@@ -27,7 +27,8 @@ from .errors import ComputationError, ValidationError
 from .spectral import (
     FlatResponse,
     GaussianPeakResponse,
-    closed_form_grams,
+    comb_grams,
+    gaussian_comb,
     load_tabulated_amplitude,
     load_tabulated_response,
     make_gaussian_basis,
@@ -123,7 +124,7 @@ def _write_csv(path, header, rows):
 def _report_cells(report):
     """The bound cells and empty error cell of each point of ``report``; one row for one matrix's report."""
     bits = np.stack([report.holevo_bits, report.post_selected_bits, report.mean_loss], axis=-1)
-    return [[*map(_fmt, row), ""] for row in np.reshape(bits, (-1, 3))]
+    return [[*map(_fmt, row), ""] for row in bits.reshape(-1, 3).tolist()]
 
 
 def _stack_cells(gram, priors):
@@ -147,9 +148,9 @@ def cmd_sweep(args):
 
     Each channel value's response, or its validation message, and its key
     cell are built once per sweep and shared by every comb.  Uniform-prior
-    points of a comb are solved in blocks of up to ``_BLOCK_POINTS``
-    consecutive points, one :func:`closed_form_grams` build and one stacked
-    eigensolve each.
+    points take the comb's :func:`gaussian_comb` arrays, in blocks of up to
+    ``_BLOCK_POINTS`` consecutive points: one :func:`comb_grams` build, one
+    ``GramData`` check of the priors and one stacked eigensolve each.
     """
     n_list = parse_int_list(args.n)
     delta_grid = parse_grid(args.delta_omega)
@@ -182,7 +183,9 @@ def cmd_sweep(args):
     for (n, delta), group in itertools.groupby(points, key=lambda point: point[:2]):
         group = [channel for _, _, channel in group]
         key = [n, _fmt(delta)]
-        ensemble = None  # the comb, built at the first point whose channel is valid
+        optimize = args.priors == "optimized" and n >= 2
+        shape = (n, delta, args.sigma_psi, args.centering)
+        comb = None  # its arrays, or its letters' ensemble when optimizing; built at the first valid channel
         for start in range(0, len(group), _BLOCK_POINTS):
             pending, responses = [], []  # rows and channels of the block's points that await its stacked solve
             for channel_cell, response, message in group[start : start + _BLOCK_POINTS]:
@@ -192,20 +195,19 @@ def cmd_sweep(args):
                     row += ["", "", "", message]
                     continue
                 try:
-                    ensemble = ensemble or EncodingEnsemble.uniform(
-                        make_gaussian_basis(n, delta, args.sigma_psi, args.centering)
-                    )
-                    if args.priors == "optimized" and n >= 2:
-                        row += _report_cells(optimize_priors(ensemble, response)[1])[0]
+                    if optimize:
+                        comb = comb or EncodingEnsemble.uniform(make_gaussian_basis(*shape))
+                        row += _report_cells(optimize_priors(comb, response)[1])[0]
                     else:
+                        comb = comb or gaussian_comb(*shape)
                         responses.append(response)
                         pending.append(row)
                 except (ValidationError, ComputationError) as exc:
                     row += ["", "", "", str(exc)]
             if responses:
-                stack = closed_form_grams(ensemble.letters, responses)
+                stack = comb_grams(comb, responses)
                 stack.setflags(write=False)  # so GramData shares it instead of copying
-                for row, cells in zip(pending, _stack_cells(stack, ensemble.priors)):
+                for row, cells in zip(pending, _stack_cells(stack, np.full(n, 1.0 / n))):
                     row += cells
     _write_csv(args.out, header, rows)
     return EXIT_OK

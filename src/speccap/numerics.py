@@ -145,20 +145,22 @@ def upper_triangle(n):
     return rows, cols
 
 
-@functools.lru_cache(maxsize=16)
-def _mirror_index(size):
-    """Where :func:`mirror_upper` reads each entry of an N x N matrix, ``size = N (N + 1) / 2``, and the diagonal's places.
+@functools.lru_cache(maxsize=32)
+def _mirror_index(size, hermitian):
+    """Where :func:`mirror_upper` reads each entry of an N x N matrix, ``size = N (N + 1) / 2``, and a zero per place.
 
-    ``(i, j)`` reads packed place ``p`` of ``(min(i, j), max(i, j))``, and below
-    the diagonal ``size + p``: a conjugated second half, or wrapped, ``p`` itself.
+    ``(i, j)`` reads packed place ``p`` of ``(min(i, j), max(i, j))``, and below the diagonal of a ``hermitian``
+    triangle ``size + p``, its conjugated second half.  The zero, -0.0 on the diagonal, changes only a -0.0 off it.
     """
     n = (math.isqrt(8 * size + 1) - 1) // 2
     rows, cols = upper_triangle(n)
     index = np.empty((n, n), dtype=np.intp)
-    index[cols, rows] = np.arange(size, 2 * size)
+    index[cols, rows] = np.arange(size) + hermitian * size
     index[rows, cols] = np.arange(size)
+    zero = np.where(rows == cols, -0.0, 0.0)
     index.setflags(write=False)
-    return index, index.diagonal()
+    zero.setflags(write=False)
+    return index, zero
 
 
 def mirror_upper(upper):
@@ -170,18 +172,19 @@ def mirror_upper(upper):
     is gathered to ``(i, j)`` and its conjugate to ``(j, i)``, so the result
     is Hermitian by construction.  Off the diagonal both are added to a zero,
     ``u + conj(0)`` and ``conj(u) + 0``, which turns a -0.0 part into 0.0 as
-    ``triu(A, 1) + triu(A, 1)^H`` does.  The one mirror of every Gram route:
-    the three of ``spectral.gram_matrix`` (closed form, exact and adaptive
-    quadrature) and ``spectral.closed_form_grams``.
+    ``triu(A, 1) + triu(A, 1)^H`` does; a real triangle is gathered once, by
+    a symmetric index.  The one mirror of every Gram route: the three of
+    ``spectral.gram_matrix`` (closed form, exact and adaptive quadrature)
+    and ``spectral.comb_grams``.
     """
-    index, diagonal = _mirror_index(upper.shape[-1])
+    hermitian = np.iscomplexobj(upper)
+    index, zeros = _mirror_index(upper.shape[-1], hermitian)
+    if not hermitian:
+        return np.take(upper + zeros, index, axis=-1)
     zero = np.zeros((), upper.dtype)
-    source = upper + zero.conj()
-    if np.iscomplexobj(upper):  # a real conj(u) + 0 is u + 0 itself
-        source = np.concatenate([source, upper.conj() + zero], axis=-1)
-    gram = np.take(source, index, axis=-1, mode="wrap")
-    places = np.arange(len(diagonal))
-    gram[..., places, places] = upper[..., diagonal].real
+    gram = np.take(np.concatenate([upper + zero.conj(), upper.conj() + zero], axis=-1), index, axis=-1)
+    places = np.arange(len(index))
+    gram[..., places, places] = upper[..., index.diagonal()].real
     return gram
 
 

@@ -9,7 +9,7 @@ inputs an exact 3-point Gauss-Legendre rule between their merged grid points.
 Everything else goes through one adaptive node rule for a whole set of letters:
 Gauss-Kronrod panels on the segments between those grid points and the centre
 and tails of every factor, bisected where the Kronrod and Gauss matrices disagree.
-:func:`closed_form_grams` builds the closed-form matrices of one set of letters
+:func:`comb_grams` builds the closed-form matrices of one set of letters, as arrays,
 through many channels as one stack, in one numpy broadcast over the pairs of
 one upper triangle, mirrored by :func:`numerics.mirror_upper`.  :func:`gram_matrix`
 still builds its closed form pair by pair, because the benchmark's tracer test
@@ -244,22 +244,27 @@ def gram_matrix(letters, response):
 
 
 def closed_form_grams(letters, responses):
-    """The real ``(B, N, N)`` stack of Gram matrices of Gaussian ``letters`` through each of ``responses``.
-
-    One numpy broadcast of :func:`modulated_overlap`'s closed form over the
-    ``N (N + 1) / 2`` pairs ``i <= j``, in its operand order and with its
-    float-limit rules; only the responses' ``(power, k)`` vary along the
-    stack.  :func:`numerics.mirror_upper` writes each pair's value to both
-    ``(i, j)`` and ``(j, i)``, so every member is exactly symmetric.  Every
-    entry is real, so the stack is float64.  Member ``b`` equals
-    ``gram_matrix(letters, responses[b])`` but where numpy's ``exp`` and
-    libm's round 1 ulp apart.  A letter or response without the closed form
-    raises ValidationError.
-    """
+    """:func:`comb_grams` of Gaussian ``letters`` read into arrays; other letters or responses raise ValidationError."""
     if not _has_closed_form(letters, *responses):
         raise ValidationError("closed-form Gram stacks take Gaussian letters and flat or Gaussian-peak channels")
-    rows, cols = numerics.upper_triangle(len(letters))
-    center, width, a, acc = np.array([(letter.center, letter.width, letter._a, letter._acc) for letter in letters]).T
+    arrays = np.array([(letter.center, letter.width, letter._a, letter._acc) for letter in letters]).T
+    return comb_grams(arrays, responses)
+
+
+def comb_grams(comb, responses):
+    """The real ``(B, N, N)`` stack of Gram matrices of the Gaussian letters of ``comb`` through each of ``responses``.
+
+    ``comb`` is the letters' ``center, width, _a, _acc`` as four arrays, and
+    the responses are flat or Gaussian peaks.  One numpy broadcast of
+    :func:`modulated_overlap`'s closed form over the ``N (N + 1) / 2`` pairs
+    ``i <= j``, in its operand order and with its float-limit rules; only the
+    responses' ``(power, k)`` vary along the stack.  :func:`numerics.mirror_upper`
+    writes each pair's value to both ``(i, j)`` and ``(j, i)``, so every member
+    is exactly symmetric and float64.  Member ``b`` equals ``gram_matrix(letters,
+    responses[b])`` but where numpy's ``exp`` and libm's round 1 ulp apart.
+    """
+    center, width, a, acc = comb
+    rows, cols = numerics.upper_triangle(len(center))
     power, k = np.reshape([response._power_k for response in responses], (-1, 2, 1)).swapaxes(0, 1)
     with np.errstate(over="ignore"):
         # float_power is libm pow, as ** on a float; np.power and np.square round some squares otherwise.
@@ -395,15 +400,16 @@ def survival_probability(amp, response):
     return float(survival_window(modulated_overlap(amp, amp, response).real))
 
 
-def make_gaussian_basis(n, spacing, width, centering="symmetric"):
-    """Equally spaced identical Gaussian letters.
+def gaussian_comb(n, spacing, width, centering="symmetric"):
+    """Equally spaced identical Gaussian letters as the four arrays of :func:`comb_grams`: ``center, width, _a, _acc``.
 
-    ``zero-start`` puts the first letter at 0; ``symmetric`` shifts the comb
-    so its mean sits at 0 (two letters end up at -spacing/2, +spacing/2).
+    ``zero-start`` puts the first letter at 0; ``symmetric`` shifts the comb so its mean sits at 0 (two
+    letters end up at -spacing/2, +spacing/2).  The centres ascend and share one width, so the first and
+    last letter, built here, make every check of all N letters and raise the first error those would.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValidationError("letter count must be a positive integer")
-    if spacing < 0:
+    if not spacing >= 0:  # NaN fails too
         raise ValidationError("letter spacing must be non-negative")
     if not width > 0:
         raise ValidationError("letter width must be positive")
@@ -413,7 +419,15 @@ def make_gaussian_basis(n, spacing, width, centering="symmetric"):
         offset = -0.5 * (n - 1) * spacing
     else:
         raise ValidationError(f"unknown centering {centering!r}")
-    return [GaussianAmplitude(offset + j * spacing, width) for j in range(n)]
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN centre or inf _acc, as a letter's
+        center = offset + np.arange(n) * spacing
+        first, _ = GaussianAmplitude(center[0], width), GaussianAmplitude(center[-1], width)
+        return center, np.full(n, first.width), np.full(n, first._a), first._a * center * center
+
+
+def make_gaussian_basis(n, spacing, width, centering="symmetric"):
+    """The N letters of :func:`gaussian_comb`'s comb, one at each of its centres."""
+    return [GaussianAmplitude(center, width) for center in gaussian_comb(n, spacing, width, centering)[0].tolist()]
 
 
 def _parse_table(path, columns):

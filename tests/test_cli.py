@@ -26,7 +26,7 @@ from speccap.cli import (
     parse_grid,
     parse_int_list,
 )
-from speccap.spectral import make_gaussian_basis
+from speccap.spectral import gaussian_comb, make_gaussian_basis
 from speccap.svgplot import render_heatmap, render_line
 
 DATA = Path(__file__).parent / "data"
@@ -305,9 +305,9 @@ def test_sweep_builds_each_comb_once(tmp_path, monkeypatch):
 
     def counted(n, spacing, *rest):
         calls.append((n, spacing))
-        return make_gaussian_basis(n, spacing, *rest)
+        return gaussian_comb(n, spacing, *rest)
 
-    monkeypatch.setattr("speccap.cli.make_gaussian_basis", counted)
+    monkeypatch.setattr("speccap.cli.gaussian_comb", counted)
     out = tmp_path / "sweep.csv"
     grid = ["--n", "2,3", "--delta-omega", "0,1,2", "--sigma-eta", "1,2,3,4"]
     assert main(["sweep", "--mode", "gaussian", *grid, "--out", str(out)]) == EXIT_OK
@@ -379,6 +379,27 @@ def test_blocked_gaussian_sweep_matches_its_golden_csv(tmp_path):
     assert out.read_bytes() == (DATA / "blocked_gaussian_sweep.csv").read_bytes()
 
 
+def test_zero_start_gaussian_sweep_matches_its_golden_csv(tmp_path):
+    # Spacings in steps of 0.1 put letters at centres that are not binary
+    # fractions, which the README grids (steps of 0.5) never do.
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--mode", "gaussian", "--n", "5,32", "--delta-omega", "0:3:0.1", "--sigma-eta", "0.7:3.1:0.3"]
+    assert main([*args, "--centering", "zero-start", "--post-select", "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (DATA / "zero_start_gaussian_sweep.csv").read_bytes()
+
+
+def test_a_nan_spacing_errs_as_a_bad_spacing(tmp_path):
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--mode", "gaussian", "--n", "1,4", "--delta-omega", "nan,1", "--sigma-eta", "2", "--out", str(out)]
+    assert main(args) == EXIT_OK
+    assert [(row["n"], row["delta_omega"], row["error"]) for row in read_rows(out)] == [
+        ("1", "nan", "letter spacing must be non-negative"),
+        ("1", "1", ""),
+        ("4", "nan", "letter spacing must be non-negative"),
+        ("4", "1", ""),
+    ]
+
+
 @pytest.mark.parametrize("bad", [0, 6, 14])
 def test_a_failure_inside_a_block_errors_only_its_own_point(tmp_path, monkeypatch, bad):
     # One comb of 15 points: one block.  The patched point's survival is 1.5.
@@ -386,18 +407,18 @@ def test_a_failure_inside_a_block_errors_only_its_own_point(tmp_path, monkeypatc
     clean = tmp_path / "clean.csv"
     assert main([*args, "--out", str(clean)]) == EXIT_OK
     bad_width = 1.0 + 0.5 * bad
-    closed_form_grams = speccap.cli.closed_form_grams
+    comb_grams = speccap.cli.comb_grams
     broken = []
 
-    def patched(letters, responses):
-        stack = closed_form_grams(letters, responses)
+    def patched(comb, responses):
+        stack = comb_grams(comb, responses)
         for entries, response in zip(stack, responses):
             if response.width == bad_width:
                 entries[0, 0] = 1.5
                 broken.append(entries.copy())
         return stack
 
-    monkeypatch.setattr("speccap.cli.closed_form_grams", patched)
+    monkeypatch.setattr("speccap.cli.comb_grams", patched)
     out = tmp_path / "sweep.csv"
     assert main([*args, "--out", str(out)]) == EXIT_OK
     with pytest.raises(speccap.ComputationError, match="survival") as alone:
@@ -486,9 +507,13 @@ def test_readme_sweeps_solve_one_stack_per_comb(tmp_path, monkeypatch, name, blo
 
     for module in (speccap, speccap.numerics, speccap.channel, speccap.capacity):
         monkeypatch.setattr(module, "hermitian_eigenvalues", counted)
+    # A uniform-prior sweep builds its combs as arrays, never as letter objects.
+    bases = []
+    monkeypatch.setattr("speccap.cli.make_gaussian_basis", lambda *args: bases.append(args))
     args = ["sweep", "--n", "32", "--delta-omega", "0:10:0.5", *README_SWEEPS[name], "--out", str(tmp_path / name)]
     assert main(args) == EXIT_OK
     assert shapes == [(block, 32, 32)] * 21
+    assert bases == []
 
 
 def write_tabulated_inputs(directory, seed, letters=8, points=401):

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from speccap import numerics
@@ -36,6 +36,8 @@ from speccap.spectral import (
     _parse_lines,
     _parse_table,
     closed_form_grams,
+    comb_grams,
+    gaussian_comb,
     gram_matrix,
     make_gaussian_basis,
     quadrature_gram,
@@ -173,6 +175,53 @@ def test_a_closed_form_stack_holds_each_channel_s_gram_matrix(letters, responses
         assert np.all(np.abs(entries - reference) <= 1e-15 * scale)
         assert np.all(entries[reference == 0] == 0)
         assert np.all(entries == entries.conj().T) and np.all(entries.diagonal().imag == 0)
+
+
+# Every comb size of the README sweeps and below; spacings from 0 through a
+# subnormal, past the 1e154 where a c^2 overflows and to 1e308, where only the
+# last centre may overflow, then NaN, inf and a negative one; and widths near
+# both ends of the closed form's range (about 4.3e-78 and 1.34e154), inside
+# and outside it.
+comb_arguments = st.tuples(
+    st.integers(1, 64),
+    st.one_of(st.sampled_from([0.0, 5e-324, 1e300, 1e308, math.nan, math.inf, -1.0]), st.floats(0.0, 10.0)),
+    st.one_of(st.floats(1e-78, 1e-77), st.floats(1e153, 1e155), st.floats(0.1, 10.0)),
+    st.sampled_from(["symmetric", "zero-start"]),
+)
+
+
+def bits(array):
+    return array.dtype, array.shape, array.tobytes()
+
+
+def letter_by_letter(n, spacing, width, centering):
+    """The comb as N letters, each centred in Python floats and checked on its own (for the arguments drawn here)."""
+    if not spacing >= 0:
+        raise ValidationError("letter spacing must be non-negative")
+    offset = 0.0 if centering == "zero-start" else -0.5 * (n - 1) * spacing
+    return [GaussianAmplitude(offset + j * spacing, width) for j in range(n)]
+
+
+@given(comb_arguments, st.lists(closed_form_channels, min_size=1, max_size=3))
+@example((2, 1e308, 1.0, "zero-start"), [FlatResponse(1.0)])  # only the last centre is inf
+@example((3, 1e308, 1.0, "symmetric"), [FlatResponse(1.0)])
+def test_a_comb_s_arrays_are_its_letters_fields_bit_for_bit(arguments, responses):
+    # The comb path checks only the first and last letter; it must give the
+    # same centres, _a, _acc and closed-form stack as N letters built one by
+    # one, or the same first error.
+    try:
+        letters = letter_by_letter(*arguments)
+    except ValidationError as exc:
+        for build in (gaussian_comb, make_gaussian_basis):
+            with pytest.raises(ValidationError) as error:
+                build(*arguments)
+            assert str(error.value) == str(exc)
+        return
+    comb = gaussian_comb(*arguments)
+    fields = np.array([(letter.center, letter.width, letter._a, letter._acc) for letter in letters]).T
+    assert [bits(array) for array in comb] == [bits(array) for array in fields]
+    assert make_gaussian_basis(*arguments) == letters
+    assert bits(comb_grams(comb, responses)) == bits(closed_form_grams(letters, responses))
 
 
 @pytest.mark.parametrize("spacing", [0.0, 0.5, 1e200])

@@ -431,6 +431,11 @@ def test_make_gaussian_basis_validation(n, spacing, width, centering):
         make_gaussian_basis(n, spacing, width, centering)
 
 
+def test_make_gaussian_basis_names_a_nan_spacing():
+    with pytest.raises(ValidationError, match="^letter spacing must be non-negative$"):
+        make_gaussian_basis(3, math.nan, 1.0)
+
+
 def test_tabulated_amplitude_file_roundtrip(tmp_path):
     path = tmp_path / "amp.csv"
     path.write_text(
