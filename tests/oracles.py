@@ -1,9 +1,10 @@
 """Independent reference computations used by several test modules.
 
 Everything here deliberately avoids the code paths it is meant to check:
-overlaps go through quadrature only, orthogonalization is explicit
-Gram-Schmidt, eigenvalues come from numpy's LAPACK wrapper, and the
-continuum limit is a closed form with no Gram matrix at all.
+overlaps go through quadrature only, or through a closed form with no
+quadrature at all, orthogonalization is explicit Gram-Schmidt, eigenvalues
+come from numpy's LAPACK wrapper, and the continuum limit is a closed form
+with no Gram matrix at all.
 """
 import math
 
@@ -23,6 +24,32 @@ def quadrature_overlap_matrix(letters, response):
             s[i, j] = value
             s[j, i] = np.conj(value)
     return s
+
+
+def linear_channel_gram(letters, response):
+    """Gram matrix of Gaussian ``letters`` through a two-point ``TabulatedResponse``, from Gaussian moments.
+
+    Between its grid points the channel is ``eta = alpha + beta omega``; a grid
+    that reaches ``TRUNCATION_SIGMAS`` widths past every letter leaves out only
+    tails below roundoff, so the integral runs over the whole line.  With ``a =
+    1 / (4 w^2)`` and norm ``N``, letters ``i`` and ``j`` multiply to ``M0 sqrt(r
+    / pi) exp(-r (omega - mu)^2)``: ``r = a_i + a_j``, ``mu = (a_i c_i + a_j c_j)
+    / r`` and ``M0 = N_i N_j sqrt(pi / r) exp(-a_i a_j (c_i - c_j)^2 / r)``.  The
+    moments ``M0``, ``mu M0`` and ``(mu^2 + 1 / (2 r)) M0`` then give the entry
+    ``((alpha + beta mu)^2 + beta^2 / (2 r)) M0``.
+    """
+    (g0, g1), (v0, v1) = response.grid, response.values
+    beta = (v1 - v0) / (g1 - g0)
+    alpha = v0 - beta * g0
+    centers = np.array([letter.center for letter in letters])
+    widths = np.array([letter.width for letter in letters])
+    a = 0.25 / widths**2
+    norm = (2.0 * math.pi) ** -0.25 / np.sqrt(widths)
+    r = np.add.outer(a, a)
+    mu = np.add.outer(a * centers, a * centers) / r
+    spread = np.outer(a, a) * np.subtract.outer(centers, centers) ** 2
+    m0 = np.outer(norm, norm) * np.sqrt(math.pi / r) * np.exp(-spread / r)
+    return ((alpha + beta * mu) ** 2 + beta**2 / (2.0 * r)) * m0
 
 
 def explicit_basis_spectrum(letters, priors, response, rank_tol=1e-12):

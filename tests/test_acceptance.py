@@ -269,10 +269,13 @@ def test_criterion_12_sweep_output_independent_of_threads(tmp_path):
         sys.executable, "-m", "speccap", "sweep", "--mode", "gaussian",
         "--n", "4,8", "--delta-omega", "0:3:1", "--sigma-eta", "1,2",
     ]
+    # The child imports speccap from this checkout's src, with or without PYTHONPATH set.
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
     for threads in ("1", "8"):
         out = tmp_path / f"threads_{threads}.csv"
-        env = dict(os.environ, SPECCAP_THREADS=threads)
+        env = dict(os.environ, SPECCAP_THREADS=threads, PYTHONPATH=path)
         result = subprocess.run(args + ["--out", str(out)], env=env, capture_output=True)
         assert result.returncode == 0, result.stderr.decode()
         outputs.append(out.read_bytes())

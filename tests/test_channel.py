@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import explicit_basis_spectrum, quadrature_overlap_matrix
-from speccap import numerics, spectral
+from speccap import spectral
 from speccap.channel import EncodingEnsemble, GramData, compute_gram, output_spectrum
-from speccap.errors import ComputationError, ConvergenceError, ValidationError
+from speccap.errors import ComputationError, ValidationError
 from speccap.numerics import hermitian_eigenvalues
 from speccap.spectral import (
     FlatResponse,
@@ -156,21 +156,9 @@ def test_an_eigensolve_that_breaks_conservation_raises(monkeypatch):
         output_spectrum(data)
 
 
-def test_convergence_failure_names_the_letter_pair(monkeypatch):
-    # Narrow letters under a wide tabulated response need more than one
-    # panel split to resolve.
-    letters = [GaussianAmplitude(-3.0, 0.05), GaussianAmplitude(3.0, 0.05)]
-    response = TabulatedResponse([-8.0, 8.0], [1.0, 1.0])
-    monkeypatch.setattr(numerics, "MAX_SUBDIVISIONS", 1)
-    with pytest.raises(ConvergenceError, match=r"\(0, 0\)") as excinfo:
-        compute_gram(EncodingEnsemble.uniform(letters), response)
-    assert excinfo.value.error_estimate is not None
-
-
 def test_narrow_letters_under_a_wide_tabulated_response_converge():
-    # The first panels over [-8, 8] all but miss the narrow peaks.  The
-    # tolerance must follow the estimate as the peaks are found, not stay at
-    # ABS_TOLERANCE while the segments are halved below roundoff.
+    # A rule on [-8, 8] alone all but misses the narrow peaks; the breakpoints
+    # at every width of each letter resolve them.
     letters = [GaussianAmplitude(-3.0, 0.05), GaussianAmplitude(3.0, 0.05)]
     response = TabulatedResponse([-8.0, 8.0], [1.0, 1.0])
     for letter in letters:
@@ -292,11 +280,11 @@ class _QuadratureReached(Exception):
 
 
 def test_only_inputs_without_the_closed_form_reach_quadrature(monkeypatch):
-    # Quadrature here is the adaptive rule; all-tabulated inputs take the exact 3-node rule.
-    def refuse(sample, edges):
+    # Quadrature here is the fixed 10-point rule; all-tabulated inputs take the exact 3-node rule.
+    def refuse(edges):
         raise _QuadratureReached
 
-    monkeypatch.setattr("speccap.spectral.weighted_gram", refuse)
+    monkeypatch.setattr("speccap.spectral._gauss_rule", refuse)
     letters = make_gaussian_basis(3, 1.0, 0.8)
     tabulated = [TabulatedAmplitude([-3.0, 0.0, 3.0], [0.0, 1.0, 0.0]), TabulatedAmplitude([-1.0, 2.0], [1.0, 0.5j])]
     tabulated_channel = TabulatedResponse([-8.0, 8.0], [1.0, 1.0])

@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 import re
 import subprocess
 import sys
@@ -30,20 +31,17 @@ from speccap.spectral import gaussian_comb, make_gaussian_basis
 from speccap.svgplot import render_heatmap, render_line
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parents[1] / "src"
+
+
+def child_env(env=None):
+    """``os.environ`` with ``env`` and with ``src`` first on ``PYTHONPATH``, so a child process imports this speccap."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **(env or {}), "PYTHONPATH": path}
 
 
 def run_cli(*args, env=None):
-    import os
-
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    return subprocess.run(
-        [sys.executable, "-m", "speccap", *args],
-        capture_output=True,
-        text=True,
-        env=full_env,
-    )
+    return subprocess.run([sys.executable, "-m", "speccap", *args], capture_output=True, text=True, env=child_env(env))
 
 
 def read_rows(path):
@@ -545,7 +543,7 @@ def test_tabulated_gram_dump_matches_its_golden_csv(tmp_path):
     assert out.read_bytes() == (DATA / "tabulated_gram_dump.csv").read_bytes()
 
 
-# The two mixed routes of adaptive quadrature: Gaussian letters through a
+# The two mixed routes of the fixed 10-point rule: Gaussian letters through a
 # tabulated channel, and tabulated letters through a Gaussian channel.
 MIXED_GRAM_DUMPS = {
     "gaussian_letters_tabulated_channel.csv": ["--n", "8", "--delta-omega", "1", "--channel-file", "three_point.csv"],
@@ -797,7 +795,7 @@ def test_plot_labels_are_xml_escaped():
 def test_importing_the_cli_loads_no_network_modules():
     heavy = ["urllib.request", "http.client", "email", "ssl", "socket"]
     code = f"import sys, speccap.cli; print([m for m in {heavy!r} if m in sys.modules])"
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=child_env())
     assert result.stdout.strip() == "[]"
 
 
@@ -884,7 +882,7 @@ CLI_BRANCHES = {
     "computation": (
         ["gram-dump", "--n", "2", "--delta-omega", "1", "--channel-file", "channel.csv"],
         EXIT_COMPUTATION,
-        "speccap: computation failed: Gram entry",
+        "speccap: computation failed: Hermitian eigensolve failed",
     ),
 }
 
@@ -894,8 +892,11 @@ def test_cli_branch_exit_code_and_message(tmp_path, monkeypatch, capsys, branch)
     monkeypatch.chdir(tmp_path)
     for name, text in BRANCH_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
-    # No subdivision is allowed; only the mixed gram-dump reaches adaptive quadrature.
-    monkeypatch.setattr(speccap.numerics, "MAX_SUBDIVISIONS", 0)
+    # LAPACK fails; only the gram-dump reaches an eigensolve.
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     args, code, message = CLI_BRANCHES[branch]
     assert main([*args, "--out", "out.csv"]) == code
     assert message in capsys.readouterr().err

@@ -3,103 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from speccap import numerics, spectral
-from speccap.errors import ComputationError, ConvergenceError, PsdViolationError, ValidationError
-from speccap.numerics import (
-    clamp_spectrum,
-    hermitian_eigenvalues,
-    mirror_upper,
-    weighted_gram,
-)
-
-
-def gaussian_pdf(omega):
-    return np.exp(-0.5 * omega**2) / math.sqrt(2.0 * math.pi)
-
-
-def window(center, width):
-    sigmas = spectral.TRUNCATION_SIGMAS
-    return [center - sigmas * width, center + sigmas * width]
-
-
-def sampler(weight, *functions):
-    """``sample`` for weighted_gram: the functions as columns, with one weight."""
-    return lambda omega: (np.stack([f(omega) for f in functions], axis=-1), weight(omega))
-
-
-def one(omega):
-    return np.ones_like(omega)
-
-
-def test_weighted_gram_of_a_normalized_gaussian_density():
-    gram = weighted_gram(sampler(gaussian_pdf, one), window(0.0, 1.0))
-    assert gram[0, 0] == pytest.approx(1.0, abs=1e-10)
-
-
-def test_weighted_gram_of_two_gaussian_amplitudes():
-    # Two unit-width normalized Gaussian amplitudes two units apart.
-    norm = (2.0 * math.pi) ** -0.25
-    left = lambda w: norm * np.exp(-((w + 1.0) ** 2) / 4.0)  # noqa: E731
-    right = lambda w: norm * np.exp(-((w - 1.0) ** 2) / 4.0)  # noqa: E731
-    gram = weighted_gram(sampler(one, left, right), window(0.0, 1.0))
-    assert gram[0, 1] == pytest.approx(0.606530659712633424, abs=1e-12)
-    assert gram[0, 0] == pytest.approx(1.0, abs=1e-12)
-    assert gram[1, 1] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_weighted_gram_of_an_odd_function_vanishes():
-    gram = weighted_gram(sampler(lambda w: np.exp(-(w**2)), one, lambda w: w), window(0.0, 1.0))
-    assert abs(gram[0, 1]) <= 1e-12
-
-
-def test_weighted_gram_is_linear():
-    f = gaussian_pdf
-    g = lambda w: np.cos(w) * np.exp(-(w**2))  # noqa: E731
-    combined = lambda w: 2.5 * f(w) - 1.25 * g(w)  # noqa: E731
-    gram = weighted_gram(sampler(one, one, f, g, combined), window(0.0, 1.0))
-    assert gram[:, 3] == pytest.approx(2.5 * gram[:, 1] - 1.25 * gram[:, 2], abs=1e-12)
-
-
-@pytest.mark.parametrize("shift", [-17.0, -3.5, 0.0, 2.25, 40.0])
-def test_weighted_gram_is_translation_invariant(shift):
-    gram = weighted_gram(sampler(lambda w: gaussian_pdf(w - shift), one), window(shift, 1.0))
-    assert gram[0, 0] == pytest.approx(1.0, abs=1e-10)
-
-
-def test_weighted_gram_handles_complex_integrands():
-    gram = weighted_gram(sampler(gaussian_pdf, one, lambda w: np.exp(1j * w)), window(0.0, 1.0))
-    # Characteristic function of a standard normal at t = 1.
-    assert gram[0, 1] == pytest.approx(math.exp(-0.5), abs=1e-10)
-    assert abs(gram[0, 1].imag) <= 1e-12
-    assert gram[1, 0] == np.conj(gram[0, 1])
-    assert gram[1, 1] == pytest.approx(1.0, abs=1e-10)
-
-
-def test_weighted_gram_rejects_bad_edges():
-    sample = sampler(gaussian_pdf, one)
-    for edges in ([0.0, 0.0], [1.0, 0.0], [0.0], [0.0, 2.0, 1.0]):
-        with pytest.raises(ValidationError):
-            weighted_gram(sample, edges)
-
-
-def test_weighted_gram_convergence_error_carries_estimate(monkeypatch):
-    monkeypatch.setattr(numerics, "MAX_SUBDIVISIONS", 1)
-    spike = lambda w: np.exp(-((w / 0.05) ** 2))  # noqa: E731
-    with pytest.raises(ConvergenceError, match=r"\(0, 0\)") as excinfo:
-        weighted_gram(sampler(one, spike), window(0.0, 1.0))
-    assert excinfo.value.error_estimate is not None
-    assert excinfo.value.error_estimate > 0
-
-
-def test_gram_is_exactly_hermitian_and_segments_add_up():
-    # A kinked, complex integrand: splitting at the kink changes nothing but accuracy.
-    functions = (one, lambda w: np.abs(w - 0.3) * np.exp(-(w**2) + 0.7j * w), np.cos)
-    sample = sampler(gaussian_pdf, *functions)
-    split = weighted_gram(sample, [-10.0, 0.3, 10.0])
-    assert np.array_equal(split, split.conj().T)
-    assert np.all(split.diagonal().imag == 0.0)
-    halves = weighted_gram(sample, [-10.0, 0.3]) + weighted_gram(sample, [0.3, 10.0])
-    assert np.max(np.abs(split - halves)) <= 1e-12
+from speccap import spectral
+from speccap.errors import ComputationError, PsdViolationError, ValidationError
+from speccap.numerics import clamp_spectrum, hermitian_eigenvalues, mirror_upper
 
 
 def test_mirror_upper_mirrors_each_matrix_of_a_stack_as_it_mirrors_one():
@@ -123,79 +29,29 @@ def test_mirror_upper_mirrors_each_matrix_of_a_stack_as_it_mirrors_one():
             assert np.array_equal(alone, alone.conj().T) and np.all(alone.diagonal().imag == 0.0)
 
 
-def test_subdivision_budget_counts_every_split(monkeypatch):
-    # A narrow spike away from every bisection point costs one split per
-    # level, so a budget that counted levels would let one split through.
-    # The budget is shared by the whole matrix: a second spike in another
-    # column does not fit in what the first one alone needs.
-    spike = lambda c: lambda w: np.exp(-(((w - c) / 0.05) ** 2))  # noqa: E731
-    one_spike, two_spikes = sampler(one, spike(-3.0)), sampler(one, spike(-3.0), spike(3.0))
-    edges = [-10.0, 0.0, 10.0]
-    assert weighted_gram(one_spike, edges)[0, 0] == pytest.approx(0.05 * math.sqrt(math.pi / 2.0), rel=1e-10)
-
-    def converges(sample, budget):
-        monkeypatch.setattr(numerics, "MAX_SUBDIVISIONS", budget)
-        try:
-            weighted_gram(sample, edges)
-        except ConvergenceError:
-            return False
-        return True
-
-    needed = next(budget for budget in range(1, 200) if converges(one_spike, budget))
-    assert needed > 1
-    assert not converges(two_spikes, needed)
-
-
 def test_gauss_nodes_are_the_10_point_legendre_nodes():
     nodes, weights = np.polynomial.legendre.leggauss(10)
-    assert np.max(np.abs(numerics._GK_NODES[numerics._GAUSS] - nodes)) <= 1e-15
-    assert np.max(np.abs(numerics._GAUSS_WEIGHTS - weights)) <= 1e-15
+    assert np.max(np.abs(spectral._GAUSS_NODES - nodes)) <= 1e-15
+    assert np.max(np.abs(spectral._GAUSS_WEIGHTS - weights)) <= 1e-15
 
 
 @pytest.mark.parametrize(
-    "nodes, weights, degree",
+    "rule, degree",
     [
-        (numerics._GK_NODES, numerics._KRONROD_WEIGHTS, 31),
-        (numerics._GK_NODES[numerics._GAUSS], numerics._GAUSS_WEIGHTS, 19),
+        (spectral._segment_rule(np.array([-1.0, 1.0])), 5),
+        ((spectral._GAUSS_NODES, spectral._GAUSS_WEIGHTS), 19),
     ],
-    ids=["kronrod21", "gauss10"],
+    ids=["gauss3", "gauss10"],
 )
-def test_rule_integrates_monomials_exactly_up_to_its_degree(nodes, weights, degree):
+def test_rule_integrates_monomials_exactly_up_to_its_degree(rule, degree):
+    nodes, weights = rule
     exact = [2.0 / (k + 1) if k % 2 == 0 else 0.0 for k in range(degree + 2)]
     errors = [abs(weights @ nodes**k - value) for k, value in enumerate(exact)]
     assert max(errors[: degree + 1]) <= 1e-15
     assert errors[degree + 1] > 1e-13  # and no further
 
 
-def test_piecewise_linear_input_is_sampled_once_per_segment():
-    # Linear letters and channel make every segment's integrand a quartic,
-    # which both rules integrate exactly, so nothing is bisected.
-    rng = np.random.default_rng(3)
-    grid = np.cumsum(rng.uniform(0.1, 1.0, 41))
-    letters = rng.normal(size=(3, grid.size)) + 1j * rng.normal(size=(3, grid.size))
-    eta = rng.uniform(0.0, 1.0, grid.size)
-    sampled = []
-
-    def sample(omega):
-        sampled.append(omega.size)
-        columns = np.stack([np.interp(omega, grid, letter) for letter in letters], axis=-1)
-        return columns, np.interp(omega, grid, eta) ** 2
-
-    gram = weighted_gram(sample, grid)
-    assert sum(sampled) == 21 * (grid.size - 1)
-    # Three Gauss-Legendre points per segment are exact for a quartic too.
-    nodes, weights = np.polynomial.legendre.leggauss(3)
-    half = 0.5 * np.diff(grid)[:, None]
-    omega = (0.5 * (grid[:-1] + grid[1:]))[:, None] + half * nodes
-    columns, weight = sample(omega.ravel())
-    exact = columns.conj().T @ (columns * (weight * (half * weights).ravel())[:, None])
-    assert np.max(np.abs(gram - exact)) <= 1e-12
-
-
 def test_quadrature_constant_values():
-    assert numerics.REL_TOLERANCE == 1e-10
-    assert numerics.ABS_TOLERANCE == 1e-14
-    assert numerics.MAX_SUBDIVISIONS == 4096
     assert spectral.TRUNCATION_SIGMAS == 10.0
 
 
@@ -427,55 +283,3 @@ def test_clamp_spectrum():
     assert clamped[2] == 0.0
     with pytest.raises(PsdViolationError):
         clamp_spectrum([1.0, -1e-9])
-
-
-def _blocks_of_a_mixed_gram(monkeypatch, panel_matrices=numerics._panel_matrices):
-    """Gram matrix of 4 tabulated and 4 Gaussian letters through a Gaussian channel, and its block sizes.
-
-    The narrow letter's segments are bisected, so the blocks span two levels.
-    """
-    rng = np.random.default_rng(7)
-    grid = np.linspace(-12.0, 12.0, 121)
-    letters = [
-        *(spectral.TabulatedAmplitude(grid, np.exp(-((grid - c) ** 2) / 4.0 + 1j * k * grid))
-          for c, k in rng.uniform(-4.0, 4.0, (4, 2))),
-        *(spectral.GaussianAmplitude(c, w) for c, w in zip(rng.uniform(-4.0, 4.0, 4), [0.05, 0.3, 1.0, 2.0])),
-    ]
-    sizes = []
-
-    def recorded(sample, lo, hi):
-        sizes.append(lo.size)
-        return panel_matrices(sample, lo, hi)
-
-    monkeypatch.setattr(numerics, "_panel_matrices", recorded)
-    return spectral.quadrature_gram(letters, spectral.GaussianPeakResponse(0.9, 3.0)), sizes
-
-
-def test_blocking_does_not_change_the_gram_matrix(monkeypatch):
-    gram, sizes = _blocks_of_a_mixed_gram(monkeypatch)
-    assert sizes == [64, 64, 10, 4]  # 138 segments, then the 4 halves of the narrow letter's two
-    monkeypatch.setattr(numerics, "_BLOCK_SEGMENTS", 1)
-    one_each, singles = _blocks_of_a_mixed_gram(monkeypatch)
-    assert set(singles) == {1} and len(singles) == sum(sizes)
-    monkeypatch.setattr(numerics, "_BLOCK_SEGMENTS", 10**9)
-    whole, levels = _blocks_of_a_mixed_gram(monkeypatch)
-    assert levels == [138, 4]  # each level at once
-    assert one_each.tobytes() == gram.tobytes() == whole.tobytes()
-
-    # The block size does not depend on N: at N = 128 a block still holds 64 segments.
-    monkeypatch.undo()
-    sampled = []
-    weighted = numerics.weighted_gram
-
-    def recorded(sample, edges):
-        def counted(omega):
-            columns, weight = sample(omega)
-            sampled.append(columns.size)
-            return columns, weight
-
-        return weighted(counted, edges)
-
-    monkeypatch.setattr(spectral, "weighted_gram", recorded)
-    letters = spectral.make_gaussian_basis(128, 0.5, 1.0)
-    spectral.quadrature_gram(letters, spectral.TabulatedResponse([-40.0, 0.0, 40.0], [0.5, 1.0, 0.5]))
-    assert max(sampled) == 64 * 21 * 128

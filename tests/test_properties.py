@@ -5,7 +5,10 @@ speccap's numerics: linearly interpolated letters and channel make the
 integrand a degree-4 polynomial on every grid segment, which a 3-point
 Gauss-Legendre rule integrates exactly.  speccap builds all-tabulated Gram
 matrices by that rule too, so they are also checked against speccap's
-adaptive 21-point Gauss-Kronrod quadrature, a different rule.
+10-point Gauss-Legendre rule, a different rule that is exact there too.
+Gaussian letters are checked against closed forms: through flat and
+Gaussian channels, and through a linear tabulated one
+(``oracles.linear_channel_gram``).
 """
 import dataclasses
 import math
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from speccap import numerics
+from oracles import linear_channel_gram
 from speccap.capacity import (
     _entropy_bits,
     _letter_divergences,
@@ -28,11 +31,13 @@ from speccap.capacity import (
 from speccap.channel import EncodingEnsemble, GramData, compute_gram, output_spectrum
 from speccap.errors import ValidationError
 from speccap.spectral import (
+    TRUNCATION_SIGMAS,
     FlatResponse,
     GaussianAmplitude,
     GaussianPeakResponse,
     TabulatedAmplitude,
     TabulatedResponse,
+    _gauss_rule,
     _parse_lines,
     _parse_table,
     closed_form_grams,
@@ -125,24 +130,46 @@ def exact_tabulated_gram(grid, letters, eta):
     return np.einsum("isk,sk,jsk->ij", psi.conj(), weight, psi)
 
 
+# quadrature_gram's a-priori bound for Gaussian letters through a channel with
+# eta <= 1: 3e-14 from the 10-point rule, 1e-11 sqrt(w_i / w_j) from the tails
+# past ten widths, and eps |c| / (2 w), 1.1e-13 here, from rounded nodes.
+QUADRATURE_BOUND = 1e-11
+
+
 @given(gaussian_letters, closed_form_channels)
 def test_quadrature_matches_the_gaussian_closed_form(letters, response):
     closed = compute_gram(EncodingEnsemble.uniform(letters), response).gram
-    assert np.max(np.abs(quadrature_gram(letters, response) - closed)) <= 1e-10
+    assert np.max(np.abs(quadrature_gram(letters, response) - closed)) <= QUADRATURE_BOUND
     pair = quadrature_gram((letters[0], letters[-1]), response)[0, -1]
-    assert abs(pair - closed[0, -1]) <= 1e-10
+    assert abs(pair - closed[0, -1]) <= QUADRATURE_BOUND
 
 
 # Twice the profile's examples: with 50, none puts a letter narrow enough
-# between a wide panel's nodes for the rule without seeded breakpoints to miss.
+# between a wide segment's nodes for a rule without breakpoints at every width to miss.
 @settings(max_examples=100)
 @given(narrow_gaussian_letters, quadrature_channels)
 def test_quadrature_matches_the_closed_form_for_narrow_letters(letters, channels):
     response, closed_form = channels
     closed = stable_gaussian_gram(letters, closed_form)
-    assert np.max(np.abs(quadrature_gram(letters, response) - closed)) <= 1e-10
+    assert np.max(np.abs(quadrature_gram(letters, response) - closed)) <= QUADRATURE_BOUND
     pair = quadrature_gram((letters[0], letters[-1]), response)[0, -1]
-    assert abs(pair - closed[0, -1]) <= 1e-10
+    assert abs(pair - closed[0, -1]) <= QUADRATURE_BOUND
+
+
+@st.composite
+def linear_channels(draw, letters):
+    """A two-point ``TabulatedResponse`` whose grid reaches ten widths, and up to 20 more, past every letter."""
+    lo = min(letter.center - TRUNCATION_SIGMAS * letter.width for letter in letters)
+    hi = max(letter.center + TRUNCATION_SIGMAS * letter.width for letter in letters)
+    margins = st.floats(0.0, 20.0)
+    return TabulatedResponse([lo - draw(margins), hi + draw(margins)], [draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))])
+
+
+@given(narrow_gaussian_letters.flatmap(lambda letters: st.tuples(st.just(letters), linear_channels(letters))))
+def test_quadrature_matches_the_linear_channel_oracle(inputs):
+    # The quadratic eta^2 of a tabulated channel, against a closed form with no quadrature.
+    letters, response = inputs
+    assert np.max(np.abs(quadrature_gram(letters, response) - linear_channel_gram(letters, response))) <= QUADRATURE_BOUND
 
 
 @given(narrow_gaussian_letters, closed_form_channels)
@@ -272,18 +299,16 @@ def separately_gridded_inputs(draw):
 
 
 @given(separately_gridded_inputs())
-def test_adaptive_quadrature_agrees_with_the_tabulated_gram(inputs):
+def test_ten_point_rule_agrees_with_the_tabulated_gram(inputs):
     letters, response = inputs
     gram = compute_gram(EncodingEnsemble.uniform(letters), response).gram
     grids = [part.grid for part in (*letters, response) if hasattr(part, "grid")]
-
-    def sample(omega):
-        eta = response.value(omega)
-        return np.stack([letter.value(omega) for letter in letters], axis=-1), eta * eta
-
-    adaptive = numerics.weighted_gram(sample, np.unique(np.concatenate(grids)))
-    tolerance = np.maximum(numerics.REL_TOLERANCE * np.abs(gram), numerics.ABS_TOLERANCE)
-    assert np.all(np.abs(adaptive - gram) <= tolerance)
+    nodes, weights = _gauss_rule(np.unique(np.concatenate(grids)))
+    columns = np.stack([letter.value(nodes) for letter in letters], axis=-1)
+    ten_point = (columns.conj().T * (weights * response.value(nodes) ** 2)) @ columns
+    # Both rules are exact for the degree-4 integrand: they differ by roundoff.
+    tolerance = np.maximum(1e-13 * np.abs(gram), 1e-14)
+    assert np.all(np.abs(ten_point - gram) <= tolerance)
 
 
 @given(tabulated_inputs(), st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4))

@@ -369,7 +369,7 @@ def test_narrow_letter_under_a_flat_tabulated_channel_survives(width):
 def test_quadrature_refuses_a_letter_narrower_than_its_centre_resolves(center):
     # Nodes near c are rounded by up to eps |c| / 2, a relative change of
     # about eps |c| / (2 w) in a Gaussian of width w; it stays within
-    # REL_TOLERANCE down to w = 1.11e-6 |c|, and narrower letters raise.
+    # 1e-10 down to w = 1.11e-6 |c|, and narrower letters raise.
     response = TabulatedResponse([-2.0 * abs(center) - 8.0, 2.0 * abs(center) + 8.0], [0.9, 0.9])
     for ratio in (1e-3, 1e-5, 3e-6, 1.5e-6, 1.2e-6, 1.12e-6):
         letter = GaussianAmplitude(center, ratio * abs(center))
@@ -384,19 +384,84 @@ def test_quadrature_refuses_a_letter_narrower_than_its_centre_resolves(center):
 
 
 def test_quadrature_refuses_breakpoints_whose_span_overflows():
-    # Each factor spans a finite width; the merged grids (exact rule) or the window (adaptive) do not.
+    # Each factor spans a finite width; the merged grids, with or without a Gaussian factor's breakpoints, do not.
     left = TabulatedAmplitude([-1e308, -9e307], [1.0, 1.0])
     right = TabulatedResponse([9e307, 1e308], [1.0, 1.0])
-    wide = TabulatedResponse([-1e307, 1e307], [1.0, 1.0])
-    for letters, response in (((left,), right), ((GaussianAmplitude(0.0, 1.0),), wide)):
+    for letters in ((left,), (left, GaussianAmplitude(0.0, 1.0))):
         with pytest.raises(ValidationError, match="span more than the largest float"):
-            quadrature_gram(letters, response)
+            quadrature_gram(letters, right)
     assert quadrature_gram((left,), FlatResponse(1.0))[0, 0] == pytest.approx(1.0, rel=1e-15)
+    # Breakpoints near the float limits that span less than it: the segment midpoints do not overflow.
+    wide = TabulatedResponse([-1e307, 1e307], [1.0, 1.0])
+    assert quadrature_gram((GaussianAmplitude(0.0, 1.0),), wide)[0, 0] == pytest.approx(1.0, rel=1e-15)
+    assert quadrature_gram((GaussianAmplitude(0.0, 1.0),), right)[0, 0] == 0.0
+    far = TabulatedAmplitude(right.grid, [1.0, 1.0])
+    gram = quadrature_gram((GaussianAmplitude(0.0, 1.0), far), FlatResponse(1.0))
+    assert np.max(np.abs(gram - np.eye(2))) <= 1e-15
 
 
 def test_quadrature_resolves_a_letter_at_zero_of_any_width():
     for width in (1e-3, 1e-12, 1e-30, 1e-60):
         assert survival_probability(GaussianAmplitude(0.0, width), FLAT_TABLE) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("shift", [-17.0, -3.5, 0.0, 2.25, 40.0])
+def test_quadrature_of_a_normalized_letter_is_translation_invariant(shift):
+    flat = TabulatedResponse([shift - 50.0, shift + 50.0], [1.0, 1.0])
+    assert quadrature_gram((GaussianAmplitude(shift, 1.0),), flat)[0, 0] == pytest.approx(1.0, abs=1e-14)
+
+
+def test_quadrature_of_a_complex_letter_against_a_gaussian_one():
+    # A tabulated letter linear on [-12, 12], ten widths past the Gaussian on either side:
+    # its overlap is the Gaussian's whole-line moments M0 and c M0 of the linear function.
+    u, v, g0, g1 = 0.3 - 0.8j, -0.5 + 0.2j, -12.0, 12.0
+    norm_sq = (g1 - g0) * (abs(u) ** 2 + (u.conjugate() * (v - u)).real + abs(v - u) ** 2 / 3.0)
+    beta = (v - u) / (g1 - g0)
+    letter = GaussianAmplitude(1.5, 0.8)
+    m0 = PEAK_VALUE / math.sqrt(letter.width) * 2.0 * letter.width * math.sqrt(math.pi)
+    expected = (u + beta * (letter.center - g0)) * m0 / math.sqrt(norm_sq)
+    for response in (FlatResponse(1.0), TabulatedResponse([-30.0, 30.0], [1.0, 1.0])):
+        gram = quadrature_gram((letter, TabulatedAmplitude([g0, g1], [u, v])), response)
+        assert gram[0, 1] == pytest.approx(expected, abs=1e-14)
+        assert np.array_equal(gram, gram.conj().T) and np.all(gram.diagonal().imag == 0.0)
+        assert gram.diagonal().real == pytest.approx([1.0, 1.0], abs=1e-14)
+
+
+def test_quadrature_of_an_odd_letter_against_an_even_one_vanishes():
+    odd = TabulatedAmplitude([-20.0, 20.0], [-1.0, 1.0])
+    gram = quadrature_gram((GaussianAmplitude(0.0, 1.0), odd), GaussianPeakResponse(0.8, 2.0))
+    assert abs(gram[0, 1]) <= 1e-15
+
+
+def test_quadrature_is_linear_in_a_tabulated_letter():
+    # The combined letter is renormalized at construction by the factor its first sample shows.
+    grid = np.linspace(-6.0, 6.0, 25)
+    f = TabulatedAmplitude(grid, np.exp(-(grid**2) / 4.0))
+    g = TabulatedAmplitude(grid, np.cos(grid) * np.exp(-(grid**2) / 2.0 + 0.5j * grid))
+    raw = 2.5 * f.values - 1.25 * g.values
+    combined = TabulatedAmplitude(grid, raw)
+    gram = quadrature_gram((GaussianAmplitude(0.5, 0.7), f, g, combined), GaussianPeakResponse(0.9, 2.0))
+    scale = raw[0] / combined.values[0]
+    assert gram[0, 3] * scale == pytest.approx(2.5 * gram[0, 1] - 1.25 * gram[0, 2], abs=1e-14)
+
+
+def test_mixed_input_is_sampled_once_at_ten_nodes_per_segment(monkeypatch):
+    # The segments lie between the channel's grid points and c + k w, k = -10 ... 10, of every letter.
+    rng = np.random.default_rng(3)
+    grid = np.cumsum(rng.uniform(0.1, 1.0, 41)) - 12.0
+    channel = TabulatedResponse(grid, rng.uniform(0.0, 1.0, grid.size))
+    letters = [GaussianAmplitude(-2.0, 0.3), GaussianAmplitude(1.0, 1.5), GaussianAmplitude(4.0, 0.05)]
+    edges = np.unique(np.concatenate([grid, *(a.center + a.width * np.arange(-10.0, 11.0) for a in letters)]))
+    sampled = []
+    value = TabulatedResponse.value
+
+    def counted(self, omega):
+        sampled.append(omega.size)
+        return value(self, omega)
+
+    monkeypatch.setattr(TabulatedResponse, "value", counted)
+    quadrature_gram(letters, channel)
+    assert sampled == [10 * (edges.size - 1)]
 
 
 def test_narrow_letter_off_centre_of_a_wide_passband_matches_the_closed_form():
