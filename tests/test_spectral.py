@@ -445,6 +445,53 @@ def test_quadrature_is_linear_in_a_tabulated_letter():
     assert gram[0, 3] * scale == pytest.approx(2.5 * gram[0, 1] - 1.25 * gram[0, 2], abs=1e-14)
 
 
+def test_quadrature_of_two_gaussian_letters_two_widths_apart():
+    # Unit-width normalized amplitudes two units apart overlap by exp(-1/2).
+    flat = TabulatedResponse([-30.0, 30.0], [1.0, 1.0])
+    gram = quadrature_gram((GaussianAmplitude(-1.0, 1.0), GaussianAmplitude(1.0, 1.0)), flat)
+    assert gram[0, 1] == pytest.approx(0.606530659712633424, abs=1e-14)
+    assert gram.diagonal().real == pytest.approx([1.0, 1.0], abs=1e-14)
+
+
+@pytest.mark.parametrize("width", [0.05, 1.0, 3.0])
+def test_quadrature_of_a_constant_letter_through_a_gaussian_channel(width):
+    # eta^2 = p exp(-omega^2 / (2 width^2)) integrates to p width sqrt(2 pi); the
+    # letter is 1 / sqrt(80) on [-40, 40], past ten widths of every channel here.
+    letter = TabulatedAmplitude([-40.0, 40.0], [1.0, 1.0])
+    gram = quadrature_gram((letter,), GaussianPeakResponse(0.8, width))
+    assert gram[0, 0].real == pytest.approx(0.8 * width * math.sqrt(2.0 * math.pi) / 80.0, rel=1e-14)
+    assert gram[0, 0].imag == 0.0
+
+
+KINKED_GRID = np.linspace(-10.0, 10.0, 81) + 0.3  # a kink at 0.3, on a grid point
+
+
+@pytest.mark.parametrize(
+    "response",
+    [TabulatedResponse([-12.0, 0.0, 12.0], [0.2, 1.0, 0.6]), GaussianPeakResponse(0.9, 2.0), FlatResponse(0.7)],
+    ids=["tabulated", "gaussian", "flat"],
+)
+def test_mixed_quadrature_is_exactly_hermitian(response):
+    kinked = TabulatedAmplitude(
+        KINKED_GRID, np.abs(KINKED_GRID - 0.3) * np.exp(-(KINKED_GRID**2) / 8.0 + 0.7j * KINKED_GRID)
+    )
+    letters = (GaussianAmplitude(0.2, 0.4), kinked, GaussianAmplitude(-1.0, 2.0), TabulatedAmplitude([-1.0, 2.0], [1.0, 0.5j]))
+    gram = quadrature_gram(letters, response)
+    assert np.array_equal(gram, gram.conj().T)
+    assert np.all(gram.diagonal().imag == 0.0) and np.all(gram.diagonal().real > 0.0)
+
+
+def test_quadrature_over_two_halves_adds_up_to_the_whole():
+    # A letter linear on [-10, 0.3] and on [0.3, 10] is the sum of one on each half:
+    # its overlap with a Gaussian letter is the sum of theirs, once each is unnormalized.
+    a, b, c = 0.4 + 0.2j, 1.0 - 0.5j, -0.3 + 0.8j
+    halves = (TabulatedAmplitude([-10.0, 0.3], [a, b]), TabulatedAmplitude([0.3, 10.0], [b, c]))
+    whole = TabulatedAmplitude([-10.0, 0.3, 10.0], [a, b, c])
+    gram = quadrature_gram((GaussianAmplitude(0.5, 0.7), *halves, whole), GaussianPeakResponse(0.9, 3.0))
+    left, right, both = (gram[0, k] * raw / letter.values[0] for k, raw, letter in zip((1, 2, 3), (a, b, a), (*halves, whole)))
+    assert both == pytest.approx(left + right, abs=1e-14)
+
+
 def test_mixed_input_is_sampled_once_at_ten_nodes_per_segment(monkeypatch):
     # The segments lie between the channel's grid points and c + k w, k = -10 ... 10, of every letter.
     rng = np.random.default_rng(3)
