@@ -534,6 +534,23 @@ def write_tabulated_inputs(directory, seed, letters=8, points=401):
     return paths, channel
 
 
+@pytest.mark.parametrize("name, block", [("readme_flat_sweep.csv", 11), ("readme_gaussian_sweep.csv", 15)])
+def test_readme_stacks_reach_lapack_as_even_and_odd_halves(tmp_path, lapack_shapes, name, block):
+    # A symmetric comb through an even channel gives exactly centrosymmetric
+    # Gram matrices, each solved as two 16 x 16 halves.
+    args = ["sweep", "--n", "32", "--delta-omega", "0:10:0.5", *README_SWEEPS[name], "--out", str(tmp_path / name)]
+    assert main(args) == EXIT_OK
+    assert lapack_shapes == [(block, 16, 16)] * 42
+
+
+def test_a_tabulated_gram_reaches_lapack_whole(tmp_path, lapack_shapes):
+    # Tabulated letters have no mirror symmetry: one dense 8 x 8 solve.
+    paths, channel = write_tabulated_inputs(tmp_path, seed=7)
+    args = ["gram-dump", *(arg for path in paths for arg in ("--letters", str(path)))]
+    assert main([*args, "--channel-file", str(channel), "--out", str(tmp_path / "gram.csv")]) == EXIT_OK
+    assert lapack_shapes == [(8, 8)]
+
+
 def test_tabulated_gram_dump_matches_its_golden_csv(tmp_path):
     # The golden file was written before tabulated inputs left adaptive quadrature.
     paths, channel = write_tabulated_inputs(tmp_path, seed=7)

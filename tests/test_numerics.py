@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from speccap import spectral
 from speccap.errors import ComputationError, PsdViolationError, ValidationError
@@ -275,6 +277,89 @@ def test_a_stack_gives_each_member_its_own_eigenpairs():
         # Descending, with eigenvectors as columns in the same order.
         assert np.all(np.diff(values[index]) <= 0.0)
         assert np.max(np.abs(stack[index] @ vectors[index] - vectors[index] * values[index])) <= 1e-12
+
+
+def _centrosymmetric_hermitian_stack(count, n, complex_entries, seed):
+    """A ``(count, n, n)`` stack, each member exactly Hermitian and exactly centrosymmetric, ``J A J = A``."""
+    rng = np.random.default_rng(seed)
+    shape = (count, n, n)
+    raw = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_entries else 0.0)
+    hermitian = raw + raw.conj().swapaxes(-1, -2)
+    # Entry (i, j) and its mirror (N-1-i, N-1-j) add the same two numbers, and so do (i, j) and (j, i) conjugated.
+    return hermitian + hermitian[..., ::-1, ::-1]
+
+
+@given(st.integers(1, 3), st.integers(2, 40), st.booleans(), st.integers(0, 2**32 - 1))
+def test_a_centrosymmetric_stack_is_solved_by_halves_to_the_dense_spectrum(count, n, complex_entries, seed):
+    stack = _centrosymmetric_hermitian_stack(count, n, complex_entries, seed)
+    assert np.array_equal(stack, stack.conj().swapaxes(-1, -2)) and np.array_equal(stack, stack[..., ::-1, ::-1])
+    values = hermitian_eigenvalues(stack)
+    assert values.shape == (count, n) and np.all(np.diff(values, axis=-1) <= 0.0)
+    dense = np.linalg.eigvalsh(stack)[..., ::-1]
+    assert np.max(np.abs(values - dense)) <= 1e-13 * np.max(np.abs(stack))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_a_centrosymmetric_matrix_reaches_lapack_as_its_two_halves(lapack_shapes, n):
+    # For odd N the even half also takes the middle row and column.
+    hermitian_eigenvalues(_centrosymmetric_hermitian_stack(2, n, True, seed=5))
+    assert lapack_shapes == [(2, n - n // 2, n - n // 2), (2, n // 2, n // 2)]
+
+
+def _not_centrosymmetric(name):
+    centro = _centrosymmetric_hermitian_stack(1, 6, False, seed=2)[0]
+    palindrome = centro.copy()  # the diagonal still reads the same both ways; one mirrored pair does not
+    palindrome[0, 1] = palindrome[1, 0] = 0.5
+    return {
+        "complex": _random_hermitian_stack((6, 6)),
+        "real stack": _random_hermitian_stack((2, 7, 7)).real,
+        "palindromic diagonal": palindrome,
+        "one member of two": np.stack([centro, palindrome]),
+        "1 x 1": np.ones((1, 1)),  # centrosymmetric, but with no odd half to split off
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["complex", "real stack", "palindromic diagonal", "one member of two", "1 x 1"])
+def test_input_that_is_not_centrosymmetric_is_solved_whole_bit_for_bit(lapack_shapes, name):
+    matrix = _not_centrosymmetric(name)
+    values = hermitian_eigenvalues(matrix)
+    assert lapack_shapes == [matrix.shape]
+    assert values.tobytes() == np.linalg.eigvalsh(matrix)[..., ::-1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[math.nan, 1.0], [1.0, math.nan]], "matrix entries must be finite"),
+        ([[1.0, math.inf, 0.0], [math.inf, 2.0, math.inf], [0.0, math.inf, 1.0]], "matrix entries must be finite"),
+        ([[1.0, 2.0, 3.0], [4.0, 5.0, 4.0], [3.0, 2.0, 1.0]], "not Hermitian"),  # J A J = A, but A != A^T
+        ([[1.0, 1j, 0.0], [1j, 1.0, 1j], [0.0, 1j, 1.0]], "not Hermitian"),
+        ([[1.0, 1.0 + 2e-12, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0 + 2e-12, 1.0]], "not Hermitian"),
+    ],
+)
+def test_a_centrosymmetric_matrix_is_checked_before_any_solve(lapack_shapes, matrix, message):
+    assert np.array_equal(np.asarray(matrix), np.asarray(matrix)[::-1, ::-1], equal_nan=True)
+    with pytest.raises(ValidationError, match=message):
+        hermitian_eigenvalues(matrix)
+    assert lapack_shapes == []
+
+
+def test_a_failure_on_either_half_is_computation_error(monkeypatch):
+    solve = np.linalg.eigvalsh
+    matrix = _centrosymmetric_hermitian_stack(1, 6, False, seed=3)[0]
+    for failing in (1, 2):
+        calls = []
+
+        def fail_on_one(half):
+            calls.append(half.shape)
+            if len(calls) == failing:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return solve(half)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail_on_one)
+        with pytest.raises(ComputationError, match="did not converge"):
+            hermitian_eigenvalues(matrix)
+        assert calls == [(3, 3), (3, 3)][:failing]
 
 
 def test_clamp_spectrum():
