@@ -87,11 +87,11 @@ def parse_grid(text):
 
 
 def _grid_points(*grids):
-    """Every combination of one point per grid, last grid fastest; at most MAX_GRID_POINTS."""
+    """Every combination of one point per grid, last grid fastest, made as it is read; at most MAX_GRID_POINTS."""
     count = math.prod(map(len, grids))
     if count > MAX_GRID_POINTS:
         raise UsageError(f"grid of {count} points is larger than {MAX_GRID_POINTS}")
-    return list(itertools.product(*grids))
+    return itertools.product(*grids)
 
 
 def parse_int_list(text):

@@ -88,10 +88,8 @@ def hermitian_eigenvalues(matrix, *, vectors=False):
     A stack whose every member is then exactly centrosymmetric (``J A J = A``,
     ``J`` the reversal) is solved as its even and odd halves, two LAPACK calls
     of half the size whose values are merged in descending order.  That is
-    every Gram matrix of a comb whose centres are exact mirrors about an even
-    channel's centre, such as a symmetric comb through a flat or Gaussian-peak
-    channel; a comb whose centres are not exact mirrors, as at some
-    non-dyadic spacings, and any other matrix are solved whole.
+    every Gram matrix of a symmetric comb, whose centres are exact mirrors,
+    through a flat or Gaussian-peak channel; any other matrix is solved whole.
     ``vectors=True`` returns ``(values, vectors)`` from ``eigh``, eigenvectors
     as columns, always of the whole matrix.
     """

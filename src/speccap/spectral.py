@@ -9,9 +9,10 @@ inputs an exact 3-point Gauss-Legendre rule between their merged grid points.
 Everything else goes through one fixed 10-point Gauss-Legendre rule for a whole
 set of letters, on the segments between those grid points and a breakpoint at
 every width of each Gaussian factor, out to ``TRUNCATION_SIGMAS`` widths.
-:func:`comb_grams` builds the closed-form matrices of one set of letters, as arrays,
-through many channels as one stack, in one numpy broadcast over the pairs of
-one upper triangle, mirrored by :func:`numerics.mirror_upper`.  :func:`gram_matrix`
+:func:`comb_grams` builds the closed-form matrices of Gaussian letters given as two
+arrays, centres and widths, through many channels as one stack, in one numpy
+broadcast over the pairs of one upper triangle, mirrored by
+:func:`numerics.mirror_upper`.  :func:`gram_matrix`
 still builds its closed form pair by pair, because the benchmark's tracer test
 counts those :func:`modulated_overlap` calls; once it no longer does (ROADMAP
 item 2), one matrix becomes a one-member stack and the pair loop goes.
@@ -238,11 +239,10 @@ class TabulatedResponse(_Tabulated):
         return np.interp(omega, self.grid, self.values, left=0.0, right=0.0)
 
 
-def _has_closed_form(letters, *responses):
-    """The closed form's route rule: all ``letters`` are Gaussian, all ``responses`` flat or Gaussian peaks."""
-    for response in responses:
-        if not isinstance(response, (FlatResponse, GaussianPeakResponse)):
-            return False
+def _has_closed_form(letters, response):
+    """The closed form's route rule: all ``letters`` are Gaussian, and ``response`` is flat or a Gaussian peak."""
+    if not isinstance(response, (FlatResponse, GaussianPeakResponse)):
+        return False
     for letter in letters:
         if not isinstance(letter, GaussianAmplitude):
             return False
@@ -265,19 +265,13 @@ def gram_matrix(letters, response):
     return mirror_upper(np.array(upper, dtype=complex))
 
 
-def closed_form_grams(letters, responses):
-    """:func:`comb_grams` of Gaussian ``letters`` read into arrays; other letters or responses raise ValidationError."""
-    if not _has_closed_form(letters, *responses):
-        raise ValidationError("closed-form Gram stacks take Gaussian letters and flat or Gaussian-peak channels")
-    arrays = np.array([(letter.center, letter.width, letter._a, letter._acc) for letter in letters]).T
-    return comb_grams(arrays, responses)
-
-
 def comb_grams(comb, responses):
     """The real ``(B, N, N)`` stack of Gram matrices of the Gaussian letters of ``comb`` through each of ``responses``.
 
-    ``comb`` is the letters' ``center, width, _a, _acc`` as four arrays, and
-    the responses are flat or Gaussian peaks.  One numpy broadcast of
+    ``comb`` is the letters' ``center`` and ``width`` as two float arrays, as
+    :func:`gaussian_comb` returns them, and the responses are flat or Gaussian
+    peaks.  Each letter's ``a = 1/(4 width^2)`` and ``a center^2`` take the float
+    operations of ``GaussianAmplitude``'s ``_a`` and ``_acc``.  One numpy broadcast of
     :func:`modulated_overlap`'s closed form over the ``N (N + 1) / 2`` pairs
     ``i <= j``, in its operand order and with its float-limit rules; only the
     responses' ``(power, k)`` vary along the stack.  :func:`numerics.mirror_upper`
@@ -285,10 +279,12 @@ def comb_grams(comb, responses):
     is exactly symmetric and float64.  Member ``b`` equals ``gram_matrix(letters,
     responses[b])`` but where numpy's ``exp`` and libm's round 1 ulp apart.
     """
-    center, width, a, acc = comb
+    center, width = comb
     rows, cols = numerics.upper_triangle(len(center))
     power, k = np.reshape([response._power_k for response in responses], (-1, 2, 1)).swapaxes(0, 1)
     with np.errstate(over="ignore"):
+        a = 0.25 / (width * width)
+        acc = a * center * center  # inf past |center| of about 1e154, as a letter's _acc
         # float_power is libm pow, as ** on a float; np.power and np.square round some squares otherwise.
         square = np.float_power(center[rows] - center[cols], 2)
         # A pair whose square is inf, even where a b underflows to 0, gets an inf exponent: it is orthogonal.
@@ -422,11 +418,13 @@ def survival_probability(amp, response):
 
 
 def gaussian_comb(n, spacing, width, centering="symmetric"):
-    """Equally spaced identical Gaussian letters as the four arrays of :func:`comb_grams`: ``center, width, _a, _acc``.
+    """Equally spaced identical Gaussian letters as the two arrays of :func:`comb_grams`: ``center, width``.
 
-    ``zero-start`` puts the first letter at 0; ``symmetric`` shifts the comb so its mean sits at 0 (two
-    letters end up at -spacing/2, +spacing/2).  The centres ascend and share one width, so the first and
-    last letter, built here, make every check of all N letters and raise the first error those would.
+    Letter ``j`` sits at ``spacing * (j - shift)``, shift 0 for ``zero-start`` (first letter at 0) and
+    ``(n - 1) / 2`` for ``symmetric`` (two letters at -spacing/2, +spacing/2); ``j - shift`` is exact, so a
+    symmetric comb is an exact mirror, ``center == -center[::-1]``.  The centres ascend and share one width,
+    so the first and last letter, built here, make every check of all N letters and raise the first error
+    those would.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValidationError("letter count must be a positive integer")
@@ -435,15 +433,15 @@ def gaussian_comb(n, spacing, width, centering="symmetric"):
     if not width > 0:
         raise ValidationError("letter width must be positive")
     if centering == "zero-start":
-        offset = 0.0
+        shift = 0.0
     elif centering == "symmetric":
-        offset = -0.5 * (n - 1) * spacing
+        shift = (n - 1) / 2
     else:
         raise ValidationError(f"unknown centering {centering!r}")
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN centre or inf _acc, as a letter's
-        center = offset + np.arange(n) * spacing
-        first, _ = GaussianAmplitude(center[0], width), GaussianAmplitude(center[-1], width)
-        return center, np.full(n, first.width), np.full(n, first._a), first._a * center * center
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN centre, as a letter's
+        center = spacing * (np.arange(n) - shift)
+    first, _ = GaussianAmplitude(center[0], width), GaussianAmplitude(center[-1], width)
+    return center, np.full(n, first.width)
 
 
 def make_gaussian_basis(n, spacing, width, centering="symmetric"):

@@ -22,6 +22,7 @@ from speccap.cli import (
     EXIT_USAGE,
     MAX_GRID_POINTS,
     UsageError,
+    _grid_points,
     build_parser,
     main,
     parse_grid,
@@ -118,6 +119,24 @@ def test_grid_products_over_the_point_limit_exit_1(tmp_path, capsys, args, count
     assert main(args + ["--out", str(out)]) == EXIT_USAGE
     assert f"grid of {count} points is larger than {MAX_GRID_POINTS}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_grid_points_are_counted_first_and_made_as_they_are_read(tmp_path, capsys, monkeypatch):
+    # A million-point grid holds no list of point tuples.
+    grids = (list(range(1000)), list(range(1000)))
+    tracemalloc.start()
+    try:
+        points = _grid_points(*grids)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert next(points) == (0, 0) and sum(1 for _ in points) == MAX_GRID_POINTS - 1
+    # The count is checked before SPECCAP_THREADS is read, so a bad value does not hide it.
+    monkeypatch.setenv("SPECCAP_THREADS", "0")
+    args = ["sweep", "--mode", "flat", "--n", "2,3", "--delta-omega", "0:999:1", "--eta", "0:0.999:0.001"]
+    assert main([*args, "--out", str(tmp_path / "big.csv")]) == EXIT_USAGE
+    assert f"grid of 2000000 points is larger than {MAX_GRID_POINTS}" in capsys.readouterr().err
 
 
 def test_sweep_flat_row_count_and_values(tmp_path):
@@ -541,6 +560,15 @@ def test_readme_stacks_reach_lapack_as_even_and_odd_halves(tmp_path, lapack_shap
     args = ["sweep", "--n", "32", "--delta-omega", "0:10:0.5", *README_SWEEPS[name], "--out", str(tmp_path / name)]
     assert main(args) == EXIT_OK
     assert lapack_shapes == [(block, 16, 16)] * 42
+
+
+def test_symmetric_combs_at_non_dyadic_spacings_reach_lapack_as_even_and_odd_halves(tmp_path, lapack_shapes):
+    # Spacings in steps of 0.1 are not binary fractions, yet every symmetric
+    # comb is an exact mirror: 31 spacings each for N = 5 and 32, one block
+    # of 9 points per comb, no matrix solved whole.
+    args = ["sweep", "--mode", "gaussian", "--n", "5,32", "--delta-omega", "0:3:0.1", "--sigma-eta", "0.7:3.1:0.3"]
+    assert main([*args, "--out", str(tmp_path / "sweep.csv")]) == EXIT_OK
+    assert lapack_shapes == [(9, 3, 3), (9, 2, 2)] * 31 + [(9, 16, 16)] * 62
 
 
 def test_a_tabulated_gram_reaches_lapack_whole(tmp_path, lapack_shapes):

@@ -40,7 +40,6 @@ from speccap.spectral import (
     _gauss_rule,
     _parse_lines,
     _parse_table,
-    closed_form_grams,
     comb_grams,
     gaussian_comb,
     gram_matrix,
@@ -190,11 +189,16 @@ gaussian_combs = st.builds(
 )
 
 
+def letter_arrays(letters):
+    """The ``(center, width)`` arrays of Gaussian ``letters``, as :func:`comb_grams` takes them."""
+    return np.array([(letter.center, letter.width) for letter in letters]).T
+
+
 @given(gaussian_combs, st.lists(closed_form_channels, min_size=1, max_size=5))
 def test_a_closed_form_stack_holds_each_channel_s_gram_matrix(letters, responses):
     # numpy's exp and libm's round up to 1 ulp apart; a subnormal entry is
     # compared on the scale of the smallest normal float.
-    stack = closed_form_grams(letters, responses)
+    stack = comb_grams(letter_arrays(letters), responses)
     assert stack.shape == (len(responses), len(letters), len(letters))
     for entries, response in zip(stack, responses):
         reference = gram_matrix(letters, response)
@@ -225,17 +229,17 @@ def letter_by_letter(n, spacing, width, centering):
     """The comb as N letters, each centred in Python floats and checked on its own (for the arguments drawn here)."""
     if not spacing >= 0:
         raise ValidationError("letter spacing must be non-negative")
-    offset = 0.0 if centering == "zero-start" else -0.5 * (n - 1) * spacing
-    return [GaussianAmplitude(offset + j * spacing, width) for j in range(n)]
+    shift = 0.0 if centering == "zero-start" else (n - 1) / 2
+    return [GaussianAmplitude(spacing * (j - shift), width) for j in range(n)]
 
 
 @given(comb_arguments, st.lists(closed_form_channels, min_size=1, max_size=3))
 @example((2, 1e308, 1.0, "zero-start"), [FlatResponse(1.0)])  # only the last centre is inf
-@example((3, 1e308, 1.0, "symmetric"), [FlatResponse(1.0)])
+@example((3, 1e308, 1.0, "symmetric"), [FlatResponse(1.0)])  # finite: -1e308, 0, 1e308
 def test_a_comb_s_arrays_are_its_letters_fields_bit_for_bit(arguments, responses):
     # The comb path checks only the first and last letter; it must give the
-    # same centres, _a, _acc and closed-form stack as N letters built one by
-    # one, or the same first error.
+    # same centres and widths, and the same closed-form stack, as N letters
+    # built one by one, or the same first error.
     try:
         letters = letter_by_letter(*arguments)
     except ValidationError as exc:
@@ -245,10 +249,28 @@ def test_a_comb_s_arrays_are_its_letters_fields_bit_for_bit(arguments, responses
             assert str(error.value) == str(exc)
         return
     comb = gaussian_comb(*arguments)
-    fields = np.array([(letter.center, letter.width, letter._a, letter._acc) for letter in letters]).T
-    assert [bits(array) for array in comb] == [bits(array) for array in fields]
+    assert [bits(array) for array in comb] == [bits(array) for array in letter_arrays(letters)]
     assert make_gaussian_basis(*arguments) == letters
-    assert bits(comb_grams(comb, responses)) == bits(closed_form_grams(letters, responses))
+    assert bits(comb_grams(comb, responses)) == bits(comb_grams(letter_arrays(letters), responses))
+
+
+# Spacings as a sweep grid in steps of 0.1 makes them, most not binary
+# fractions, and the smallest subnormal and largest floats.
+grid_spacings = st.one_of(st.integers(0, 100).map(lambda k: k * 0.1), st.sampled_from([5e-324, 1e300, 1e308]))
+
+
+@given(st.integers(1, 256), grid_spacings)
+@example(32, 0.30000000000000004)
+def test_a_symmetric_comb_is_an_exact_mirror(n, spacing):
+    # So its Gram matrices through an even channel are exactly
+    # centrosymmetric and split into half-size eigenproblems.
+    try:
+        center = gaussian_comb(n, spacing, 1.0)[0]
+    except ValidationError as exc:
+        # Only where the end letters' centres, spacing (n - 1) / 2 from 0, overflow.
+        assert str(exc) == "amplitude center must be finite" and math.isinf(spacing * ((n - 1) / 2))
+        return
+    assert np.array_equal(center, -center[::-1])
 
 
 @pytest.mark.parametrize("spacing", [0.0, 0.5, 1e200])
@@ -258,7 +280,7 @@ def test_a_closed_form_stack_at_sweep_sizes_holds_each_channel_s_gram_matrix(n, 
     # each member against the pair loop, and mirrored bit for bit.
     letters = make_gaussian_basis(n, spacing, 1.0)
     responses = [FlatResponse(1.0), FlatResponse(0.3), GaussianPeakResponse(0.8, 1.5), GaussianPeakResponse(1.0, 20.0)]
-    stack = closed_form_grams(letters, responses)
+    stack = comb_grams(letter_arrays(letters), responses)
     assert stack.shape == (len(responses), n, n) and stack.dtype == np.float64
     bits = stack.view(np.uint64)
     assert np.array_equal(bits, bits.swapaxes(1, 2))
@@ -366,7 +388,7 @@ def real_gram_stacks(draw):
     letters = make_gaussian_basis(n, spacing, width, centering)
     channels = draw(st.lists(closed_form_channels, min_size=1, max_size=16))
     raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
-    return closed_form_grams(letters, channels), raw / raw.sum()
+    return comb_grams(letter_arrays(letters), channels), raw / raw.sum()
 
 
 @given(real_gram_stacks())

@@ -12,7 +12,8 @@ from speccap.spectral import (
     GaussianPeakResponse,
     TabulatedAmplitude,
     TabulatedResponse,
-    closed_form_grams,
+    comb_grams,
+    gaussian_comb,
     load_tabulated_amplitude,
     load_tabulated_response,
     make_gaussian_basis,
@@ -25,8 +26,9 @@ PEAK_VALUE = 0.631618777746064701  # (2 pi)^(-1/4)
 
 
 def stacked_overlaps(amp_a, amp_b, responses):
-    """The ``(a, b)`` overlap through each of ``responses``, read from one :func:`closed_form_grams` stack."""
-    return closed_form_grams((amp_a,) if amp_a is amp_b else (amp_a, amp_b), responses)[:, 0, -1]
+    """The ``(a, b)`` overlap through each of ``responses``, read from one :func:`comb_grams` stack."""
+    letters = (amp_a,) if amp_a is amp_b else (amp_a, amp_b)
+    return comb_grams(np.array([(letter.center, letter.width) for letter in letters]).T, responses)[:, 0, -1]
 
 
 def test_gaussian_amplitude_peak_value():
@@ -242,18 +244,6 @@ def test_closed_form_squares_the_centre_gap_with_pow():
     pair = GaussianAmplitude(0.0, 1.0), GaussianAmplitude(gap, 1.0)
     assert modulated_overlap(*pair, FlatResponse(1.0)) == expected
     assert stacked_overlaps(*pair, [FlatResponse(1.0)]).tolist() == [expected]
-
-
-@pytest.mark.parametrize(
-    "letters, responses",
-    [
-        ([GaussianAmplitude(), TabulatedAmplitude([-1.0, 1.0], [1.0, 1.0])], [FlatResponse(1.0)]),
-        ([GaussianAmplitude()], [FlatResponse(1.0), TabulatedResponse([-1.0, 1.0], [1.0, 1.0])]),
-    ],
-)
-def test_closed_form_stack_rejects_inputs_without_the_closed_form(letters, responses):
-    with pytest.raises(ValidationError, match="closed-form Gram stacks take Gaussian letters"):
-        closed_form_grams(letters, responses)
 
 
 def test_analytic_path_matches_quadrature_on_parameter_grid():
@@ -532,6 +522,14 @@ def test_make_gaussian_basis_single_letter():
 def test_make_gaussian_basis_zero_start():
     basis = make_gaussian_basis(5, 1.0, 1.0, "zero-start")
     assert [amp.center for amp in basis] == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+
+def test_a_symmetric_comb_out_to_the_largest_float_is_finite():
+    # Each centre is one product, spacing (j - (n - 1) / 2), so no partial
+    # sum overflows on the way to an end at 1e308.
+    assert gaussian_comb(3, 1e308, 1.0)[0].tolist() == [-1e308, 0.0, 1e308]
+    with pytest.raises(ValidationError, match="^amplitude center must be finite$"):
+        gaussian_comb(5, 1e308, 1.0)
 
 
 @pytest.mark.parametrize(
