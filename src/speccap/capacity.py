@@ -95,8 +95,9 @@ def holevo_bound(gram_data):
     The output-state entropy splits into the vacuum term and the
     single-photon spectrum; each letter contributes a binary
     transmitted-or-lost entropy.  A stack of Gram matrices is solved by one
-    eigensolve and one entropy pass, and gives each matrix's bounds exactly
-    as a solve of that matrix alone does.
+    eigensolve and one entropy pass.  Each matrix gets exactly the bounds of
+    a solve of it alone if all or none of the stack is centrosymmetric (see
+    :func:`~speccap.numerics.hermitian_eigenvalues`), else up to roundoff.
     """
     spectrum, mean_loss = output_spectrum(gram_data)
     loss = gram_data.loss
@@ -256,11 +257,12 @@ def _letter_divergences(gram, loss, weights):
     lam`` overflows.
     """
     root = np.sqrt(weights)
-    values, vectors = hermitian_eigenvalues(root[:, None] * gram * root, vectors=True)
+    rows = root[:, None] * gram  # sqrt(W) G, the left factor of both products below
+    values, vectors = hermitian_eigenvalues(rows * root, vectors=True)
     values = clamp_spectrum(values)
     floor = max(np.finfo(float).eps * values[0], 1e-300)
     safe = np.where(values > floor, values, 1.0)  # log2(1) / 1 = 0 drops the null space
-    photon = (np.log2(safe) / safe) @ np.abs(vectors.conj().T @ (root[:, None] * gram)) ** 2
+    photon = (np.log2(safe) / safe) @ np.abs(vectors.conj().T @ rows) ** 2
     mean_loss = float(weights @ loss)
     vacuum = loss * math.log2(mean_loss) if mean_loss > 0.0 else 0.0
     return -_binary_entropies(loss) - vacuum - photon

@@ -128,8 +128,9 @@ def output_spectrum(gram_data):
     """Eigenvalues of the single-photon output block, descending, clamped, and the mean loss.
 
     For a stack of Gram matrices both carry its leading axes, from one
-    eigensolve.  Each spectrum plus its vacuum weight must form a
-    probability vector; deviation beyond 1e-10 means the eigensolve went
+    eigensolve, bitwise those of each matrix alone if all or none of the
+    stack is centrosymmetric.  Each spectrum plus its vacuum weight must form
+    a probability vector; deviation beyond 1e-10 means the eigensolve went
     wrong.
     """
     values = clamp_spectrum(hermitian_eigenvalues(gram_data.weighted))

@@ -73,14 +73,13 @@ def parse_grid(text):
                 raise ValueError("min, max and step must be finite")
             if step <= 0 or hi < lo:
                 raise ValueError("need step > 0 and max >= min")
-            span = (hi - lo) / step
-            if span + 1.0 > MAX_GRID_POINTS:
-                raise ValueError(f"{span + 1.0:.7g} points, more than {MAX_GRID_POINTS}")
-            count = int(round(span))
-            values = [lo + k * step for k in range(count + 1)]
-            if values[-1] > hi + 1e-9 * step:
-                values.pop()
-            return values
+            # Count as the list is built: the rounded number of steps, plus the first point unless the last
+            # lies past max.  Floats, so a span past the largest float counts as inf points.
+            last = round((hi - lo) / step, 0)
+            count = last + (lo + last * step <= hi + 1e-9 * step)
+            if count > MAX_GRID_POINTS:
+                raise ValueError(f"{count:.7g} points, more than {MAX_GRID_POINTS}")
+            return [lo + k * step for k in range(int(count))]
         return [float(piece) for piece in text.split(",")]
     except (ValueError, OverflowError) as exc:
         raise UsageError(f"bad grid {text!r}: {exc}") from None
@@ -144,66 +143,64 @@ def _stack_cells(gram, priors):
 
 
 def cmd_sweep(args):
-    """One CSV row per grid point, in grid order; each ``(n, spacing)`` comb is built once for all its points.
+    """One CSV row per grid point, in grid order; each ``(n, spacing)`` comb is built at most once, before its rows.
 
-    Each channel value's response, or its validation message, and its key
-    cell are built once per sweep and shared by every comb.  Uniform-prior
-    points take the comb's :func:`gaussian_comb` arrays, in blocks of up to
-    ``_BLOCK_POINTS`` consecutive points: one :func:`comb_grams` build, one
-    ``GramData`` check of the priors and one stacked eigensolve each.
+    Each channel value's cells, and its response or validation message, are
+    built once per sweep and shared by every comb; no comb is built when no
+    channel value is valid.  Uniform-prior points take the comb's
+    :func:`gaussian_comb` arrays, in blocks of up to ``_BLOCK_POINTS``
+    consecutive points: one :func:`comb_grams` build, one ``GramData`` check
+    of the priors and one stacked eigensolve each.
     """
     n_list = parse_int_list(args.n)
     delta_grid = parse_grid(args.delta_omega)
     if args.mode == "flat":
-        if args.eta is None:
-            raise UsageError("flat mode requires --eta")
-        channel_grid = parse_grid(args.eta)
-        header = ["n", "delta_omega", "eta"]
+        channel, make_response, peak = "eta", FlatResponse, {}
     else:
-        if args.sigma_eta is None:
-            raise UsageError("gaussian mode requires --sigma-eta")
-        channel_grid = parse_grid(args.sigma_eta)
-        header = ["n", "delta_omega", "sigma_eta", "p_peak"]
-    header += ["post_select", "holevo_bits", "post_selected_bits", "eps_bar", "error"]
-    channels = []
-    for channel_value in channel_grid:
+        channel, make_response = "sigma_eta", functools.partial(GaussianPeakResponse, args.p_peak)
+        peak = {"p_peak": _fmt(args.p_peak)}
+    if getattr(args, channel) is None:
+        raise UsageError(f"{args.mode} mode requires --{channel.replace('_', '-')}")
+    header = ["n", "delta_omega", channel, *peak, "post_select"]
+    header += ["holevo_bits", "post_selected_bits", "eps_bar", "error"]
+    channels = []  # each channel value's cells after the key, and its response or its message
+    for value in parse_grid(getattr(args, channel)):
+        cells = [_fmt(value), *peak.values(), int(args.post_select)]
         try:
-            if args.mode == "flat":
-                response = FlatResponse(channel_value)
-            else:
-                response = GaussianPeakResponse(args.p_peak, channel_value)
-            channels.append((_fmt(channel_value), response, None))
+            channels.append((cells, make_response(value), None))
         except (ValidationError, ComputationError) as exc:
-            channels.append((_fmt(channel_value), None, str(exc)))
-    peak_cells = [_fmt(args.p_peak)] if args.mode == "gaussian" else []
-    points = _grid_points(n_list, delta_grid, channels)
+            channels.append((cells, None, str(exc)))
+    _grid_points(n_list, delta_grid, channels)  # only to reject a grid over the point limit
+    any_valid = any(response is not None for _, response, _ in channels)
 
     _check_thread_env()
     rows = []
-    for (n, delta), group in itertools.groupby(points, key=lambda point: point[:2]):
-        group = [channel for _, _, channel in group]
+    for n, delta in itertools.product(n_list, delta_grid):
         key = [n, _fmt(delta)]
         optimize = args.priors == "optimized" and n >= 2
-        shape = (n, delta, args.sigma_psi, args.centering)
-        comb = None  # its arrays, or its letters' ensemble when optimizing; built at the first valid channel
-        for start in range(0, len(group), _BLOCK_POINTS):
+        comb, comb_error = None, None  # its arrays, or its letters' ensemble when optimizing
+        if any_valid:
+            shape = (n, delta, args.sigma_psi, args.centering)
+            try:
+                comb = EncodingEnsemble.uniform(make_gaussian_basis(*shape)) if optimize else gaussian_comb(*shape)
+            except (ValidationError, ComputationError) as exc:
+                comb_error = str(exc)
+        for start in range(0, len(channels), _BLOCK_POINTS):
             pending, responses = [], []  # rows and channels of the block's points that await its stacked solve
-            for channel_cell, response, message in group[start : start + _BLOCK_POINTS]:
-                row = [*key, channel_cell, *peak_cells, int(args.post_select)]
+            for cells, response, message in channels[start : start + _BLOCK_POINTS]:
+                row = [*key, *cells]
                 rows.append(row)
-                if response is None:
-                    row += ["", "", "", message]
-                    continue
-                try:
-                    if optimize:
-                        comb = comb or EncodingEnsemble.uniform(make_gaussian_basis(*shape))
+                message = comb_error if message is None else message
+                if message is None and optimize:
+                    try:
                         row += _report_cells(optimize_priors(comb, response)[1])[0]
-                    else:
-                        comb = comb or gaussian_comb(*shape)
-                        responses.append(response)
-                        pending.append(row)
-                except (ValidationError, ComputationError) as exc:
-                    row += ["", "", "", str(exc)]
+                    except (ValidationError, ComputationError) as exc:
+                        message = str(exc)
+                elif message is None:
+                    responses.append(response)
+                    pending.append(row)
+                if message is not None:
+                    row += ["", "", "", message]
             if responses:
                 stack = comb_grams(comb, responses)
                 stack.setflags(write=False)  # so GramData shares it instead of copying
@@ -237,31 +234,26 @@ def cmd_two_state(args):
         raise UsageError("--lambda values must be finite")
 
     if args.emit == "exact-curve":
-        delta_grid = parse_grid(args.delta)
         header = ["lambda", "delta", "capacity_bits", "error"]
-        points = _grid_points(lam_grid, delta_grid)
+        points = _grid_points(lam_grid, parse_grid(args.delta))
 
-        def one_point(point):
-            lam, delta = point
-            try:
-                bits = two_state_exact(delta, lam, args.p_peak)
-            except (ValidationError, ComputationError) as exc:
-                return [_fmt(lam), _fmt(delta), "", str(exc)]
-            return [_fmt(lam), _fmt(delta), _fmt(bits), ""]
+        def solve(lam, delta):
+            return [two_state_exact(delta, lam, args.p_peak)]
 
     else:
         header = ["lambda", "c_max_bits", "delta_star", "error"]
-        points = list(lam_grid)
-
-        def one_point(lam):
-            try:
-                bits, separation = two_state_max(lam, args.p_peak)
-            except (ValidationError, ComputationError) as exc:
-                return [_fmt(lam), "", "", str(exc)]
-            return [_fmt(lam), _fmt(bits), _fmt(separation), ""]
+        points = zip(lam_grid)
+        solve = functools.partial(two_state_max, p_peak=args.p_peak)
 
     _check_thread_env()
-    rows = [one_point(point) for point in points]
+    rows = []
+    for point in points:  # the point's cells, then its result cells or as many empty ones and its message
+        row = [*map(_fmt, point)]
+        try:
+            row += [*map(_fmt, solve(*point)), ""]
+        except (ValidationError, ComputationError) as exc:
+            row += [""] * (len(header) - len(row) - 1) + [str(exc)]
+        rows.append(row)
     _write_csv(args.out, header, rows)
     return EXIT_OK
 
@@ -291,16 +283,11 @@ def cmd_gram_dump(args):
     spectrum, _ = output_spectrum(data)
 
     rows = []
-    for i in range(data.n):
-        for j in range(data.n):
-            entry = data.gram[i, j]
-            rows.append(["gram", i, j, _fmt(entry.real), _fmt(entry.imag)])
-    for i, value in enumerate(data.survival):
-        rows.append(["survival", i, "", _fmt(value), ""])
-    for i, value in enumerate(data.loss):
-        rows.append(["loss", i, "", _fmt(value), ""])
-    for i, value in enumerate(spectrum):
-        rows.append(["eigenvalue", i, "", _fmt(value), ""])
+    records = {"gram": data.gram, "survival": data.survival, "loss": data.loss, "eigenvalue": spectrum}
+    for record, values in records.items():
+        for index, value in np.ndenumerate(values):  # row-major; only a gram entry has a column and an imaginary part
+            j, imag = (index[1], _fmt(value.imag)) if len(index) == 2 else ("", "")
+            rows.append([record, index[0], j, _fmt(value.real), imag])
     _write_csv(args.out, ["record", "i", "j", "value_re", "value_im"], rows)
     return EXIT_OK
 

@@ -89,7 +89,9 @@ def hermitian_eigenvalues(matrix, *, vectors=False):
     ``J`` the reversal) is solved as its even and odd halves, two LAPACK calls
     of half the size whose values are merged in descending order.  That is
     every Gram matrix of a symmetric comb, whose centres are exact mirrors,
-    through a flat or Gaussian-peak channel; any other matrix is solved whole.
+    through a flat or Gaussian-peak channel; any other matrix, and a stack with
+    one, is solved whole.  So a member's values are bitwise those of its solo
+    solve only if all or none of its stack is centrosymmetric.
     ``vectors=True`` returns ``(values, vectors)`` from ``eigh``, eigenvectors
     as columns, always of the whole matrix.
     """

@@ -18,12 +18,14 @@ from speccap.capacity import (
     two_state_exact,
     two_state_max,
 )
-from speccap.channel import EncodingEnsemble, compute_gram
+from speccap.channel import EncodingEnsemble, GramData, compute_gram
 from speccap.errors import ComputationError, ConvergenceError, ValidationError
 from speccap.spectral import (
     FlatResponse,
     GaussianAmplitude,
     GaussianPeakResponse,
+    comb_grams,
+    gaussian_comb,
     make_gaussian_basis,
     modulated_overlap,
     survival_probability,
@@ -90,6 +92,31 @@ def test_letter_entropies_and_spectrum_are_reported():
     assert report.letter_entropies.shape == (3,)
     assert report.spectrum.shape == (3,)
     assert report.spectrum.sum() + report.mean_loss == pytest.approx(1.0, abs=1e-10)
+
+
+def _bound_cells(stack, priors):
+    report = holevo_bound(GramData(stack, priors))
+    return np.stack([report.holevo_bits, report.post_selected_bits, report.mean_loss], axis=-1)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_stack_gives_each_member_its_solo_bounds_bitwise_when_all_or_none_are_centrosymmetric(seed):
+    # A symmetric comb's Gram matrices through Gaussian channels are centrosymmetric and solved by halves; a
+    # zero-start comb's are not and are solved whole.  A stack mixing the two is solved whole, so its
+    # centrosymmetric member then differs from its solo solve by eigensolver roundoff only.
+    rng = np.random.default_rng(seed)
+    n, spacing, width = int(rng.integers(2, 13)), rng.uniform(0.05, 3.0), rng.uniform(0.3, 2.0)
+    responses = [GaussianPeakResponse(rng.uniform(0.2, 1.0), sigma) for sigma in rng.uniform(0.3, 5.0, 3)]
+    symmetric = comb_grams(gaussian_comb(n, spacing, width, "symmetric"), responses)
+    zero_start = comb_grams(gaussian_comb(n, spacing, width, "zero-start"), responses)
+    assert np.array_equal(symmetric, symmetric[..., ::-1, ::-1])
+    assert not any(np.array_equal(gram, gram[::-1, ::-1]) for gram in zero_start)
+    priors = np.full(n, 1.0 / n)
+    for stack in (symmetric, zero_start):
+        assert np.array_equal(_bound_cells(stack, priors), [_bound_cells(gram, priors) for gram in stack])
+    mixed = np.stack([symmetric[0], zero_start[0]])
+    solo = [_bound_cells(gram, priors) for gram in mixed]
+    assert np.max(np.abs(_bound_cells(mixed, priors) - solo)) <= 1e-13
 
 
 def test_erasure_bounds_matched_widths():

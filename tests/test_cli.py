@@ -22,6 +22,7 @@ from speccap.cli import (
     EXIT_USAGE,
     MAX_GRID_POINTS,
     UsageError,
+    _fmt,
     _grid_points,
     build_parser,
     main,
@@ -96,6 +97,8 @@ def test_parsed_grids_and_integer_lists_are_never_empty(grid, integers):
 
 def test_parse_grid_rejects_a_range_over_the_point_limit_before_building_it():
     assert len(parse_grid(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
+    # The limit counts the points the range has: 0 to 999999 here, the last step rounded down.
+    assert parse_grid(f"0:{MAX_GRID_POINTS - 0.6}:1")[-1] == MAX_GRID_POINTS - 1
     tracemalloc.start()
     try:
         for text, count in (("0:1e9:1", "1e\\+09"), (f"0:{MAX_GRID_POINTS}:1", str(MAX_GRID_POINTS + 1))):
@@ -317,23 +320,35 @@ def test_gram_dump_of_tabulated_letters_through_an_infinitely_wide_gaussian_chan
     assert "invalid input: channel width inf is outside the closed form's range" in capsys.readouterr().err
 
 
-def test_sweep_builds_each_comb_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "n, channels, builds, error",
+    [
+        ("2,3", "1,2,3,4", [(n, spacing) for n in (2, 3) for spacing in (0.0, 1.0, 2.0)], ""),
+        # A bad comb is attempted once, however many of its rows have a valid channel.
+        ("0", "1,2,3,4", [(0, spacing) for spacing in (0.0, 1.0, 2.0)], "letter count must be a positive integer"),
+        # No comb is built when no channel is valid, so an alphabet too large to build is never attempted.
+        ("1000000000", "-1,nan,0,-0.0", [], "channel width must be positive"),
+    ],
+    ids=["valid", "bad-comb", "no-valid-channel"],
+)
+def test_sweep_builds_each_comb_once(tmp_path, monkeypatch, n, channels, builds, error):
     calls = []
 
     def counted(n, spacing, *rest):
         calls.append((n, spacing))
+        assert n < 10**6, "the comb is too large to build here"  # fail the test rather than exhaust memory
         return gaussian_comb(n, spacing, *rest)
 
     monkeypatch.setattr("speccap.cli.gaussian_comb", counted)
     out = tmp_path / "sweep.csv"
-    grid = ["--n", "2,3", "--delta-omega", "0,1,2", "--sigma-eta", "1,2,3,4"]
+    grid = ["--n", n, "--delta-omega", "0,1,2", f"--sigma-eta={channels}"]
     assert main(["sweep", "--mode", "gaussian", *grid, "--out", str(out)]) == EXIT_OK
-    assert calls == [(n, spacing) for n in (2, 3) for spacing in (0.0, 1.0, 2.0)]
+    assert calls == builds
     rows = read_rows(out)
     assert [(row["n"], row["delta_omega"], row["sigma_eta"]) for row in rows] == [
-        (n, d, s) for n in "23" for d in "012" for s in "1234"
+        (m, d, s) for m in n.split(",") for d in "012" for s in map(_fmt, parse_grid(channels))
     ]
-    assert all(row["error"] == "" for row in rows)
+    assert all(row["error"] == error for row in rows)
 
 
 def test_sweep_rows_with_a_bad_comb_or_channel_keep_grid_order_and_their_messages(tmp_path):
