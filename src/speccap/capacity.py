@@ -14,7 +14,7 @@ import numpy as np
 from .channel import EncodingEnsemble, GramData, compute_gram, output_spectrum
 from .errors import ComputationError, ConvergenceError, ValidationError
 from .numerics import clamp_spectrum, hermitian_eigenvalues
-from .spectral import GaussianAmplitude, GaussianPeakResponse, make_gaussian_basis
+from .spectral import GaussianAmplitude, GaussianPeakResponse, gaussian_comb, make_gaussian_basis
 
 # Stopping gain in bits and iteration budget of :func:`optimize_priors`, read at call time.
 PRIOR_TOLERANCE = 1e-9
@@ -98,6 +98,11 @@ def holevo_bound(gram_data):
     eigensolve and one entropy pass.  Each matrix gets exactly the bounds of
     a solve of it alone if all or none of the stack is centrosymmetric (see
     :func:`~speccap.numerics.hermitian_eigenvalues`), else up to roundoff.
+    A :class:`~speccap.channel.MirrorGramData` stack, the distinct entries of
+    centrosymmetric matrices under uniform priors, has its even and odd
+    blocks built from those entries directly
+    (:func:`~speccap.channel.output_spectrum`), and gets the bounds of
+    ``GramData`` of the whole matrices bit for bit.
     """
     spectrum, mean_loss = output_spectrum(gram_data)
     loss = gram_data.loss
@@ -332,10 +337,14 @@ def optimal_alphabet_size(
     For band-limited channels the bound peaks at a finite size: extra
     letters eventually sit where the channel is opaque and only dilute the
     ensemble.  Ties break toward the smaller alphabet.  Returns
-    ``(best_n, best_bits, curve)`` where curve lists ``(n, bits)``.
+    ``(best_n, best_bits, curve)`` where curve lists ``(n, bits)``.  The
+    largest comb is checked first: its centres reach furthest, so it raises
+    the ValidationError a smaller one would, or the letter cap's, before any
+    work is done.
     """
     if not (isinstance(n_max, (int, np.integer)) and n_max >= 1):
         raise ValidationError("maximum alphabet size must be a positive integer")
+    gaussian_comb(n_max, spacing, sigma_psi, centering)
     curve = []
     best_n, best_bits = 1, -math.inf
     for n in range(1, n_max + 1):

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .numerics import clamp_spectrum, hermitian_eigenvalues
+from .numerics import (
+    centrosymmetric_eigenvalues,
+    clamp_spectrum,
+    hermitian_eigenvalues,
+    mirror_diagonal,
+    mirror_quarter,
+)
 from .spectral import gram_matrix, survival_window
 
 
@@ -56,6 +62,16 @@ class EncodingEnsemble:
         return len(self.letters)
 
 
+def _read_only(entries):
+    """``entries`` read-only as float64 or complex128: shared if read-only of that dtype, else copied or converted once."""
+    arr = np.asarray(entries)
+    arr = arr.astype(np.result_type(arr, float), copy=False)
+    if arr.flags.writeable and np.may_share_memory(arr, entries):  # the caller's array: copy it
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class GramData:
     """Modulated-letter Gram matrix and priors; the per-letter statistics derive from them.
@@ -79,13 +95,9 @@ class GramData:
     priors: np.ndarray
 
     def __post_init__(self):
-        gram = np.asarray(self.gram)
-        gram = gram.astype(np.result_type(gram, float), copy=False)
+        gram = _read_only(self.gram)
         if gram.ndim < 2 or gram.shape[-1] != gram.shape[-2]:
             raise ValidationError(f"Gram matrix must be square, got shape {gram.shape}")
-        if gram.flags.writeable and np.may_share_memory(gram, self.gram):  # the caller's array: copy it
-            gram = gram.copy()
-        gram.setflags(write=False)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "priors", _validated_priors(self.priors, self.n))
         object.__setattr__(self, "survival", survival_window(gram.diagonal(axis1=-2, axis2=-1).real))
@@ -110,6 +122,56 @@ class GramData:
         weighted *= root
         return weighted
 
+    def _eigenvalues(self):
+        return hermitian_eigenvalues(self.weighted)
+
+
+class MirrorGramData:
+    """Uniform-prior Gram data of Hermitian centrosymmetric Gram matrices, ``G = J G J``, kept as their distinct entries.
+
+    Mirror-symmetric letters through an even channel, such as a symmetric
+    comb through a flat or Gaussian-peak channel, have such matrices (``J``
+    is the reversal).  ``quarter`` is the ``(..., Q)`` stack of their entries
+    at the :func:`~speccap.numerics.mirror_quarter` places of ``N =
+    len(priors)``, kept read-only as GramData keeps a matrix; a ``quarter`` of
+    any other length, or priors that are not uniform, raise
+    ``ValidationError``.  ``priors``, ``survival``, ``loss`` and
+    ``mean_loss`` are those of GramData of the whole matrices, bit for bit,
+    and ``weighted`` holds the same entries of ``sqrt(P) G sqrt(P)``, each
+    ``(r g) r`` with ``r = sqrt(1 / N)``; its even and odd blocks are solved
+    by :func:`~speccap.numerics.centrosymmetric_eigenvalues`.  The whole
+    matrices are never formed, so there is no ``gram``.
+    """
+
+    __slots__ = ("quarter", "priors", "survival")
+    loss = GramData.loss
+    mean_loss = GramData.mean_loss
+
+    def __init__(self, quarter, priors):
+        priors = _validated_priors(priors, np.size(priors))
+        if np.any(priors != priors[0]):
+            raise ValidationError("priors of MirrorGramData must be uniform")
+        quarter = _read_only(quarter)
+        places = mirror_quarter(priors.size)[0].size
+        if quarter.ndim < 1 or quarter.shape[-1] != places:
+            raise ValidationError(f"expected {places} distinct Gram entries, got shape {quarter.shape}")
+        self.quarter, self.priors = quarter, priors
+        self.survival = survival_window(mirror_diagonal(quarter, self.n))
+
+    @property
+    def n(self):
+        return self.priors.size
+
+    @property
+    def weighted(self):
+        root = np.sqrt(self.priors[0])
+        weighted = self.quarter * root
+        weighted *= root
+        return weighted
+
+    def _eigenvalues(self):
+        return centrosymmetric_eigenvalues(self.weighted, self.n)
+
 
 def compute_gram(ensemble, response):
     """Gram data of an ensemble pushed through a channel response.
@@ -129,11 +191,15 @@ def output_spectrum(gram_data):
 
     For a stack of Gram matrices both carry its leading axes, from one
     eigensolve, bitwise those of each matrix alone if all or none of the
-    stack is centrosymmetric.  Each spectrum plus its vacuum weight must form
-    a probability vector; deviation beyond 1e-10 means the eigensolve went
-    wrong.
+    stack is centrosymmetric.  The eigensolve is that of
+    :func:`~speccap.numerics.hermitian_eigenvalues` on the whole weighted
+    matrix, or, for :class:`MirrorGramData`, of its even and odd blocks built
+    from its distinct entries, which gives the same values (a zero may differ
+    in sign) and the same mean loss bit for bit.  Each spectrum plus its
+    vacuum weight must form a probability vector; deviation beyond 1e-10
+    means the eigensolve went wrong.
     """
-    values = clamp_spectrum(hermitian_eigenvalues(gram_data.weighted))
+    values = clamp_spectrum(gram_data._eigenvalues())
     mean_loss = gram_data.mean_loss
     total = values.sum(axis=-1) + mean_loss
     wrong = np.abs(total - 1.0) > 1e-10

@@ -11,8 +11,9 @@ set of letters, on the segments between those grid points and a breakpoint at
 every width of each Gaussian factor, out to ``TRUNCATION_SIGMAS`` widths.
 :func:`comb_grams` builds the closed-form matrices of Gaussian letters given as two
 arrays, centres and widths, through many channels as one stack, in one numpy
-broadcast over the pairs of one upper triangle, mirrored by
-:func:`numerics.mirror_upper`.  :func:`gram_matrix`
+broadcast (:func:`comb_overlaps`) over the pairs of one upper triangle, mirrored by
+:func:`numerics.mirror_upper`; of a symmetric comb, :func:`comb_overlaps` builds
+only the distinct pairs of :func:`numerics.mirror_quarter`.  :func:`gram_matrix`
 still builds its closed form pair by pair, because the benchmark's tracer test
 counts those :func:`modulated_overlap` calls; once it no longer does (ROADMAP
 item 2), one matrix becomes a one-member stack and the pair loop goes.
@@ -31,6 +32,13 @@ from .numerics import mirror_upper
 
 # Every Gaussian factor of a quadrature integrand puts a breakpoint at each width out to this many from its centre.
 TRUNCATION_SIGMAS = 10.0
+
+# Most letters a comb may have, checked before any of its arrays is built.  It keeps one sweep
+# block (16 points) within a budget of 512 MB traced by tracemalloc, on either route: the peak
+# grows as the square of the letter count, and at 1024 letters is 306 MB through whole matrices
+# and 223 MB through their distinct entries, so 2048 would take about 1.2 GB.  1024 is the
+# largest power of two within the budget, 8 times the N = 128 the performance target names.
+MAX_LETTERS = 1024
 
 # (2 pi)^(-1/4): a Gaussian amplitude of width w peaks at this over sqrt(w).
 _GAUSSIAN_NORM = (2.0 * math.pi) ** -0.25
@@ -270,17 +278,30 @@ def comb_grams(comb, responses):
 
     ``comb`` is the letters' ``center`` and ``width`` as two float arrays, as
     :func:`gaussian_comb` returns them, and the responses are flat or Gaussian
-    peaks.  Each letter's ``a = 1/(4 width^2)`` and ``a center^2`` take the float
-    operations of ``GaussianAmplitude``'s ``_a`` and ``_acc``.  One numpy broadcast of
-    :func:`modulated_overlap`'s closed form over the ``N (N + 1) / 2`` pairs
-    ``i <= j``, in its operand order and with its float-limit rules; only the
-    responses' ``(power, k)`` vary along the stack.  :func:`numerics.mirror_upper`
-    writes each pair's value to both ``(i, j)`` and ``(j, i)``, so every member
-    is exactly symmetric and float64.  Member ``b`` equals ``gram_matrix(letters,
-    responses[b])`` but where numpy's ``exp`` and libm's round 1 ulp apart.
+    peaks.  :func:`comb_overlaps` evaluates the ``N (N + 1) / 2`` pairs ``i <= j``
+    of :func:`numerics.upper_triangle`, and :func:`numerics.mirror_upper` writes
+    each pair's value to both ``(i, j)`` and ``(j, i)``, so every member is
+    exactly symmetric and float64.  Member ``b`` equals ``gram_matrix(letters,
+    responses[b])`` but where numpy's ``exp`` and libm's round 1 ulp apart.  A
+    symmetric comb's matrices are also exactly centrosymmetric; the sweep builds
+    only their distinct entries, ``comb_overlaps(comb, responses,
+    numerics.mirror_quarter(N))``, and never this whole stack.
+    """
+    return mirror_upper(comb_overlaps(comb, responses, numerics.upper_triangle(len(comb[0]))))
+
+
+def comb_overlaps(comb, responses, pairs):
+    """The real ``(B, P)`` overlaps of the letter pairs ``(rows, cols) = pairs`` of ``comb`` through each response.
+
+    ``comb`` is as :func:`comb_grams` takes it.  Each letter's ``a = 1/(4 width^2)``
+    and ``a center^2`` take the float operations of ``GaussianAmplitude``'s ``_a``
+    and ``_acc``.  One numpy broadcast of :func:`modulated_overlap`'s closed form
+    over the ``P`` pairs ``(rows[p], cols[p])``, in its operand order and with its
+    float-limit rules, so a pair's value does not depend on which other pairs are
+    asked for; only the responses' ``(power, k)`` vary along the stack.
     """
     center, width = comb
-    rows, cols = numerics.upper_triangle(len(center))
+    rows, cols = pairs
     power, k = np.reshape([response._power_k for response in responses], (-1, 2, 1)).swapaxes(0, 1)
     with np.errstate(over="ignore"):
         a = 0.25 / (width * width)
@@ -302,8 +323,7 @@ def comb_grams(comb, responses):
         np.sqrt(np.divide(0.5, gram, out=gram), out=gram)
         gram *= power
         gram *= exponent
-    del exponent  # the temporaries go before the mirror
-    return mirror_upper(gram)
+    return gram
 
 
 def quadrature_gram(letters, response):
@@ -424,7 +444,8 @@ def gaussian_comb(n, spacing, width, centering="symmetric"):
     ``(n - 1) / 2`` for ``symmetric`` (two letters at -spacing/2, +spacing/2); ``j - shift`` is exact, so a
     symmetric comb is an exact mirror, ``center == -center[::-1]``.  The centres ascend and share one width,
     so the first and last letter, built here, make every check of all N letters and raise the first error
-    those would.
+    those would.  A letter count above ``MAX_LETTERS`` raises ValidationError before any array is built,
+    after the checks of the other arguments.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValidationError("letter count must be a positive integer")
@@ -438,6 +459,8 @@ def gaussian_comb(n, spacing, width, centering="symmetric"):
         shift = (n - 1) / 2
     else:
         raise ValidationError(f"unknown centering {centering!r}")
+    if n > MAX_LETTERS:
+        raise ValidationError(f"letter count {n} is more than {MAX_LETTERS}, the most a comb may have")
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN centre, as a letter's
         center = spacing * (np.arange(n) - shift)
     first, _ = GaussianAmplitude(center[0], width), GaussianAmplitude(center[-1], width)

@@ -5,9 +5,9 @@ import pytest
 
 from oracles import explicit_basis_spectrum, quadrature_overlap_matrix
 from speccap import spectral
-from speccap.channel import EncodingEnsemble, GramData, compute_gram, output_spectrum
+from speccap.channel import EncodingEnsemble, GramData, MirrorGramData, compute_gram, output_spectrum
 from speccap.errors import ComputationError, ValidationError
-from speccap.numerics import hermitian_eigenvalues
+from speccap.numerics import hermitian_eigenvalues, mirror_quarter
 from speccap.spectral import (
     FlatResponse,
     GaussianAmplitude,
@@ -227,6 +227,33 @@ def test_gram_data_of_a_stack_carries_its_leading_axes():
     # One member's survival out of range fails the whole stack.
     with pytest.raises(ComputationError, match="survival"):
         GramData(np.stack([members[0], np.diag([1.5, 0.0])]), priors)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6])
+def test_mirror_gram_data_is_gram_data_of_the_whole_matrices(n):
+    # A stack of complex Gram matrices, each exactly Hermitian and centrosymmetric,
+    # positive definite with its diagonal near 1/2, and uniform priors.
+    parts = np.random.default_rng(n).normal(size=(2, 2, n, n))
+    hermitian = parts[0] + 1j * parts[1] + (parts[0] - 1j * parts[1]).swapaxes(-1, -2)
+    whole = (hermitian + hermitian[..., ::-1, ::-1] + 16 * n * np.eye(n)) / (32 * n)
+    assert np.array_equal(whole, whole[..., ::-1, ::-1]) and np.array_equal(whole, whole.conj().swapaxes(-1, -2))
+    priors = np.full(n, 1.0 / n)
+    rows, cols = mirror_quarter(n)
+    quarter = whole[..., rows, cols]
+    dense, mirror = GramData(whole, priors), MirrorGramData(quarter, priors)
+    assert mirror.n == n and mirror.quarter is not quarter and not mirror.quarter.flags.writeable
+    assert not hasattr(mirror, "gram")  # no GramData consumer can read the entries as a matrix
+    for name in ("priors", "survival", "loss", "mean_loss"):
+        assert getattr(mirror, name).tobytes() == getattr(dense, name).tobytes(), name
+    assert mirror.weighted.tobytes() == dense.weighted[..., rows, cols].tobytes()
+    values, loss = output_spectrum(mirror)
+    assert np.array_equal(values, output_spectrum(dense)[0]) and loss.tobytes() == dense.mean_loss.tobytes()
+    if n > 2:
+        weights = 1.0 + np.arange(n) * np.arange(n)[::-1]  # a mirror, but not uniform
+        with pytest.raises(ValidationError, match="must be uniform"):
+            MirrorGramData(quarter, weights / weights.sum())
+    with pytest.raises(ValidationError, match=f"expected {rows.size} distinct Gram entries"):
+        MirrorGramData(quarter[..., 1:], priors)
 
 
 def test_gram_data_holds_a_read_only_copy_of_a_caller_array():

@@ -29,7 +29,7 @@ from speccap.cli import (
     parse_grid,
     parse_int_list,
 )
-from speccap.spectral import gaussian_comb, make_gaussian_basis
+from speccap.spectral import MAX_LETTERS, gaussian_comb, make_gaussian_basis
 from speccap.svgplot import render_heatmap, render_line
 
 DATA = Path(__file__).parent / "data"
@@ -140,6 +140,36 @@ def test_grid_points_are_counted_first_and_made_as_they_are_read(tmp_path, capsy
     args = ["sweep", "--mode", "flat", "--n", "2,3", "--delta-omega", "0:999:1", "--eta", "0:0.999:0.001"]
     assert main([*args, "--out", str(tmp_path / "big.csv")]) == EXIT_USAGE
     assert f"grid of 2000000 points is larger than {MAX_GRID_POINTS}" in capsys.readouterr().err
+
+
+def test_a_comb_over_the_letter_cap_fills_its_error_cells_and_builds_nothing(tmp_path, monkeypatch, capsys):
+    # A comb of 10^9 letters would take 8 GB per array; the sweep gives its valid points the cap's
+    # message and goes on, and gram-dump and optimal-n exit 1 with it, before building anything.
+    arange = np.arange
+
+    def guarded(n, *args, **kwargs):
+        assert n <= MAX_LETTERS, f"arange({n})"
+        return arange(n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", guarded)
+    cap = f"letter count 1000000000 is more than {MAX_LETTERS}, the most a comb may have"
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--mode", "gaussian", "--n", "1000000000,2", "--delta-omega", "1,1e308", "--sigma-eta", "1,2,-1"]
+    tracemalloc.start()
+    try:
+        assert main([*args, "--out", str(out)]) == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**7
+    bad_channel = "channel width must be positive"
+    assert [row["error"] for row in read_rows(out)] == [cap, cap, bad_channel] * 2 + ["", "", bad_channel] * 2
+    for command in (
+        ["gram-dump", "--n", "1000000000", "--delta-omega", "1", "--sigma-eta", "1"],
+        ["optimal-n", "--n-max", "1000000000", "--delta-omega", "1", "--sigma-eta", "1"],
+    ):
+        assert main([*command, "--out", str(tmp_path / "out.csv")]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"speccap: invalid input: {cap}\n"
 
 
 def test_sweep_flat_row_count_and_values(tmp_path):
@@ -432,29 +462,63 @@ def test_a_nan_spacing_errs_as_a_bad_spacing(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("centering", ["symmetric", "zero-start"])
 @pytest.mark.parametrize("bad", [0, 6, 14])
-def test_a_failure_inside_a_block_errors_only_its_own_point(tmp_path, monkeypatch, bad):
-    # One comb of 15 points: one block.  The patched point's survival is 1.5.
+@pytest.mark.parametrize(
+    "place, value, error", [(0, 1.5, speccap.ComputationError), (1, np.nan, speccap.ValidationError)]
+)
+def test_a_failure_inside_a_block_errors_only_its_own_point(tmp_path, monkeypatch, centering, bad, place, value, error):
+    # One comb of 15 points: one block.  A symmetric comb's block holds the distinct entries of its
+    # Gram matrices (comb_overlaps, MirrorGramData), a zero-start comb's the whole matrices (comb_grams,
+    # GramData).  The patched point's entry (0, 0) is 1.5, a survival above 1, or its entry (0, 1) is
+    # NaN; a symmetric comb's also carries it to the places that mirror it.  Its message must be the
+    # one the whole matrix gives on its own.
     args = ["sweep", "--mode", "gaussian", "--n", "4", "--delta-omega", "1", "--sigma-eta", "1:8:0.5"]
+    args += ["--centering", centering]
     clean = tmp_path / "clean.csv"
     assert main([*args, "--out", str(clean)]) == EXIT_OK
     bad_width = 1.0 + 0.5 * bad
-    comb_grams = speccap.cli.comb_grams
+    rows, cols = speccap.numerics.mirror_quarter(4)
+    i, j = rows[place], cols[place]
     broken = []
 
-    def patched(comb, responses):
-        stack = comb_grams(comb, responses)
-        for entries, response in zip(stack, responses):
-            if response.width == bad_width:
-                entries[0, 0] = 1.5
-                broken.append(entries.copy())
-        return stack
+    def spoil(whole):
+        whole[i, j] = whole[j, i] = value
+        if centering == "symmetric":
+            whole[3 - i, 3 - j] = whole[3 - j, 3 - i] = value
 
-    monkeypatch.setattr("speccap.cli.comb_grams", patched)
+    if centering == "symmetric":
+        comb_overlaps = speccap.cli.comb_overlaps
+
+        def patched(comb, responses, pairs):
+            stack = comb_overlaps(comb, responses, pairs)
+            for entries, response in zip(stack, responses):
+                if response.width == bad_width:
+                    entries[place] = value
+                    whole = speccap.spectral.comb_grams(comb, [response])[0]
+                    spoil(whole)
+                    assert np.array_equal(whole[rows, cols], entries, equal_nan=True)
+                    broken.append(whole)
+            return stack
+
+        monkeypatch.setattr("speccap.cli.comb_overlaps", patched)
+    else:
+        comb_grams = speccap.cli.comb_grams
+
+        def patched(comb, responses):
+            stack = comb_grams(comb, responses)
+            for entries, response in zip(stack, responses):
+                if response.width == bad_width:
+                    spoil(entries)
+                    broken.append(entries.copy())
+            return stack
+
+        monkeypatch.setattr("speccap.cli.comb_grams", patched)
     out = tmp_path / "sweep.csv"
     assert main([*args, "--out", str(out)]) == EXIT_OK
-    with pytest.raises(speccap.ComputationError, match="survival") as alone:
-        speccap.GramData(broken[0], np.full(4, 0.25))
+    [whole] = broken
+    with pytest.raises(error, match="survival" if place == 0 else "finite") as alone:
+        speccap.holevo_bound(speccap.GramData(whole, np.full(4, 0.25)))
     got, want = out.read_text().splitlines(), clean.read_text().splitlines()
     assert len(got) == len(want) == 16
     row = ["4", "1", format(bad_width, "g"), "1", "0", "", "", "", str(alone.value)]
@@ -464,14 +528,14 @@ def test_a_failure_inside_a_block_errors_only_its_own_point(tmp_path, monkeypatc
 
 @pytest.mark.parametrize("name", sorted(README_SWEEPS))
 def test_a_sweep_solves_its_real_gram_stacks_as_real(tmp_path, monkeypatch, name):
-    solve = speccap.channel.hermitian_eigenvalues
+    solve = np.linalg.eigvalsh
     dtypes = []
 
-    def recorded(matrix, **kwargs):
+    def recorded(matrix):
         dtypes.append((matrix.dtype, matrix.ndim))
-        return solve(matrix, **kwargs)
+        return solve(matrix)
 
-    monkeypatch.setattr("speccap.channel.hermitian_eigenvalues", recorded)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
     args = ["sweep", "--n", "1,8", "--delta-omega", "0,1.5", *README_SWEEPS[name], "--out", str(tmp_path / name)]
     assert main(args) == EXIT_OK
     assert dtypes and set(dtypes) == {(np.dtype(np.float64), 3)}
@@ -528,23 +592,33 @@ def test_a_stacked_sweep_gives_each_point_s_own_bounds(tmp_path, args):
 
 
 @pytest.mark.parametrize("name, block", [("readme_flat_sweep.csv", 11), ("readme_gaussian_sweep.csv", 15)])
-def test_readme_sweeps_solve_one_stack_per_comb(tmp_path, monkeypatch, name, block):
-    # 21 spacings, each a comb of `block` points: 21 eigensolves, not one per point.
-    shapes = []
-    solve = speccap.numerics.hermitian_eigenvalues
+def test_readme_sweeps_solve_one_stack_per_comb(tmp_path, monkeypatch, lapack_shapes, name, block):
+    # 21 spacings, each a mirror comb of `block` points: 21 stacked solves of the 272
+    # distinct entries of its 32 x 32 Gram matrices, each one even and one odd
+    # 16 x 16 stack; not one solve per point, and no whole matrix.
+    quarters, whole = [], []
+    solve_blocks = speccap.channel.centrosymmetric_eigenvalues
+    solve_whole = speccap.numerics.hermitian_eigenvalues
 
-    def counted(matrix, **kwargs):
-        shapes.append(np.shape(matrix))
-        return solve(matrix, **kwargs)
+    def counted(quarter, n):
+        quarters.append(np.shape(quarter))
+        return solve_blocks(quarter, n)
 
+    def refused(matrix, **kwargs):
+        whole.append(np.shape(matrix))
+        return solve_whole(matrix, **kwargs)
+
+    monkeypatch.setattr("speccap.channel.centrosymmetric_eigenvalues", counted)
     for module in (speccap, speccap.numerics, speccap.channel, speccap.capacity):
-        monkeypatch.setattr(module, "hermitian_eigenvalues", counted)
+        monkeypatch.setattr(module, "hermitian_eigenvalues", refused)
     # A uniform-prior sweep builds its combs as arrays, never as letter objects.
     bases = []
     monkeypatch.setattr("speccap.cli.make_gaussian_basis", lambda *args: bases.append(args))
     args = ["sweep", "--n", "32", "--delta-omega", "0:10:0.5", *README_SWEEPS[name], "--out", str(tmp_path / name)]
     assert main(args) == EXIT_OK
-    assert shapes == [(block, 32, 32)] * 21
+    assert quarters == [(block, 272)] * 21
+    assert lapack_shapes == [(block, 16, 16), (block, 16, 16)] * 21
+    assert whole == []
     assert bases == []
 
 

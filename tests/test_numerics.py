@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from speccap import spectral
 from speccap.errors import ComputationError, PsdViolationError, ValidationError
-from speccap.numerics import clamp_spectrum, hermitian_eigenvalues, mirror_upper
+from speccap.numerics import (
+    centrosymmetric_eigenvalues,
+    clamp_spectrum,
+    hermitian_eigenvalues,
+    mirror_diagonal,
+    mirror_quarter,
+    mirror_upper,
+)
 
 
 def test_mirror_upper_mirrors_each_matrix_of_a_stack_as_it_mirrors_one():
@@ -297,6 +304,11 @@ def test_a_centrosymmetric_stack_is_solved_by_halves_to_the_dense_spectrum(count
     assert values.shape == (count, n) and np.all(np.diff(values, axis=-1) <= 0.0)
     dense = np.linalg.eigvalsh(stack)[..., ::-1]
     assert np.max(np.abs(values - dense)) <= 1e-13 * np.max(np.abs(stack))
+    # Its distinct entries alone give the same blocks, so the same values bit for bit, and its diagonal.
+    rows, cols = mirror_quarter(n)
+    assert rows.size == (n + 1) ** 2 // 4
+    assert centrosymmetric_eigenvalues(stack[..., rows, cols], n).tobytes() == values.tobytes()
+    assert mirror_diagonal(stack[..., rows, cols], n).tobytes() == np.diagonal(stack, axis1=1, axis2=2).real.tobytes()
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -341,6 +353,10 @@ def test_a_centrosymmetric_matrix_is_checked_before_any_solve(lapack_shapes, mat
     assert np.array_equal(np.asarray(matrix), np.asarray(matrix)[::-1, ::-1], equal_nan=True)
     with pytest.raises(ValidationError, match=message):
         hermitian_eigenvalues(matrix)
+    if message == "matrix entries must be finite":  # the only check left when only the distinct entries are given
+        rows, cols = mirror_quarter(len(matrix))
+        with pytest.raises(ValidationError, match=message):
+            centrosymmetric_eigenvalues(np.asarray(matrix)[rows, cols], len(matrix))
     assert lapack_shapes == []
 
 
@@ -359,6 +375,10 @@ def test_a_failure_on_either_half_is_computation_error(monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvalsh", fail_on_one)
         with pytest.raises(ComputationError, match="did not converge"):
             hermitian_eigenvalues(matrix)
+        assert calls == [(3, 3), (3, 3)][:failing]
+        calls.clear()
+        with pytest.raises(ComputationError, match="did not converge"):
+            centrosymmetric_eigenvalues(matrix[mirror_quarter(6)], 6)
         assert calls == [(3, 3), (3, 3)][:failing]
 
 

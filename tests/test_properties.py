@@ -28,8 +28,9 @@ from speccap.capacity import (
     erasure_bounds,
     holevo_bound,
 )
-from speccap.channel import EncodingEnsemble, GramData, compute_gram, output_spectrum
+from speccap.channel import EncodingEnsemble, GramData, MirrorGramData, compute_gram, output_spectrum
 from speccap.errors import ValidationError
+from speccap.numerics import mirror_quarter
 from speccap.spectral import (
     TRUNCATION_SIGMAS,
     FlatResponse,
@@ -41,6 +42,7 @@ from speccap.spectral import (
     _parse_lines,
     _parse_table,
     comb_grams,
+    comb_overlaps,
     gaussian_comb,
     gram_matrix,
     make_gaussian_basis,
@@ -271,6 +273,43 @@ def test_a_symmetric_comb_is_an_exact_mirror(n, spacing):
         assert str(exc) == "amplitude center must be finite" and math.isinf(spacing * ((n - 1) / 2))
         return
     assert np.array_equal(center, -center[::-1])
+
+
+# A sweep block's channels: flat ones, transmission 0 among them, and Gaussian peaks, peak probability 0 and -0.0 among them.
+sweep_block_channels = st.lists(
+    st.one_of(
+        st.builds(FlatResponse, st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
+        st.builds(
+            GaussianPeakResponse, st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 1.0)), st.floats(0.05, 50.0)
+        ),
+    ),
+    min_size=1,
+    max_size=16,
+)
+
+
+@given(st.integers(1, 64), grid_spacings, st.floats(0.3, 3.0), sweep_block_channels)
+@example(1, 0.0, 1.0, [FlatResponse(0.0), GaussianPeakResponse(-0.0, 1.0)])
+@example(64, 1e300, 1.0, [GaussianPeakResponse(0.8, 2.0), FlatResponse(1.0)])
+@example(33, 5e-324, 0.3, [GaussianPeakResponse(-0.0, 2.0), GaussianPeakResponse(0.0, 0.05)])
+@example(7, 0.30000000000000004, 2.5, [FlatResponse(0.0), FlatResponse(1.0), GaussianPeakResponse(1.0, 3.5)])
+def test_a_mirror_comb_s_distinct_entries_give_the_whole_matrices_bounds_bitwise(n, spacing, width, responses):
+    # The sweep's route for a mirror comb builds only the distinct Gram entries
+    # and solves even and odd blocks formed from them; the bounds and the
+    # per-letter statistics must be those of the whole stack through GramData,
+    # byte for byte.  The spectrum must have the same values: at peak
+    # probability -0.0 the entries are -0.0, which the whole stack's mirror
+    # turns into 0.0 off the diagonal, so zero eigenvalues may differ in sign.
+    try:
+        comb = gaussian_comb(n, spacing, width)
+    except ValidationError:
+        return  # the end letters' centres overflow
+    priors = np.full(n, 1.0 / n)
+    blocks = holevo_bound(MirrorGramData(comb_overlaps(comb, responses, mirror_quarter(n)), priors))
+    whole = holevo_bound(GramData(comb_grams(comb, responses), priors))
+    for field in ("holevo_bits", "post_selected_bits", "mean_loss", "letter_entropies"):
+        assert getattr(blocks, field).tobytes() == getattr(whole, field).tobytes(), field
+    assert np.array_equal(blocks.spectrum, whole.spectrum)
 
 
 @pytest.mark.parametrize("spacing", [0.0, 0.5, 1e200])

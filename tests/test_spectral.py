@@ -7,6 +7,7 @@ import pytest
 
 from speccap.errors import ValidationError
 from speccap.spectral import (
+    MAX_LETTERS,
     FlatResponse,
     GaussianAmplitude,
     GaussianPeakResponse,
@@ -530,6 +531,26 @@ def test_a_symmetric_comb_out_to_the_largest_float_is_finite():
     assert gaussian_comb(3, 1e308, 1.0)[0].tolist() == [-1e308, 0.0, 1e308]
     with pytest.raises(ValidationError, match="^amplitude center must be finite$"):
         gaussian_comb(5, 1e308, 1.0)
+
+
+@pytest.mark.parametrize("centering", ["symmetric", "zero-start"])
+def test_a_comb_may_have_at_most_max_letters(monkeypatch, centering):
+    # Past the cap nothing is built: np.arange is never asked for the comb.
+    center, width = gaussian_comb(MAX_LETTERS, 0.5, 1.0, centering)
+    assert center.shape == width.shape == (MAX_LETTERS,)
+    arange = np.arange
+
+    def guarded(n, *args, **kwargs):
+        assert n <= MAX_LETTERS, f"arange({n})"
+        return arange(n, *args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", guarded)
+    for n in (MAX_LETTERS + 1, 10**18):
+        with pytest.raises(ValidationError, match=f"^letter count {n} is more than {MAX_LETTERS}, the most a comb may have$"):
+            gaussian_comb(n, 0.5, 1.0, centering)
+    # The other arguments are checked first, with their own messages.
+    with pytest.raises(ValidationError, match="^letter spacing must be non-negative$"):
+        gaussian_comb(10**18, float("nan"), 1.0, centering)
 
 
 @pytest.mark.parametrize(
