@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import EncodingEnsemble, GramData, compute_gram, output_spectrum
+from .channel import GramData, comb_gram_data, compute_gram, output_spectrum
 from .errors import ComputationError, ConvergenceError, ValidationError
 from .numerics import clamp_spectrum, hermitian_eigenvalues
-from .spectral import GaussianAmplitude, GaussianPeakResponse, gaussian_comb, make_gaussian_basis
+from .spectral import FlatResponse, GaussianAmplitude, GaussianPeakResponse, gaussian_comb
 
 # Stopping gain in bits and iteration budget of :func:`optimize_priors`, read at call time.
 PRIOR_TOLERANCE = 1e-9
@@ -95,14 +95,12 @@ def holevo_bound(gram_data):
     The output-state entropy splits into the vacuum term and the
     single-photon spectrum; each letter contributes a binary
     transmitted-or-lost entropy.  A stack of Gram matrices is solved by one
-    eigensolve and one entropy pass.  Each matrix gets exactly the bounds of
-    a solve of it alone if all or none of the stack is centrosymmetric (see
-    :func:`~speccap.numerics.hermitian_eigenvalues`), else up to roundoff.
-    A :class:`~speccap.channel.MirrorGramData` stack, the distinct entries of
-    centrosymmetric matrices under uniform priors, has its even and odd
-    blocks built from those entries directly
-    (:func:`~speccap.channel.output_spectrum`), and gets the bounds of
-    ``GramData`` of the whole matrices bit for bit.
+    eigensolve and one entropy pass, and each matrix gets exactly the bounds
+    of a solve of it alone.  A :class:`~speccap.channel.MirrorGramData`
+    stack, the distinct entries of centrosymmetric matrices under uniform
+    priors, has its even and odd blocks built from those entries directly
+    (:func:`~speccap.channel.output_spectrum`); its bounds are those of
+    ``GramData`` of the whole matrices to eigensolver roundoff.
     """
     spectrum, mean_loss = output_spectrum(gram_data)
     loss = gram_data.loss
@@ -332,24 +330,30 @@ def optimal_alphabet_size(
     n_max=64,
     post_select=False,
 ):
-    """Scan alphabet sizes 1..n_max with uniform priors; return the best.
+    """Scan alphabet sizes 1..n_max of a Gaussian comb with uniform priors; return the best.
 
     For band-limited channels the bound peaks at a finite size: extra
     letters eventually sit where the channel is opaque and only dilute the
     ensemble.  Ties break toward the smaller alphabet.  Returns
-    ``(best_n, best_bits, curve)`` where curve lists ``(n, bits)``.  The
-    largest comb is checked first: its centres reach furthest, so it raises
-    the ValidationError a smaller one would, or the letter cap's, before any
-    work is done.
+    ``(best_n, best_bits, curve)`` where curve lists ``(n, bits)``.
+    ``response`` must be a ``FlatResponse`` or a ``GaussianPeakResponse``,
+    the channels of the closed form; any other raises ValidationError.
+    Each comb is built as :func:`~speccap.spectral.gaussian_comb` arrays and
+    solved by the sweep's route, :func:`~speccap.channel.comb_gram_data`.
+    The largest comb is checked first: its centres reach furthest, so it
+    raises the ValidationError a smaller one would, or the letter cap's,
+    before any work is done.
     """
     if not (isinstance(n_max, (int, np.integer)) and n_max >= 1):
         raise ValidationError("maximum alphabet size must be a positive integer")
+    if not isinstance(response, (FlatResponse, GaussianPeakResponse)):
+        raise ValidationError(f"alphabet-size scan needs a flat or Gaussian-peak channel, got {type(response).__name__}")
     gaussian_comb(n_max, spacing, sigma_psi, centering)
     curve = []
     best_n, best_bits = 1, -math.inf
     for n in range(1, n_max + 1):
-        ensemble = EncodingEnsemble.uniform(make_gaussian_basis(n, spacing, sigma_psi, centering))
-        report = holevo_bound(compute_gram(ensemble, response))
+        stack, gram_data = comb_gram_data(gaussian_comb(n, spacing, sigma_psi, centering), [response])
+        report = holevo_bound(gram_data(stack[0]))
         bits = report.post_selected_bits if post_select else report.holevo_bits
         curve.append((n, bits))
         if bits > best_bits:

@@ -6,9 +6,15 @@ of the small matrix ``T[i][j] = sqrt(p_i p_j) <chi_i|chi_j>`` built from the
 modulated letters ``chi_i = eta * psi_i``, whose Gram matrix comes from
 :func:`speccap.spectral.gram_matrix`.  Working with T reduces an
 infinite-dimensional diagonalization to an N x N Hermitian one.
+:func:`comb_gram_data` is the one route of a comb given as arrays, for the
+``sweep`` and the alphabet-size scan alike: a comb whose centres and widths
+are an exact mirror has centrosymmetric Gram matrices, kept as their distinct
+entries by :class:`MirrorGramData` and solved as even and odd blocks; any
+other comb's whole matrices are kept by :class:`GramData` and solved whole.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +27,7 @@ from .numerics import (
     mirror_diagonal,
     mirror_quarter,
 )
-from .spectral import gram_matrix, survival_window
+from .spectral import comb_grams, comb_overlaps, gram_matrix, survival_window
 
 
 def _validated_priors(priors, n):
@@ -55,7 +61,7 @@ class EncodingEnsemble:
     @classmethod
     def uniform(cls, letters):
         letters = tuple(letters)
-        return cls(letters, np.full(len(letters), 1.0 / len(letters)))
+        return cls(letters, np.ones(len(letters)) / len(letters))  # no letters: empty priors, no 1 / 0
 
     @property
     def n(self):
@@ -127,19 +133,20 @@ class GramData:
 
 
 class MirrorGramData:
-    """Uniform-prior Gram data of Hermitian centrosymmetric Gram matrices, ``G = J G J``, kept as their distinct entries.
+    """Uniform-prior Gram data of real centrosymmetric Gram matrices, ``G = J G J``, kept as their distinct entries.
 
-    Mirror-symmetric letters through an even channel, such as a symmetric
-    comb through a flat or Gaussian-peak channel, have such matrices (``J``
-    is the reversal).  ``quarter`` is the ``(..., Q)`` stack of their entries
-    at the :func:`~speccap.numerics.mirror_quarter` places of ``N =
-    len(priors)``, kept read-only as GramData keeps a matrix; a ``quarter`` of
-    any other length, or priors that are not uniform, raise
+    A comb whose centres and widths are an exact mirror, through a flat or
+    Gaussian-peak channel, has such matrices (``J`` is the reversal).
+    ``quarter`` is the real ``(..., Q)`` stack of their entries at the
+    :func:`~speccap.numerics.mirror_quarter` places of ``N = len(priors)``,
+    kept read-only as GramData keeps a matrix; a complex ``quarter``, one of
+    any other length, or priors that are not uniform raise
     ``ValidationError``.  ``priors``, ``survival``, ``loss`` and
     ``mean_loss`` are those of GramData of the whole matrices, bit for bit,
     and ``weighted`` holds the same entries of ``sqrt(P) G sqrt(P)``, each
     ``(r g) r`` with ``r = sqrt(1 / N)``; its even and odd blocks are solved
-    by :func:`~speccap.numerics.centrosymmetric_eigenvalues`.  The whole
+    by :func:`~speccap.numerics.centrosymmetric_eigenvalues`, whose values
+    agree with the whole matrices' to eigensolver roundoff.  The whole
     matrices are never formed, so there is no ``gram``.
     """
 
@@ -152,6 +159,8 @@ class MirrorGramData:
         if np.any(priors != priors[0]):
             raise ValidationError("priors of MirrorGramData must be uniform")
         quarter = _read_only(quarter)
+        if np.iscomplexobj(quarter):
+            raise ValidationError("distinct Gram entries of MirrorGramData must be real")
         places = mirror_quarter(priors.size)[0].size
         if quarter.ndim < 1 or quarter.shape[-1] != places:
             raise ValidationError(f"expected {places} distinct Gram entries, got shape {quarter.shape}")
@@ -173,6 +182,33 @@ class MirrorGramData:
         return centrosymmetric_eigenvalues(self.weighted, self.n)
 
 
+def comb_gram_data(comb, responses):
+    """The Gram entries of ``comb``'s letters through each of ``responses``, and how to read them as Gram data.
+
+    ``comb`` is the letters' ``center`` and ``width`` arrays, as
+    :func:`~speccap.spectral.gaussian_comb` returns them, and the responses
+    are flat or Gaussian peaks, so every channel is even.  Returns ``(stack,
+    gram_data)``: ``gram_data(stack)`` is the Gram data of the whole stack
+    and ``gram_data(stack[b])`` that of ``responses[b]`` alone, both with
+    uniform priors and sharing the read-only stack.  A comb whose centres
+    and widths are an exact mirror (``center == -center[::-1]``, ``width ==
+    width[::-1]``), as every symmetric comb's are, has centrosymmetric Gram
+    matrices: ``stack`` holds only their distinct entries,
+    :func:`~speccap.spectral.comb_overlaps` at the
+    :func:`~speccap.numerics.mirror_quarter` places, read by
+    :class:`MirrorGramData`.  Any other comb's ``stack`` is the whole
+    matrices, :func:`~speccap.spectral.comb_grams`, read by :class:`GramData`.
+    """
+    center, width = comb
+    n = center.size
+    if np.array_equal(center, -center[::-1]) and np.array_equal(width, width[::-1]):
+        stack, gram_data = comb_overlaps(comb, responses, mirror_quarter(n)), MirrorGramData
+    else:
+        stack, gram_data = comb_grams(comb, responses), GramData
+    stack.setflags(write=False)  # so the Gram data shares it instead of copying
+    return stack, functools.partial(gram_data, priors=np.full(n, 1.0 / n))
+
+
 def compute_gram(ensemble, response):
     """Gram data of an ensemble pushed through a channel response.
 
@@ -190,12 +226,11 @@ def output_spectrum(gram_data):
     """Eigenvalues of the single-photon output block, descending, clamped, and the mean loss.
 
     For a stack of Gram matrices both carry its leading axes, from one
-    eigensolve, bitwise those of each matrix alone if all or none of the
-    stack is centrosymmetric.  The eigensolve is that of
-    :func:`~speccap.numerics.hermitian_eigenvalues` on the whole weighted
+    eigensolve, bitwise those of each matrix alone.  The eigensolve is that
+    of :func:`~speccap.numerics.hermitian_eigenvalues` on the whole weighted
     matrix, or, for :class:`MirrorGramData`, of its even and odd blocks built
-    from its distinct entries, which gives the same values (a zero may differ
-    in sign) and the same mean loss bit for bit.  Each spectrum plus its
+    from its distinct entries, which gives the same values to eigensolver
+    roundoff and the same mean loss bit for bit.  Each spectrum plus its
     vacuum weight must form a probability vector; deviation beyond 1e-10
     means the eigensolve went wrong.
     """

@@ -4,9 +4,11 @@ Exit codes: 0 success, 1 usage or validation, 2 computation failure, 3 I/O.
 A sweep builds each comb once, as arrays, and the Gram matrices of up to 16
 consecutive points of it in one closed-form broadcast; it solves them as one
 stacked eigensolve, point by point where that stack fails, and emits its rows
-in grid order.  Of a symmetric comb, whose Gram matrices are centrosymmetric,
-it builds only their distinct entries and forms the even and odd half-size
-blocks from them directly; the whole matrices are never formed.  ``sweep``
+in grid order.  Its Gram data comes from ``channel.comb_gram_data``, which
+``optimal-n``'s alphabet-size scan shares: of a symmetric comb, whose Gram
+matrices are centrosymmetric, only their distinct entries are built and
+solved as even and odd half-size blocks, and the whole matrices are never
+formed; any other comb's whole matrices are solved whole.  ``sweep``
 and ``two-state`` reject a SPECCAP_THREADS that is set but not a positive
 integer (exit 1); a valid value schedules nothing, so output never depends
 on it.
@@ -25,14 +27,11 @@ import numpy as np
 
 from . import svgplot
 from .capacity import holevo_bound, optimal_alphabet_size, optimize_priors, two_state_exact, two_state_max
-from .channel import EncodingEnsemble, GramData, MirrorGramData, compute_gram, output_spectrum
+from .channel import EncodingEnsemble, comb_gram_data, compute_gram, output_spectrum
 from .errors import ComputationError, ValidationError
-from .numerics import mirror_quarter
 from .spectral import (
     FlatResponse,
     GaussianPeakResponse,
-    comb_grams,
-    comb_overlaps,
     gaussian_comb,
     load_tabulated_amplitude,
     load_tabulated_response,
@@ -131,23 +130,22 @@ def _report_cells(report):
     return [[*map(_fmt, row), ""] for row in bits.reshape(-1, 3).tolist()]
 
 
-def _stack_cells(gram_data, stack, priors):
-    """The bound and error cells of each member of ``stack``, solved as ``gram_data(stack, priors)``.
+def _stack_cells(stack, gram_data):
+    """The bound and error cells of each member of ``stack``, solved as ``gram_data(stack)``.
 
-    ``gram_data`` is ``GramData`` of a ``(B, N, N)`` stack of Gram matrices, or
-    ``MirrorGramData`` of the ``(B, Q)`` distinct entries of a mirror comb's.
+    ``stack`` and ``gram_data`` are as :func:`comb_gram_data` returns them.
     The stack is solved as one :func:`holevo_bound`.  If that raises, each
     member is solved again on its own, so an error fills only its own
     point's error cell, with the message a solve of that point alone gives.
     """
     try:
-        return _report_cells(holevo_bound(gram_data(stack, priors)))
+        return _report_cells(holevo_bound(gram_data(stack)))
     except (ValidationError, ComputationError):
         pass
     cells = []
     for member in stack:
         try:
-            cells += _report_cells(holevo_bound(gram_data(member, priors)))
+            cells += _report_cells(holevo_bound(gram_data(member)))
         except (ValidationError, ComputationError) as exc:
             cells.append(["", "", "", str(exc)])
     return cells
@@ -160,13 +158,9 @@ def cmd_sweep(args):
     built once per sweep and shared by every comb; no comb is built when no
     channel value is valid.  Uniform-prior points take the comb's
     :func:`gaussian_comb` arrays, in blocks of up to ``_BLOCK_POINTS``
-    consecutive points: one closed-form build, one check of the priors and
-    one stacked eigensolve each.  A comb whose centres are an exact mirror,
-    as every symmetric comb's are, builds only the distinct entries of its
-    centrosymmetric Gram matrices (:func:`comb_overlaps` at the
-    :func:`mirror_quarter` places) and solves their even and odd blocks
-    (``MirrorGramData``); any other builds whole matrices (:func:`comb_grams`,
-    ``GramData``).
+    consecutive points: one closed-form build by :func:`comb_gram_data` (of
+    a symmetric comb, only the distinct entries of its centrosymmetric Gram
+    matrices), one check of the priors and one stacked eigensolve each.
     """
     n_list = parse_int_list(args.n)
     delta_grid = parse_grid(args.delta_omega)
@@ -201,8 +195,6 @@ def cmd_sweep(args):
                 comb = EncodingEnsemble.uniform(make_gaussian_basis(*shape)) if optimize else gaussian_comb(*shape)
             except (ValidationError, ComputationError) as exc:
                 comb_error = str(exc)
-        # A comb of one width whose centres are an exact mirror has centrosymmetric Gram matrices.
-        mirror = comb is not None and not optimize and np.array_equal(comb[0], -comb[0][::-1])
         for start in range(0, len(channels), _BLOCK_POINTS):
             pending, responses = [], []  # rows and channels of the block's points that await its stacked solve
             for cells, response, message in channels[start : start + _BLOCK_POINTS]:
@@ -220,12 +212,7 @@ def cmd_sweep(args):
                 if message is not None:
                     row += ["", "", "", message]
             if responses:
-                if mirror:
-                    stack, gram_data = comb_overlaps(comb, responses, mirror_quarter(n)), MirrorGramData
-                else:
-                    stack, gram_data = comb_grams(comb, responses), GramData
-                stack.setflags(write=False)  # so the Gram data shares it instead of copying
-                for row, cells in zip(pending, _stack_cells(gram_data, stack, np.full(n, 1.0 / n))):
+                for row, cells in zip(pending, _stack_cells(*comb_gram_data(comb, responses))):
                     row += cells
     _write_csv(args.out, header, rows)
     return EXIT_OK

@@ -5,15 +5,12 @@ ends in :func:`mirror_upper`.  Eigenvalues come from LAPACK through
 ``numpy.linalg.eigvalsh`` (``eigh`` when eigenvectors are asked for);
 matrices are small (N up to ~128) and are plain arrays, or stacks of them
 solved in one call, validated in :func:`hermitian_eigenvalues` on their way
-in.  A real matrix stays real, so LAPACK solves it as a real symmetric one.
-A stack whose every member is exactly centrosymmetric, as the Gram matrices
-of a mirror-symmetric set of letters through an even channel are, has its
-eigenvalues solved as two half-size blocks, even and odd; every other
-matrix, and every eigenvector solve, is solved whole.  The blocks are formed
-in one place, :func:`centrosymmetric_blocks`, from a matrix's two top
-half-blocks: sliced from a whole matrix found to be centrosymmetric, or, by
-:func:`centrosymmetric_eigenvalues`, gathered from the distinct entries at
-the :func:`mirror_quarter` places that a caller built instead.
+in.  A real matrix stays real, so LAPACK solves it as a real symmetric one,
+and a whole matrix is always solved whole.  A caller that knows its real
+matrices are centrosymmetric, as the Gram matrices of a symmetric comb
+through an even channel are, builds only their distinct entries, at the
+:func:`mirror_quarter` places, and :func:`centrosymmetric_eigenvalues`
+solves them as two half-size blocks, even and odd.
 """
 from __future__ import annotations
 
@@ -52,27 +49,26 @@ def mirror_quarter(n):
     return rows, cols
 
 
-@functools.lru_cache(maxsize=32)
-def _quarter_index(n, hermitian):
-    """Where each entry of an N x N Hermitian centrosymmetric matrix reads its :func:`mirror_quarter` entries.
+@functools.lru_cache(maxsize=16)
+def _quarter_index(n):
+    """Where each entry of an N x N real symmetric centrosymmetric matrix reads its :func:`mirror_quarter` entries.
 
-    ``(i, j)`` and ``(N - 1 - i, N - 1 - j)`` read place ``p`` of quarter
-    entry ``(i, j)``; its transposed images read ``Q + p``, the conjugated
-    second half, when ``hermitian`` (of a real matrix, ``p`` itself).
+    ``(i, j)``, ``(j, i)`` and their mirrors ``(N - 1 - i, N - 1 - j)`` and
+    ``(N - 1 - j, N - 1 - i)`` read place ``p`` of quarter entry ``(i, j)``.
     Returns the N x N index, read-only.
     """
     rows, cols = mirror_quarter(n)
     places = np.arange(rows.size)
     index = np.empty((n, n), dtype=np.intp)
-    index[cols, rows] = index[n - 1 - cols, n - 1 - rows] = places + hermitian * rows.size
-    index[rows, cols] = index[n - 1 - rows, n - 1 - cols] = places
+    index[rows, cols] = index[cols, rows] = places
+    index[n - 1 - rows, n - 1 - cols] = index[n - 1 - cols, n - 1 - rows] = places
     index.setflags(write=False)
     return index
 
 
 def mirror_diagonal(quarter, n):
-    """The real diagonals, C-ordered, of Hermitian centrosymmetric N x N matrices whose quarter entries are ``quarter``."""
-    return np.take(quarter, _quarter_index(n, False).diagonal(), axis=-1).real  # np.take orders its result as C
+    """The diagonals, C-ordered, of the centrosymmetric N x N matrices whose quarter entries are ``quarter``."""
+    return np.take(quarter, _quarter_index(n).diagonal(), axis=-1)  # np.take orders its result as C
 
 
 @functools.lru_cache(maxsize=32)
@@ -127,18 +123,9 @@ def hermitian_eigenvalues(matrix, *, vectors=False):
     above 1e-12 anywhere in it raise ValidationError.  An exactly Hermitian
     matrix, found by one comparison with ``A^H``, is solved as it is; only
     any other has its asymmetry measured, and is solved as ``(A + A^H) / 2``.
-    A stack is solved in one call.
-    A stack whose every member is then exactly centrosymmetric (``J A J = A``,
-    ``J`` the reversal) is solved as its even and odd blocks, two LAPACK calls
-    of half the size whose values are merged in descending order.  That is
-    every Gram matrix of a symmetric comb, whose centres are exact mirrors,
-    through a flat or Gaussian-peak channel; any other matrix, and a stack with
-    one, is solved whole.  So a member's values are bitwise those of its solo
-    solve only if all or none of its stack is centrosymmetric.  A caller that
-    builds only a centrosymmetric stack's distinct entries hands them to
-    :func:`centrosymmetric_eigenvalues` instead, which forms the same blocks.
-    ``vectors=True`` returns ``(values, vectors)`` from ``eigh``, eigenvectors
-    as columns, always of the whole matrix.
+    A stack is solved whole, in one LAPACK call, so each member's values are
+    bitwise those of its solo solve.  ``vectors=True`` returns ``(values,
+    vectors)`` from ``eigh``, eigenvectors as columns.
     """
     arr = np.asarray(matrix)
     arr = arr.astype(np.result_type(arr, float), copy=False)
@@ -156,33 +143,38 @@ def hermitian_eigenvalues(matrix, *, vectors=False):
     if vectors:
         values, basis = _lapack(np.linalg.eigh, arr)
         return values[..., ::-1], basis[..., ::-1]
-    halves = _centrosymmetric_halves(arr)
-    if halves is None:
-        return _lapack(np.linalg.eigvalsh, arr)[..., ::-1]
-    return _merged_eigenvalues(halves)
+    return _lapack(np.linalg.eigvalsh, arr)[..., ::-1]
 
 
 def centrosymmetric_eigenvalues(quarter, n):
-    """All eigenvalues, descending, of Hermitian centrosymmetric N x N matrices given by their quarter entries.
+    """All eigenvalues, descending, of real symmetric centrosymmetric N x N matrices given by their quarter entries.
 
-    ``quarter`` has shape ``(..., Q)``: the :func:`mirror_quarter` entries of
-    each matrix of a stack.  Non-finite entries raise
-    ValidationError, as in :func:`hermitian_eigenvalues`; the matrix is
-    Hermitian and centrosymmetric by construction, so nothing else is
-    checked.  The two top half-blocks are gathered from the quarter, each
-    entry a quarter entry or its conjugate as the whole matrix holds it; their
-    even and odd :func:`centrosymmetric_blocks` are solved by LAPACK and the
-    values merged, as those of a whole matrix found to be centrosymmetric are,
-    so the values are bitwise the same.
+    ``quarter`` is a real ``(..., Q)`` stack: the :func:`mirror_quarter`
+    entries of each matrix ``A``.  Non-finite entries raise ValidationError,
+    as in :func:`hermitian_eigenvalues`; ``A`` is symmetric and
+    centrosymmetric by construction, so nothing else is checked.  With ``k =
+    N - N // 2`` and ``m = N // 2``, the top-left ``k x k`` block ``L`` of
+    ``A`` and its top-right one with columns reversed, ``R``, are gathered
+    from the quarter.  The even block is ``L + R`` and the odd one ``L - R``
+    of their leading ``m x m`` parts; for odd N the even block's middle row
+    and column are scaled by sqrt(1/2) and its centre by 1/2, undoing the
+    sum's doubling.  They are ``A`` in the orthonormal basis of even and odd
+    vectors, ``(e_i +- e_{N-1-i}) / sqrt(2)``, so their spectra together are
+    ``A``'s (Cantoni & Butler, Linear Algebra Appl. 13, 275, 1976).  Each is
+    solved as one LAPACK stack, even first, and the values merged.
     """
     if not np.all(np.isfinite(quarter)):
         raise ValidationError("matrix entries must be finite")
-    hermitian = np.iscomplexobj(quarter)
-    if hermitian:
-        quarter = np.concatenate([quarter, quarter.conj()], axis=-1)
-    index, k = _quarter_index(n, hermitian), n - n // 2
+    index, m, k = _quarter_index(n), n // 2, n - n // 2
     left, right = np.take(quarter, index[:k, :k], axis=-1), np.take(quarter, index[:k, : -k - 1 : -1], axis=-1)
-    return _merged_eigenvalues(centrosymmetric_blocks(left, right, n))
+    even = left + right
+    odd = left[..., :m, :m] - right[..., :m, :m]
+    if k > m:  # the sum doubled the middle row, column and centre
+        even[..., m, :m] *= math.sqrt(0.5)
+        even[..., :m, m] *= math.sqrt(0.5)
+        even[..., m, m] *= 0.5
+    values = np.concatenate([_lapack(np.linalg.eigvalsh, even), _lapack(np.linalg.eigvalsh, odd)], axis=-1)
+    return np.sort(values, axis=-1)[..., ::-1]
 
 
 def _lapack(solve, matrix):
@@ -191,48 +183,6 @@ def _lapack(solve, matrix):
         return solve(matrix)
     except np.linalg.LinAlgError as exc:
         raise ComputationError(f"Hermitian eigensolve failed: {exc}") from exc
-
-
-def _merged_eigenvalues(blocks):
-    """The values of each of ``blocks`` (``eigvalsh``, one LAPACK call per block), merged in descending order."""
-    values = np.concatenate([_lapack(np.linalg.eigvalsh, block) for block in blocks], axis=-1)
-    return np.sort(values, axis=-1)[..., ::-1]
-
-
-def _centrosymmetric_halves(arr):
-    """The even and odd blocks of a stack whose every member is exactly centrosymmetric, ``J A J = A``; else None.
-
-    A reversed diagonal is checked first, so most other input costs one
-    comparison of N numbers; the blocks are formed from slices of the stack.
-    """
-    n = arr.shape[-1]
-    diagonal = np.diagonal(arr, axis1=-2, axis2=-1)
-    if n < 2 or not np.array_equal(diagonal, diagonal[..., ::-1]) or not np.array_equal(arr, arr[..., ::-1, ::-1]):
-        return None
-    k = n - n // 2
-    return centrosymmetric_blocks(arr[..., :k, :k], arr[..., :k, : -k - 1 : -1], n)
-
-
-def centrosymmetric_blocks(left, right, n):
-    """The even and odd blocks of Hermitian centrosymmetric N x N matrices ``A`` from two top half-blocks.
-
-    With ``k = N - N // 2`` and ``m = N // 2``, ``left`` is ``A[..., :k, :k]``
-    and ``right`` the top-right ``k x k`` block with its columns reversed,
-    ``A[..., :k, ::-1][..., :k]``.  The even block is ``left + right`` and the
-    odd one ``left - right`` of their leading ``m x m`` parts; for odd N the
-    even block also takes the middle row and column times sqrt(2), and the
-    centre as it is.  They are ``A`` in the orthonormal basis of even and odd vectors,
-    ``(e_i +- e_{N-1-i}) / sqrt(2)``, so their spectra together are ``A``'s
-    (Cantoni & Butler, Linear Algebra Appl. 13, 275, 1976).
-    """
-    m, k = n // 2, n - n // 2
-    even = left + right
-    odd = left[..., :m, :m] - right[..., :m, :m]
-    if k > m:  # the sum doubled the middle row, column and centre
-        even[..., m, :m] *= math.sqrt(0.5)
-        even[..., :m, m] *= math.sqrt(0.5)
-        even[..., m, m] *= 0.5
-    return even, odd
 
 
 def clamp_spectrum(values):

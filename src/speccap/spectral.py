@@ -12,8 +12,9 @@ every width of each Gaussian factor, out to ``TRUNCATION_SIGMAS`` widths.
 :func:`comb_grams` builds the closed-form matrices of Gaussian letters given as two
 arrays, centres and widths, through many channels as one stack, in one numpy
 broadcast (:func:`comb_overlaps`) over the pairs of one upper triangle, mirrored by
-:func:`numerics.mirror_upper`; of a symmetric comb, :func:`comb_overlaps` builds
-only the distinct pairs of :func:`numerics.mirror_quarter`.  :func:`gram_matrix`
+:func:`numerics.mirror_upper`; ``channel.comb_gram_data``, the route of the sweep
+and of the alphabet-size scan, has :func:`comb_overlaps` build only the distinct
+pairs of :func:`numerics.mirror_quarter` for a symmetric comb.  :func:`gram_matrix`
 still builds its closed form pair by pair, because the benchmark's tracer test
 counts those :func:`modulated_overlap` calls; once it no longer does (ROADMAP
 item 2), one matrix becomes a one-member stack and the pair loop goes.
@@ -283,9 +284,10 @@ def comb_grams(comb, responses):
     each pair's value to both ``(i, j)`` and ``(j, i)``, so every member is
     exactly symmetric and float64.  Member ``b`` equals ``gram_matrix(letters,
     responses[b])`` but where numpy's ``exp`` and libm's round 1 ulp apart.  A
-    symmetric comb's matrices are also exactly centrosymmetric; the sweep builds
-    only their distinct entries, ``comb_overlaps(comb, responses,
-    numerics.mirror_quarter(N))``, and never this whole stack.
+    symmetric comb's matrices are also exactly centrosymmetric;
+    ``channel.comb_gram_data`` builds only their distinct entries,
+    ``comb_overlaps(comb, responses, numerics.mirror_quarter(N))``, and never
+    this whole stack.
     """
     return mirror_upper(comb_overlaps(comb, responses, numerics.upper_triangle(len(comb[0]))))
 

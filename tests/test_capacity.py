@@ -24,6 +24,7 @@ from speccap.spectral import (
     FlatResponse,
     GaussianAmplitude,
     GaussianPeakResponse,
+    TabulatedResponse,
     comb_grams,
     gaussian_comb,
     make_gaussian_basis,
@@ -100,10 +101,9 @@ def _bound_cells(stack, priors):
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_a_stack_gives_each_member_its_solo_bounds_bitwise_when_all_or_none_are_centrosymmetric(seed):
-    # A symmetric comb's Gram matrices through Gaussian channels are centrosymmetric and solved by halves; a
-    # zero-start comb's are not and are solved whole.  A stack mixing the two is solved whole, so its
-    # centrosymmetric member then differs from its solo solve by eigensolver roundoff only.
+def test_a_stack_gives_each_member_its_solo_bounds_bitwise(seed):
+    # A symmetric comb's Gram matrices through Gaussian channels are centrosymmetric, a zero-start comb's are
+    # not; as whole matrices both, and a stack mixing the two, are solved whole, member by member bitwise.
     rng = np.random.default_rng(seed)
     n, spacing, width = int(rng.integers(2, 13)), rng.uniform(0.05, 3.0), rng.uniform(0.3, 2.0)
     responses = [GaussianPeakResponse(rng.uniform(0.2, 1.0), sigma) for sigma in rng.uniform(0.3, 5.0, 3)]
@@ -112,11 +112,8 @@ def test_a_stack_gives_each_member_its_solo_bounds_bitwise_when_all_or_none_are_
     assert np.array_equal(symmetric, symmetric[..., ::-1, ::-1])
     assert not any(np.array_equal(gram, gram[::-1, ::-1]) for gram in zero_start)
     priors = np.full(n, 1.0 / n)
-    for stack in (symmetric, zero_start):
+    for stack in (symmetric, zero_start, np.stack([symmetric[0], zero_start[0]])):
         assert np.array_equal(_bound_cells(stack, priors), [_bound_cells(gram, priors) for gram in stack])
-    mixed = np.stack([symmetric[0], zero_start[0]])
-    solo = [_bound_cells(gram, priors) for gram in mixed]
-    assert np.max(np.abs(_bound_cells(mixed, priors) - solo)) <= 1e-13
 
 
 def test_erasure_bounds_matched_widths():
@@ -384,6 +381,40 @@ def test_optimal_alphabet_interior_peak_for_narrow_channel():
     )
     assert 1 < best_n < 16
     assert best_bits > curve[-1][1]
+
+
+@pytest.mark.parametrize("centering", ["symmetric", "zero-start"])
+@pytest.mark.parametrize("response", [FlatResponse(0.8), GaussianPeakResponse(0.9, 2.5)], ids=["flat", "peak"])
+@pytest.mark.parametrize("spacing", [0.7, 2.0])
+def test_optimal_alphabet_curve_is_the_holevo_bound_of_each_comb(centering, response, spacing):
+    # The comb route of the scan against each alphabet's letters through the pair loop, one by one.
+    n_max = 40
+    for post_select in (False, True):
+        best_n, best_bits, curve = optimal_alphabet_size(response, 1.1, spacing, centering, n_max, post_select)
+        assert [n for n, _ in curve] == list(range(1, n_max + 1))
+        for n, bits in curve:
+            report = uniform_report(n, spacing, 1.1, response, centering)
+            want = report.post_selected_bits if post_select else report.holevo_bits
+            assert abs(bits - want) <= 1e-12, (n, bits, want)
+        assert (best_n, best_bits) == max(curve, key=lambda point: (point[1], -point[0]))
+
+
+def test_optimal_alphabet_makes_no_pair_loop_call(monkeypatch):
+    def refused(*args):
+        raise AssertionError("modulated_overlap called")
+
+    monkeypatch.setattr("speccap.spectral.modulated_overlap", refused)
+    for centering in ("symmetric", "zero-start"):
+        optimal_alphabet_size(GaussianPeakResponse(1.0, 2.0), 1.0, 2.0, centering, n_max=12)
+
+
+def test_optimal_alphabet_rejects_a_channel_without_a_closed_form(monkeypatch):
+    built = []
+    monkeypatch.setattr("speccap.capacity.gaussian_comb", lambda *args: built.append(args))
+    response = TabulatedResponse([-1.0, 0.0, 1.0], [0.5, 1.0, 0.5])
+    with pytest.raises(ValidationError, match="flat or Gaussian-peak channel, got TabulatedResponse"):
+        optimal_alphabet_size(response, 1.0, 2.0, n_max=4)
+    assert built == []
 
 
 def test_flat_channel_post_selection_equality():

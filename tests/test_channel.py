@@ -5,7 +5,14 @@ import pytest
 
 from oracles import explicit_basis_spectrum, quadrature_overlap_matrix
 from speccap import spectral
-from speccap.channel import EncodingEnsemble, GramData, MirrorGramData, compute_gram, output_spectrum
+from speccap.channel import (
+    EncodingEnsemble,
+    GramData,
+    MirrorGramData,
+    comb_gram_data,
+    compute_gram,
+    output_spectrum,
+)
 from speccap.errors import ComputationError, ValidationError
 from speccap.numerics import hermitian_eigenvalues, mirror_quarter
 from speccap.spectral import (
@@ -14,6 +21,8 @@ from speccap.spectral import (
     GaussianPeakResponse,
     TabulatedAmplitude,
     TabulatedResponse,
+    comb_grams,
+    gaussian_comb,
     make_gaussian_basis,
     modulated_overlap,
     survival_probability,
@@ -28,6 +37,8 @@ def test_ensemble_validation():
         EncodingEnsemble(letters, [1.2, -0.2])
     with pytest.raises(ValidationError):
         EncodingEnsemble((), [])
+    with pytest.raises(ValidationError, match="ensemble needs at least one letter"):
+        EncodingEnsemble.uniform([])
 
 
 def test_non_finite_priors_are_rejected_where_they_enter():
@@ -231,12 +242,12 @@ def test_gram_data_of_a_stack_carries_its_leading_axes():
 
 @pytest.mark.parametrize("n", [1, 2, 5, 6])
 def test_mirror_gram_data_is_gram_data_of_the_whole_matrices(n):
-    # A stack of complex Gram matrices, each exactly Hermitian and centrosymmetric,
+    # A stack of real Gram matrices, each exactly symmetric and centrosymmetric,
     # positive definite with its diagonal near 1/2, and uniform priors.
-    parts = np.random.default_rng(n).normal(size=(2, 2, n, n))
-    hermitian = parts[0] + 1j * parts[1] + (parts[0] - 1j * parts[1]).swapaxes(-1, -2)
-    whole = (hermitian + hermitian[..., ::-1, ::-1] + 16 * n * np.eye(n)) / (32 * n)
-    assert np.array_equal(whole, whole[..., ::-1, ::-1]) and np.array_equal(whole, whole.conj().swapaxes(-1, -2))
+    raw = np.random.default_rng(n).normal(size=(2, n, n))
+    symmetric = raw + raw.swapaxes(-1, -2)
+    whole = (symmetric + symmetric[..., ::-1, ::-1] + 16 * n * np.eye(n)) / (32 * n)
+    assert np.array_equal(whole, whole[..., ::-1, ::-1]) and np.array_equal(whole, whole.swapaxes(-1, -2))
     priors = np.full(n, 1.0 / n)
     rows, cols = mirror_quarter(n)
     quarter = whole[..., rows, cols]
@@ -246,14 +257,44 @@ def test_mirror_gram_data_is_gram_data_of_the_whole_matrices(n):
     for name in ("priors", "survival", "loss", "mean_loss"):
         assert getattr(mirror, name).tobytes() == getattr(dense, name).tobytes(), name
     assert mirror.weighted.tobytes() == dense.weighted[..., rows, cols].tobytes()
+    # Even and odd blocks against the whole matrix: the same values to eigensolver roundoff.
     values, loss = output_spectrum(mirror)
-    assert np.array_equal(values, output_spectrum(dense)[0]) and loss.tobytes() == dense.mean_loss.tobytes()
+    assert np.max(np.abs(values - output_spectrum(dense)[0])) <= 1e-13 * np.max(np.abs(dense.weighted))
+    assert loss.tobytes() == dense.mean_loss.tobytes()
     if n > 2:
         weights = 1.0 + np.arange(n) * np.arange(n)[::-1]  # a mirror, but not uniform
         with pytest.raises(ValidationError, match="must be uniform"):
             MirrorGramData(quarter, weights / weights.sum())
     with pytest.raises(ValidationError, match=f"expected {rows.size} distinct Gram entries"):
         MirrorGramData(quarter[..., 1:], priors)
+    with pytest.raises(ValidationError, match="must be real"):
+        MirrorGramData(quarter.astype(complex), priors)
+
+
+@pytest.mark.parametrize("centering", ["symmetric", "zero-start"])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_comb_gram_data_keeps_a_mirror_comb_s_distinct_entries_and_any_other_s_whole_matrices(n, centering):
+    # One letter at 0 is a mirror, whatever the centering.
+    data_class = MirrorGramData if centering == "symmetric" or n == 1 else GramData
+    comb = gaussian_comb(n, 0.7, 1.3, centering)
+    responses = [FlatResponse(0.6), GaussianPeakResponse(0.9, 2.0)]
+    stack, gram_data = comb_gram_data(comb, responses)
+    whole = comb_grams(comb, responses)
+    if data_class is MirrorGramData:
+        rows, cols = mirror_quarter(n)
+        assert stack.tobytes() == whole[..., rows, cols].tobytes()
+    else:
+        assert stack.tobytes() == whole.tobytes()
+    assert not stack.flags.writeable
+    for data in (gram_data(stack), gram_data(stack[1])):
+        assert type(data) is data_class and data.priors.tobytes() == np.full(n, 1.0 / n).tobytes()
+        assert np.shares_memory(data.quarter if data_class is MirrorGramData else data.gram, stack)
+
+
+def test_comb_gram_data_reads_a_comb_with_mirror_centres_but_unequal_widths_whole():
+    comb = gaussian_comb(4, 1.0, 1.0)[0], np.array([1.0, 1.5, 1.0, 1.0])
+    stack, gram_data = comb_gram_data(comb, [FlatResponse(1.0)])
+    assert stack.shape == (1, 4, 4) and type(gram_data(stack)) is GramData
 
 
 def test_gram_data_holds_a_read_only_copy_of_a_caller_array():

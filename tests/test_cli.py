@@ -468,9 +468,9 @@ def test_a_nan_spacing_errs_as_a_bad_spacing(tmp_path):
     "place, value, error", [(0, 1.5, speccap.ComputationError), (1, np.nan, speccap.ValidationError)]
 )
 def test_a_failure_inside_a_block_errors_only_its_own_point(tmp_path, monkeypatch, centering, bad, place, value, error):
-    # One comb of 15 points: one block.  A symmetric comb's block holds the distinct entries of its
-    # Gram matrices (comb_overlaps, MirrorGramData), a zero-start comb's the whole matrices (comb_grams,
-    # GramData).  The patched point's entry (0, 0) is 1.5, a survival above 1, or its entry (0, 1) is
+    # One comb of 15 points: one block.  channel.comb_gram_data gives a symmetric comb's block the distinct
+    # entries of its Gram matrices (comb_overlaps, MirrorGramData), a zero-start comb's the whole matrices
+    # (comb_grams, GramData).  The patched point's entry (0, 0) is 1.5, a survival above 1, or its entry (0, 1) is
     # NaN; a symmetric comb's also carries it to the places that mirror it.  Its message must be the
     # one the whole matrix gives on its own.
     args = ["sweep", "--mode", "gaussian", "--n", "4", "--delta-omega", "1", "--sigma-eta", "1:8:0.5"]
@@ -488,7 +488,7 @@ def test_a_failure_inside_a_block_errors_only_its_own_point(tmp_path, monkeypatc
             whole[3 - i, 3 - j] = whole[3 - j, 3 - i] = value
 
     if centering == "symmetric":
-        comb_overlaps = speccap.cli.comb_overlaps
+        comb_overlaps = speccap.channel.comb_overlaps
 
         def patched(comb, responses, pairs):
             stack = comb_overlaps(comb, responses, pairs)
@@ -501,9 +501,9 @@ def test_a_failure_inside_a_block_errors_only_its_own_point(tmp_path, monkeypatc
                     broken.append(whole)
             return stack
 
-        monkeypatch.setattr("speccap.cli.comb_overlaps", patched)
+        monkeypatch.setattr("speccap.channel.comb_overlaps", patched)
     else:
-        comb_grams = speccap.cli.comb_grams
+        comb_grams = speccap.channel.comb_grams
 
         def patched(comb, responses):
             stack = comb_grams(comb, responses)
@@ -513,7 +513,7 @@ def test_a_failure_inside_a_block_errors_only_its_own_point(tmp_path, monkeypatc
                     broken.append(entries.copy())
             return stack
 
-        monkeypatch.setattr("speccap.cli.comb_grams", patched)
+        monkeypatch.setattr("speccap.channel.comb_grams", patched)
     out = tmp_path / "sweep.csv"
     assert main([*args, "--out", str(out)]) == EXIT_OK
     [whole] = broken

@@ -286,54 +286,51 @@ def test_a_stack_gives_each_member_its_own_eigenpairs():
         assert np.max(np.abs(stack[index] @ vectors[index] - vectors[index] * values[index])) <= 1e-12
 
 
-def _centrosymmetric_hermitian_stack(count, n, complex_entries, seed):
-    """A ``(count, n, n)`` stack, each member exactly Hermitian and exactly centrosymmetric, ``J A J = A``."""
-    rng = np.random.default_rng(seed)
-    shape = (count, n, n)
-    raw = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_entries else 0.0)
-    hermitian = raw + raw.conj().swapaxes(-1, -2)
-    # Entry (i, j) and its mirror (N-1-i, N-1-j) add the same two numbers, and so do (i, j) and (j, i) conjugated.
-    return hermitian + hermitian[..., ::-1, ::-1]
+def _centrosymmetric_stack(count, n, seed):
+    """A real ``(count, n, n)`` stack, each member exactly symmetric and exactly centrosymmetric, ``J A J = A``."""
+    raw = np.random.default_rng(seed).normal(size=(count, n, n))
+    symmetric = raw + raw.swapaxes(-1, -2)
+    # Entry (i, j) and its mirror (N-1-i, N-1-j) add the same two numbers, and so do (i, j) and (j, i).
+    return symmetric + symmetric[..., ::-1, ::-1]
 
 
-@given(st.integers(1, 3), st.integers(2, 40), st.booleans(), st.integers(0, 2**32 - 1))
-def test_a_centrosymmetric_stack_is_solved_by_halves_to_the_dense_spectrum(count, n, complex_entries, seed):
-    stack = _centrosymmetric_hermitian_stack(count, n, complex_entries, seed)
-    assert np.array_equal(stack, stack.conj().swapaxes(-1, -2)) and np.array_equal(stack, stack[..., ::-1, ::-1])
-    values = hermitian_eigenvalues(stack)
+@given(st.integers(1, 3), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_a_centrosymmetric_stack_is_solved_by_halves_to_the_dense_spectrum(count, n, seed):
+    stack = _centrosymmetric_stack(count, n, seed)
+    assert np.array_equal(stack, stack.swapaxes(-1, -2)) and np.array_equal(stack, stack[..., ::-1, ::-1])
+    rows, cols = mirror_quarter(n)
+    assert rows.size == (n + 1) ** 2 // 4
+    quarter = stack[..., rows, cols]
+    values = centrosymmetric_eigenvalues(quarter, n)
     assert values.shape == (count, n) and np.all(np.diff(values, axis=-1) <= 0.0)
     dense = np.linalg.eigvalsh(stack)[..., ::-1]
     assert np.max(np.abs(values - dense)) <= 1e-13 * np.max(np.abs(stack))
-    # Its distinct entries alone give the same blocks, so the same values bit for bit, and its diagonal.
-    rows, cols = mirror_quarter(n)
-    assert rows.size == (n + 1) ** 2 // 4
-    assert centrosymmetric_eigenvalues(stack[..., rows, cols], n).tobytes() == values.tobytes()
-    assert mirror_diagonal(stack[..., rows, cols], n).tobytes() == np.diagonal(stack, axis1=1, axis2=2).real.tobytes()
+    assert mirror_diagonal(quarter, n).tobytes() == np.diagonal(stack, axis1=1, axis2=2).tobytes()
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_a_centrosymmetric_matrix_reaches_lapack_as_its_two_halves(lapack_shapes, n):
     # For odd N the even half also takes the middle row and column.
-    hermitian_eigenvalues(_centrosymmetric_hermitian_stack(2, n, True, seed=5))
+    rows, cols = mirror_quarter(n)
+    centrosymmetric_eigenvalues(_centrosymmetric_stack(2, n, seed=5)[..., rows, cols], n)
     assert lapack_shapes == [(2, n - n // 2, n - n // 2), (2, n // 2, n // 2)]
 
 
-def _not_centrosymmetric(name):
-    centro = _centrosymmetric_hermitian_stack(1, 6, False, seed=2)[0]
-    palindrome = centro.copy()  # the diagonal still reads the same both ways; one mirrored pair does not
-    palindrome[0, 1] = palindrome[1, 0] = 0.5
+def _whole(name):
+    centro = _centrosymmetric_stack(2, 6, seed=2)
     return {
         "complex": _random_hermitian_stack((6, 6)),
         "real stack": _random_hermitian_stack((2, 7, 7)).real,
-        "palindromic diagonal": palindrome,
-        "one member of two": np.stack([centro, palindrome]),
-        "1 x 1": np.ones((1, 1)),  # centrosymmetric, but with no odd half to split off
+        "centrosymmetric": centro,
+        "one centrosymmetric member of two": np.stack([centro[0], _random_hermitian_stack((6, 6)).real]),
+        "1 x 1": np.ones((1, 1)),
     }[name]
 
 
-@pytest.mark.parametrize("name", ["complex", "real stack", "palindromic diagonal", "one member of two", "1 x 1"])
-def test_input_that_is_not_centrosymmetric_is_solved_whole_bit_for_bit(lapack_shapes, name):
-    matrix = _not_centrosymmetric(name)
+@pytest.mark.parametrize("name", ["complex", "real stack", "centrosymmetric", "one centrosymmetric member of two", "1 x 1"])
+def test_a_whole_matrix_is_solved_whole_bit_for_bit(lapack_shapes, name):
+    # Whatever its symmetry, a whole matrix or stack reaches LAPACK as it is, in one call.
+    matrix = _whole(name)
     values = hermitian_eigenvalues(matrix)
     assert lapack_shapes == [matrix.shape]
     assert values.tobytes() == np.linalg.eigvalsh(matrix)[..., ::-1].tobytes()
@@ -362,7 +359,7 @@ def test_a_centrosymmetric_matrix_is_checked_before_any_solve(lapack_shapes, mat
 
 def test_a_failure_on_either_half_is_computation_error(monkeypatch):
     solve = np.linalg.eigvalsh
-    matrix = _centrosymmetric_hermitian_stack(1, 6, False, seed=3)[0]
+    quarter = _centrosymmetric_stack(1, 6, seed=3)[0][mirror_quarter(6)]
     for failing in (1, 2):
         calls = []
 
@@ -374,11 +371,7 @@ def test_a_failure_on_either_half_is_computation_error(monkeypatch):
 
         monkeypatch.setattr(np.linalg, "eigvalsh", fail_on_one)
         with pytest.raises(ComputationError, match="did not converge"):
-            hermitian_eigenvalues(matrix)
-        assert calls == [(3, 3), (3, 3)][:failing]
-        calls.clear()
-        with pytest.raises(ComputationError, match="did not converge"):
-            centrosymmetric_eigenvalues(matrix[mirror_quarter(6)], 6)
+            centrosymmetric_eigenvalues(quarter, 6)
         assert calls == [(3, 3), (3, 3)][:failing]
 
 

@@ -28,7 +28,7 @@ from speccap.capacity import (
     erasure_bounds,
     holevo_bound,
 )
-from speccap.channel import EncodingEnsemble, GramData, MirrorGramData, compute_gram, output_spectrum
+from speccap.channel import EncodingEnsemble, GramData, MirrorGramData, comb_gram_data, compute_gram, output_spectrum
 from speccap.errors import ValidationError
 from speccap.numerics import mirror_quarter
 from speccap.spectral import (
@@ -42,7 +42,6 @@ from speccap.spectral import (
     _parse_lines,
     _parse_table,
     comb_grams,
-    comb_overlaps,
     gaussian_comb,
     gram_matrix,
     make_gaussian_basis,
@@ -288,28 +287,60 @@ sweep_block_channels = st.lists(
 )
 
 
+def _entropy_roundoff_bound(n, delta, arrival):
+    """How far the bounds may move when each of ``n`` eigenvalues moves by at most ``delta``.
+
+    With ``h(x) = -x log2 x``, ``|h(x) - h(y)| <= h(|x - y|)`` for ``|x - y| <= 1/2``, so the spectrum's
+    entropy moves by at most ``n h(delta)``; its sum, which the post-selected bound scales by
+    ``log2(arrival)``, by ``n delta``.  Every term of a bound is below 8 bits, so adding them up and
+    clipping round by at most 4 ulps of 8, ``2^-48``.
+    """
+    entropy = -delta * np.log2(np.where(delta > 0.0, delta, 1.0))
+    scale = np.abs(np.log2(np.where(arrival > 0.0, arrival, 1.0)))  # no photon arrives: both post-selected bounds are 0
+    return n * (entropy + delta * scale) + 2.0**-48
+
+
 @given(st.integers(1, 64), grid_spacings, st.floats(0.3, 3.0), sweep_block_channels)
 @example(1, 0.0, 1.0, [FlatResponse(0.0), GaussianPeakResponse(-0.0, 1.0)])
 @example(64, 1e300, 1.0, [GaussianPeakResponse(0.8, 2.0), FlatResponse(1.0)])
 @example(33, 5e-324, 0.3, [GaussianPeakResponse(-0.0, 2.0), GaussianPeakResponse(0.0, 0.05)])
 @example(7, 0.30000000000000004, 2.5, [FlatResponse(0.0), FlatResponse(1.0), GaussianPeakResponse(1.0, 3.5)])
-def test_a_mirror_comb_s_distinct_entries_give_the_whole_matrices_bounds_bitwise(n, spacing, width, responses):
+def test_a_mirror_comb_s_distinct_entries_give_the_whole_matrices_bounds(n, spacing, width, responses):
     # The sweep's route for a mirror comb builds only the distinct Gram entries
-    # and solves even and odd blocks formed from them; the bounds and the
-    # per-letter statistics must be those of the whole stack through GramData,
-    # byte for byte.  The spectrum must have the same values: at peak
-    # probability -0.0 the entries are -0.0, which the whole stack's mirror
-    # turns into 0.0 off the diagonal, so zero eigenvalues may differ in sign.
+    # and solves even and odd blocks formed from them.  Against the whole stack
+    # through GramData, the per-letter statistics are the same byte for byte,
+    # each eigenvalue within 1e-13 ||A||, and the bounds within what that moves
+    # them by.  An eigensolver's error scales with the norm ||A||, the largest
+    # eigenvalue, not with max|A|: at spacing 0 every letter is the same, and
+    # ||A|| = N max|A|.  Below the smallest normal float, entries lose their
+    # relative precision to underflow (a transmission of 1e-155 gives powers
+    # near 1e-310), so that much more is allowed.  A member's bounds are those
+    # of its response built alone, byte for byte.
     try:
         comb = gaussian_comb(n, spacing, width)
     except ValidationError:
         return  # the end letters' centres overflow
-    priors = np.full(n, 1.0 / n)
-    blocks = holevo_bound(MirrorGramData(comb_overlaps(comb, responses, mirror_quarter(n)), priors))
-    whole = holevo_bound(GramData(comb_grams(comb, responses), priors))
-    for field in ("holevo_bits", "post_selected_bits", "mean_loss", "letter_entropies"):
-        assert getattr(blocks, field).tobytes() == getattr(whole, field).tobytes(), field
-    assert np.array_equal(blocks.spectrum, whole.spectrum)
+    stack, gram_data = comb_gram_data(comb, responses)
+    mirror = gram_data(stack)
+    dense = GramData(comb_grams(comb, responses), np.full(n, 1.0 / n))
+    assert type(mirror) is MirrorGramData
+    for name in ("priors", "survival", "loss", "mean_loss"):
+        assert getattr(mirror, name).tobytes() == getattr(dense, name).tobytes(), name
+    # At peak probability -0.0 the entries are -0.0, which the whole stack's mirror turns into 0.0 off the diagonal.
+    rows, cols = mirror_quarter(n)
+    assert np.array_equal(mirror.weighted, dense.weighted[..., rows, cols])
+    blocks, whole = holevo_bound(mirror), holevo_bound(dense)
+    assert blocks.letter_entropies.tobytes() == whole.letter_entropies.tobytes()
+    delta = 1e-13 * whole.spectrum[:, 0] + np.finfo(float).smallest_normal
+    assert np.all(np.abs(blocks.spectrum - whole.spectrum) <= delta[:, None])
+    tolerance = _entropy_roundoff_bound(n, delta, 1.0 - whole.mean_loss)
+    for field in ("holevo_bits", "post_selected_bits"):
+        assert np.all(np.abs(getattr(blocks, field) - getattr(whole, field)) <= tolerance), field
+    for member, response in enumerate(responses):
+        solo_stack, solo_data = comb_gram_data(comb, [response])
+        alone = holevo_bound(solo_data(solo_stack[0]))
+        for field in ("holevo_bits", "post_selected_bits", "mean_loss", "spectrum"):
+            assert np.asarray(getattr(alone, field)).tobytes() == getattr(blocks, field)[member].tobytes(), field
 
 
 @pytest.mark.parametrize("spacing", [0.0, 0.5, 1e200])
