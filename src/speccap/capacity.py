@@ -1,4 +1,4 @@
-"""Capacity bounds: Holevo quantity, erasure-channel bound, exact two-letter case.
+"""Capacity bounds: Holevo quantity, erasure-channel bound, exact two-letter case, optimal priors and alphabet size.
 
 Everything is reported in bits per transmitted photon.  The Holevo quantity
 bounds the mutual information of any receiver; the post-selected variant

@@ -1,14 +1,14 @@
 """Command-line front end: parameter sweeps, curves, and plots as flat files.
 
 Exit codes: 0 success, 1 usage or validation, 2 computation failure, 3 I/O.
-A sweep builds each comb once, as arrays, and the Gram matrices of up to 16
-consecutive points of it in one closed-form broadcast; it solves them as one
-stacked eigensolve, point by point where that stack fails, and emits its rows
-in grid order.  Its Gram data comes from ``channel.comb_gram_data``, which
-``optimal-n``'s alphabet-size scan shares: of a symmetric comb, whose Gram
-matrices are centrosymmetric, only their distinct entries are built and
-solved as even and odd half-size blocks, and the whole matrices are never
-formed; any other comb's whole matrices are solved whole.  ``sweep``
+A sweep builds each comb once, as arrays, and passes up to 16 consecutive
+points of it to the block solver of its prior mode: one stacked eigensolve of
+their Gram matrices, built in one closed-form broadcast (point by point where
+the stack fails), or each point's own prior optimizer on the comb's letters.
+The Gram data comes from ``channel.comb_gram_data``, which ``optimal-n``'s
+scan shares: of a symmetric comb, whose Gram matrices are centrosymmetric,
+only their distinct entries are built and solved as even and odd half-size
+blocks; any other comb's whole matrices are solved whole.  ``sweep``
 and ``two-state`` reject a SPECCAP_THREADS that is set but not a positive
 integer (exit 1); a valid value schedules nothing, so output never depends
 on it.
@@ -20,6 +20,7 @@ import csv
 import functools
 import itertools
 import math
+import operator
 import os
 import sys
 
@@ -31,6 +32,7 @@ from .channel import EncodingEnsemble, comb_gram_data, compute_gram, output_spec
 from .errors import ComputationError, ValidationError
 from .spectral import (
     FlatResponse,
+    GaussianAmplitude,
     GaussianPeakResponse,
     gaussian_comb,
     load_tabulated_amplitude,
@@ -124,31 +126,33 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _report_cells(report):
-    """The bound cells and empty error cell of each point of ``report``; one row for one matrix's report."""
-    bits = np.stack([report.holevo_bits, report.post_selected_bits, report.mean_loss], axis=-1)
-    return [[*map(_fmt, row), ""] for row in bits.reshape(-1, 3).tolist()]
-
-
-def _stack_cells(stack, gram_data):
-    """The bound and error cells of each member of ``stack``, solved as ``gram_data(stack)``.
-
-    ``stack`` and ``gram_data`` are as :func:`comb_gram_data` returns them.
-    The stack is solved as one :func:`holevo_bound`.  If that raises, each
-    member is solved again on its own, so an error fills only its own
-    point's error cell, with the message a solve of that point alone gives.
-    """
+def _point_cells(width, solve, *args):
+    """A point's result cells and error cell: ``solve(*args)``'s values and an empty error cell, or ``width``
+    empty cells and the message of the ValidationError or ComputationError that it raises."""
     try:
-        return _report_cells(holevo_bound(gram_data(stack)))
+        return [*map(_fmt, solve(*args)), ""]
+    except (ValidationError, ComputationError) as exc:
+        return [""] * width + [str(exc)]
+
+
+_bounds = operator.attrgetter("holevo_bits", "post_selected_bits", "mean_loss")  # a report's bound cells' values
+
+
+def _uniform_block(comb, responses):
+    """Each point's cells with uniform priors: one stacked :func:`holevo_bound` of :func:`comb_gram_data`, or,
+    if that raises, each point's own, so an error fills only its own error cell, with the message it gives alone."""
+    stack, gram_data = comb_gram_data(comb, responses)
+    try:
+        report = holevo_bound(gram_data(stack))
     except (ValidationError, ComputationError):
-        pass
-    cells = []
-    for member in stack:
-        try:
-            cells += _report_cells(holevo_bound(gram_data(member)))
-        except (ValidationError, ComputationError) as exc:
-            cells.append(["", "", "", str(exc)])
-    return cells
+        return [_point_cells(3, lambda one: _bounds(holevo_bound(gram_data(one))), member) for member in stack]
+    return [[*map(_fmt, bounds), ""] for bounds in zip(*_bounds(report))]
+
+
+def _optimized_block(comb, responses):
+    """Each point's cells from :func:`optimize_priors` on the comb's letters, bitwise ``make_gaussian_basis``'s."""
+    ensemble = EncodingEnsemble.uniform(map(GaussianAmplitude, comb[0].tolist(), comb[1].tolist()))
+    return [_point_cells(3, lambda r: _bounds(optimize_priors(ensemble, r)[1]), response) for response in responses]
 
 
 def cmd_sweep(args):
@@ -156,11 +160,11 @@ def cmd_sweep(args):
 
     Each channel value's cells, and its response or validation message, are
     built once per sweep and shared by every comb; no comb is built when no
-    channel value is valid.  Uniform-prior points take the comb's
-    :func:`gaussian_comb` arrays, in blocks of up to ``_BLOCK_POINTS``
-    consecutive points: one closed-form build by :func:`comb_gram_data` (of
-    a symmetric comb, only the distinct entries of its centrosymmetric Gram
-    matrices), one check of the priors and one stacked eigensolve each.
+    channel value is valid.  Both prior modes take the comb's
+    :func:`gaussian_comb` arrays and its valid points in blocks of up to
+    ``_BLOCK_POINTS`` consecutive points, solved by :func:`_uniform_block`
+    or, with ``--priors optimized`` and two letters or more, by
+    :func:`_optimized_block`.
     """
     n_list = parse_int_list(args.n)
     delta_grid = parse_grid(args.delta_omega)
@@ -187,32 +191,26 @@ def cmd_sweep(args):
     rows = []
     for n, delta in itertools.product(n_list, delta_grid):
         key = [n, _fmt(delta)]
-        optimize = args.priors == "optimized" and n >= 2
-        comb, comb_error = None, None  # its arrays, or its letters' ensemble when optimizing
+        solve_block = _optimized_block if args.priors == "optimized" and n >= 2 else _uniform_block
+        comb, comb_error = None, None
         if any_valid:
-            shape = (n, delta, args.sigma_psi, args.centering)
             try:
-                comb = EncodingEnsemble.uniform(make_gaussian_basis(*shape)) if optimize else gaussian_comb(*shape)
+                comb = gaussian_comb(n, delta, args.sigma_psi, args.centering)
             except (ValidationError, ComputationError) as exc:
                 comb_error = str(exc)
         for start in range(0, len(channels), _BLOCK_POINTS):
-            pending, responses = [], []  # rows and channels of the block's points that await its stacked solve
+            pending, responses = [], []  # rows and channels of the block's points that await its solver
             for cells, response, message in channels[start : start + _BLOCK_POINTS]:
                 row = [*key, *cells]
                 rows.append(row)
                 message = comb_error if message is None else message
-                if message is None and optimize:
-                    try:
-                        row += _report_cells(optimize_priors(comb, response)[1])[0]
-                    except (ValidationError, ComputationError) as exc:
-                        message = str(exc)
-                elif message is None:
+                if message is None:
                     responses.append(response)
                     pending.append(row)
-                if message is not None:
+                else:
                     row += ["", "", "", message]
             if responses:
-                for row, cells in zip(pending, _stack_cells(*comb_gram_data(comb, responses))):
+                for row, cells in zip(pending, solve_block(comb, responses)):
                     row += cells
     _write_csv(args.out, header, rows)
     return EXIT_OK
@@ -254,14 +252,7 @@ def cmd_two_state(args):
         solve = functools.partial(two_state_max, p_peak=args.p_peak)
 
     _check_thread_env()
-    rows = []
-    for point in points:  # the point's cells, then its result cells or as many empty ones and its message
-        row = [*map(_fmt, point)]
-        try:
-            row += [*map(_fmt, solve(*point)), ""]
-        except (ValidationError, ComputationError) as exc:
-            row += [""] * (len(header) - len(row) - 1) + [str(exc)]
-        rows.append(row)
+    rows = [[*map(_fmt, point), *_point_cells(len(header) - len(point) - 1, solve, *point)] for point in points]
     _write_csv(args.out, header, rows)
     return EXIT_OK
 
@@ -373,7 +364,9 @@ def build_parser():
     sweep.add_argument("--sigma-eta", help="channel width grid (gaussian mode)")
     sweep.add_argument("--sigma-psi", type=float, default=1.0)
     sweep.add_argument("--p-peak", type=float, default=1.0)
-    sweep.add_argument("--post-select", action="store_true")
+    sweep.add_argument(
+        "--post-select", action="store_true", help="only fills the post_select cell; both bounds are always written"
+    )
     sweep.add_argument("--centering", choices=["zero-start", "symmetric"], default="symmetric")
     sweep.add_argument("--priors", choices=["uniform", "optimized"], default="uniform")
     sweep.add_argument("--out", required=True)

@@ -3,8 +3,8 @@
 Every Gram route of ``spectral`` (closed form, exact rule and fixed rule)
 ends in :func:`mirror_upper`.  Eigenvalues come from LAPACK through
 ``numpy.linalg.eigvalsh`` (``eigh`` when eigenvectors are asked for);
-matrices are small (N up to ~128) and are plain arrays, or stacks of them
-solved in one call, validated in :func:`hermitian_eigenvalues` on their way
+matrices have at most ``spectral.MAX_LETTERS`` (1024) rows and are plain
+arrays, or stacks of them solved in one call, validated in :func:`hermitian_eigenvalues` on their way
 in.  A real matrix stays real, so LAPACK solves it as a real symmetric one,
 and a whole matrix is always solved whole.  A caller that knows its real
 matrices are centrosymmetric, as the Gram matrices of a symmetric comb

@@ -281,6 +281,74 @@ def test_sweep_optimized_priors(tmp_path):
     assert optimized >= uniform - 1e-12
 
 
+OPTIMIZED_CELLS = ("holevo_bits", "post_selected_bits", "eps_bar", "error")
+
+
+@pytest.mark.parametrize("centering", ["symmetric", "zero-start"])
+def test_an_optimized_sweep_gives_each_point_its_own_optimizer_s_cells(tmp_path, centering):
+    # Spacing nan is a bad comb and channel width -1 an invalid channel value; where both are, the channel's
+    # message wins.  Every other cell is, to the digit, the optimizer's on the point's own letters.
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--mode", "gaussian", "--n", "2,3", "--delta-omega", "0.5,2,nan", "--sigma-eta=-1,1,3"]
+    assert main([*args, "--centering", centering, "--priors", "optimized", "--out", str(out)]) == EXIT_OK
+    rows = read_rows(out)
+    points = [(n, delta, width) for n in (2, 3) for delta in (0.5, 2.0, math.nan) for width in (-1.0, 1.0, 3.0)]
+    assert len(rows) == len(points)
+    messages = set()
+    for row, (n, delta, width) in zip(rows, points):
+        try:
+            response = speccap.GaussianPeakResponse(1.0, width)
+            letters = make_gaussian_basis(n, delta, 1.0, centering)
+            _, report = speccap.optimize_priors(speccap.EncodingEnsemble.uniform(letters), response)
+        except (speccap.ValidationError, speccap.ComputationError) as exc:
+            want = ["", "", "", str(exc)]
+            messages.add(str(exc))
+        else:
+            want = [*map(_fmt, (report.holevo_bits, report.post_selected_bits, report.mean_loss)), ""]
+        assert [row[column] for column in OPTIMIZED_CELLS] == want, (n, delta, width)
+    assert messages == {"channel width must be positive", "letter spacing must be non-negative"}
+
+
+def test_an_optimized_sweep_s_one_letter_rows_are_its_uniform_rows(tmp_path):
+    # One letter has no priors to optimize: its rows take the uniform solver's cells, not the optimizer's error.
+    args = ["sweep", "--mode", "gaussian", "--n", "1,2", "--delta-omega", "0,1", "--sigma-eta", "0.5,2"]
+    rows = {}
+    for priors in ("uniform", "optimized"):
+        out = tmp_path / f"{priors}.csv"
+        assert main([*args, "--centering", "zero-start", "--priors", priors, "--out", str(out)]) == EXIT_OK
+        rows[priors] = read_rows(out)
+    one_letter = [row for row in rows["optimized"] if row["n"] == "1"]
+    assert len(one_letter) == 4 and all(row["error"] == "" for row in one_letter)
+    assert one_letter == [row for row in rows["uniform"] if row["n"] == "1"]
+    assert rows["optimized"][4:] != rows["uniform"][4:]  # two zero-start letters do gain from their priors
+
+
+@pytest.mark.parametrize("bad", [6, 17])
+def test_an_optimizer_failure_errors_only_its_own_point(tmp_path, monkeypatch, bad):
+    # 19 channel values: blocks of 16 and 3 points of one comb.  The optimizer fails at one of them only.
+    args = ["sweep", "--mode", "gaussian", "--n", "3", "--delta-omega", "1", "--sigma-eta", "1:10:0.5"]
+    args += ["--centering", "zero-start", "--priors", "optimized"]
+    clean = tmp_path / "clean.csv"
+    assert main([*args, "--out", str(clean)]) == EXIT_OK
+    bad_width = 1.0 + 0.5 * bad
+    message = f"no convergence at channel width {bad_width:g}"
+    optimize = speccap.cli.optimize_priors
+
+    def failing(ensemble, response):
+        if response.width == bad_width:
+            raise speccap.ConvergenceError(message, error_estimate=0.5)
+        return optimize(ensemble, response)
+
+    monkeypatch.setattr("speccap.cli.optimize_priors", failing)
+    out = tmp_path / "sweep.csv"
+    assert main([*args, "--out", str(out)]) == EXIT_OK
+    got, want = read_rows(out), read_rows(clean)
+    assert len(got) == len(want) == 19 and all(row["error"] == "" for row in want)
+    assert [got[bad][column] for column in OPTIMIZED_CELLS] == ["", "", "", message]
+    assert got[bad]["sigma_eta"] == want[bad]["sigma_eta"]
+    assert got[:bad] + got[bad + 1 :] == want[:bad] + want[bad + 1 :]
+
+
 def test_sweep_requires_channel_grid():
     assert main(["sweep", "--mode", "flat", "--n", "4", "--delta-omega", "1", "--out", "x.csv"]) == EXIT_USAGE
 
@@ -410,14 +478,11 @@ def test_readme_two_state_max_curve_matches_its_golden_csv(tmp_path):
     assert out.read_bytes() == (DATA / "readme_two_state_max.csv").read_bytes()
 
 
-@pytest.mark.parametrize("name", sorted(README_SWEEPS))
-def test_readme_sweep_matches_its_golden_csv(tmp_path, name):
-    out = tmp_path / name
-    args = ["sweep", "--n", "32", "--delta-omega", "0:10:0.5", *README_SWEEPS[name], "--out", str(out)]
-    assert main(args) == EXIT_OK
+def assert_sweep_matches_golden(path, name):
+    """The sweep CSV at ``path`` equals ``tests/data/<name>`` to 12 significant digits in its bound cells."""
     with open(DATA / name, newline="", encoding="utf-8") as handle:
         expected = list(csv.reader(handle))
-    with open(out, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         got = list(csv.reader(handle))
     assert got[0] == expected[0] and len(got) == len(expected)
     numeric = {expected[0].index(column) for column in ("holevo_bits", "post_selected_bits", "eps_bar")}
@@ -430,6 +495,14 @@ def test_readme_sweep_matches_its_golden_csv(tmp_path, name):
                 assert abs(g - e) <= 1e-11 * abs(e) or max(abs(e), abs(g)) < 1e-12, (want, have)
             else:
                 assert value == cell, (want, have)
+
+
+@pytest.mark.parametrize("name", sorted(README_SWEEPS))
+def test_readme_sweep_matches_its_golden_csv(tmp_path, name):
+    out = tmp_path / name
+    args = ["sweep", "--n", "32", "--delta-omega", "0:10:0.5", *README_SWEEPS[name], "--out", str(out)]
+    assert main(args) == EXIT_OK
+    assert_sweep_matches_golden(out, name)
 
 
 def test_blocked_gaussian_sweep_matches_its_golden_csv(tmp_path):
@@ -611,15 +684,21 @@ def test_readme_sweeps_solve_one_stack_per_comb(tmp_path, monkeypatch, lapack_sh
     monkeypatch.setattr("speccap.channel.centrosymmetric_eigenvalues", counted)
     for module in (speccap, speccap.numerics, speccap.channel, speccap.capacity):
         monkeypatch.setattr(module, "hermitian_eigenvalues", refused)
-    # A uniform-prior sweep builds its combs as arrays, never as letter objects.
-    bases = []
-    monkeypatch.setattr("speccap.cli.make_gaussian_basis", lambda *args: bases.append(args))
+    # A uniform-prior sweep builds its combs as arrays, never as letter objects: it never reaches the
+    # ensemble of letters that an optimized point's solver builds, as the last sweep here does.
+    ensembles = []
+    uniform = speccap.EncodingEnsemble.uniform
+    recorded = types.SimpleNamespace(uniform=lambda letters: ensembles.append(letters) or uniform(letters))
+    monkeypatch.setattr("speccap.cli.EncodingEnsemble", recorded)
     args = ["sweep", "--n", "32", "--delta-omega", "0:10:0.5", *README_SWEEPS[name], "--out", str(tmp_path / name)]
     assert main(args) == EXIT_OK
     assert quarters == [(block, 272)] * 21
     assert lapack_shapes == [(block, 16, 16), (block, 16, 16)] * 21
     assert whole == []
-    assert bases == []
+    assert ensembles == []
+    args = ["sweep", "--n", "2", "--delta-omega", "1", *README_SWEEPS[name][:3], "0.5", "--priors", "optimized"]
+    assert main([*args, "--out", str(tmp_path / "optimized.csv")]) == EXIT_OK
+    assert len(ensembles) == 1
 
 
 def write_tabulated_inputs(directory, seed, letters=8, points=401):
