@@ -6,9 +6,10 @@ of the small matrix ``T[i][j] = sqrt(p_i p_j) <chi_i|chi_j>`` built from the
 modulated letters ``chi_i = eta * psi_i``, whose Gram matrix comes from
 :func:`speccap.spectral.gram_matrix`.  Working with T reduces an
 infinite-dimensional diagonalization to an N x N Hermitian one.
-:func:`comb_gram_data` is the one route of a comb given as arrays, for the
-``sweep`` and the alphabet-size scan alike: a comb whose centres and widths
-are an exact mirror has centrosymmetric Gram matrices, kept as their distinct
+:func:`comb_gram_data` is the one route of a comb given as arrays, or of a
+stack of combs, for the ``sweep`` and the alphabet-size scan alike: a comb
+whose centres and widths are an exact mirror (:func:`is_mirror_comb`) has
+centrosymmetric Gram matrices, kept as their distinct
 entries by :class:`MirrorGramData` and solved as even and odd blocks; any
 other comb's whole matrices are kept by :class:`GramData` and solved whole.
 """
@@ -182,26 +183,38 @@ class MirrorGramData:
         return centrosymmetric_eigenvalues(self.weighted, self.n)
 
 
+def is_mirror_comb(comb):
+    """Whether the centres and widths of ``comb``, or of every comb of a ``(D, N)`` stack, are an exact mirror.
+
+    That is ``center == -center[::-1]`` and ``width == width[::-1]``, as every
+    symmetric comb's are: the rule by which :func:`comb_gram_data` picks a
+    comb's route, and a sweep keeps combs of the two routes apart.
+    """
+    center, width = comb
+    return np.array_equal(center, -center[..., ::-1]) and np.array_equal(width, width[..., ::-1])
+
+
 def comb_gram_data(comb, responses):
     """The Gram entries of ``comb``'s letters through each of ``responses``, and how to read them as Gram data.
 
     ``comb`` is the letters' ``center`` and ``width`` arrays, as
-    :func:`~speccap.spectral.gaussian_comb` returns them, and the responses
-    are flat or Gaussian peaks, so every channel is even.  Returns ``(stack,
-    gram_data)``: ``gram_data(stack)`` is the Gram data of the whole stack
-    and ``gram_data(stack[b])`` that of ``responses[b]`` alone, both with
-    uniform priors and sharing the read-only stack.  A comb whose centres
-    and widths are an exact mirror (``center == -center[::-1]``, ``width ==
-    width[::-1]``), as every symmetric comb's are, has centrosymmetric Gram
-    matrices: ``stack`` holds only their distinct entries,
-    :func:`~speccap.spectral.comb_overlaps` at the
+    :func:`~speccap.spectral.gaussian_comb` returns them, or ``(D, N)``
+    stacks of D such combs, and the responses are flat or Gaussian peaks, so
+    every channel is even.  Returns ``(stack, gram_data)``: ``stack`` has a
+    member per response, ``(B, ...)``, or per comb and response, ``(D, B,
+    ...)``; ``gram_data(stack)`` is the Gram data of the whole stack and
+    ``gram_data(member)`` that of one member alone, both with uniform priors
+    and sharing the read-only stack.  Combs that
+    are all an exact mirror (:func:`is_mirror_comb`), as every symmetric
+    comb is, have centrosymmetric Gram matrices: ``stack`` holds only their
+    distinct entries, :func:`~speccap.spectral.comb_overlaps` at the
     :func:`~speccap.numerics.mirror_quarter` places, read by
-    :class:`MirrorGramData`.  Any other comb's ``stack`` is the whole
-    matrices, :func:`~speccap.spectral.comb_grams`, read by :class:`GramData`.
+    :class:`MirrorGramData`.  Any other ``stack`` is the whole matrices,
+    :func:`~speccap.spectral.comb_grams`, read by :class:`GramData`.  Each
+    comb's entries are bitwise those it gets alone, on the same route.
     """
-    center, width = comb
-    n = center.size
-    if np.array_equal(center, -center[::-1]) and np.array_equal(width, width[::-1]):
+    n = comb[0].shape[-1]
+    if is_mirror_comb(comb):
         stack, gram_data = comb_overlaps(comb, responses, mirror_quarter(n)), MirrorGramData
     else:
         stack, gram_data = comb_grams(comb, responses), GramData

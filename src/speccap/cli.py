@@ -1,17 +1,18 @@
 """Command-line front end: parameter sweeps, curves, and plots as flat files.
 
 Exit codes: 0 success, 1 usage or validation, 2 computation failure, 3 I/O.
-A sweep builds each comb once, as arrays, and passes up to 16 consecutive
-points of it to the block solver of its prior mode: one stacked eigensolve of
-their Gram matrices, built in one closed-form broadcast (point by point where
-the stack fails), or each point's own prior optimizer on the comb's letters.
-The Gram data comes from ``channel.comb_gram_data``, which ``optimal-n``'s
-scan shares: of a symmetric comb, whose Gram matrices are centrosymmetric,
-only their distinct entries are built and solved as even and odd half-size
-blocks; any other comb's whole matrices are solved whole.  ``sweep``
-and ``two-state`` reject a SPECCAP_THREADS that is set but not a positive
-integer (exit 1); a valid value schedules nothing, so output never depends
-on it.
+A sweep builds each comb once, as arrays, and passes a block of points, a
+run of consecutive combs of one letter count and one Gram route crossed with
+the valid channel values, to the block solver of its prior mode: one stacked
+eigensolve of their Gram matrices, built in one closed-form broadcast (point
+by point where the stack fails), or each point's own prior optimizer on its
+comb's letters.  The Gram data comes from ``channel.comb_gram_data``, which
+``optimal-n``'s scan shares: of symmetric combs, whose Gram matrices are
+centrosymmetric, only their distinct entries are built and solved as even
+and odd half-size blocks; any other combs' whole matrices are solved whole.
+``sweep`` and ``two-state`` reject a SPECCAP_THREADS that is set but not a
+positive integer (exit 1); a valid value schedules nothing, so output never
+depends on it.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import svgplot
 from .capacity import holevo_bound, optimal_alphabet_size, optimize_priors, two_state_exact, two_state_max
-from .channel import EncodingEnsemble, comb_gram_data, compute_gram, output_spectrum
+from .channel import EncodingEnsemble, comb_gram_data, compute_gram, is_mirror_comb, output_spectrum
 from .errors import ComputationError, ValidationError
 from .spectral import (
     FlatResponse,
@@ -48,9 +49,18 @@ EXIT_IO = 3
 # Most points a range, or a product of grids, may have; checked before building it.
 MAX_GRID_POINTS = 10**6
 
-# Most sweep points built and solved as one stack: 16 N^2 float64 entries, 2.1 MB at
-# N = 128, whose build peaks at 4.4 MB traced (tracemalloc).
-_BLOCK_POINTS = 16
+
+def _block_points(n):
+    """Most sweep points of ``n`` letters built and solved as one block: those of 2**17 Gram entries, at least 16.
+
+    2**17 float64 entries (1 MB) keep a block's arrays in cache.  On the
+    README grid, on one thread of a 2-core host, blocks of 128 points (8
+    combs) took 10-11 ms at N = 32 against 14.5 for one comb per block, and
+    one block of all 315 points made N = 128 take 129 ms against 97-116.
+    The floor, which every N from 91 on gets, keeps large combs' blocks from
+    shrinking: blocks of 4 points made N = 512 take 2.0 s against 1.8.
+    """
+    return max(16, 2**17 // (n * n))
 
 
 class UsageError(Exception):
@@ -138,10 +148,12 @@ def _point_cells(width, solve, *args):
 _bounds = operator.attrgetter("holevo_bits", "post_selected_bits", "mean_loss")  # a report's bound cells' values
 
 
-def _uniform_block(comb, responses):
-    """Each point's cells with uniform priors: one stacked :func:`holevo_bound` of :func:`comb_gram_data`, or,
-    if that raises, each point's own, so an error fills only its own error cell, with the message it gives alone."""
-    stack, gram_data = comb_gram_data(comb, responses)
+def _uniform_block(combs, responses):
+    """Each point's cells with uniform priors, comb by comb: one stacked :func:`holevo_bound` of
+    :func:`comb_gram_data`, or, if that raises, each point's own, so an error fills only its own error cell,
+    with the message it gives alone."""
+    stack, gram_data = comb_gram_data(combs, responses)
+    stack = stack.reshape(-1, *stack.shape[2:])  # one member per point, comb by comb
     try:
         report = holevo_bound(gram_data(stack))
     except (ValidationError, ComputationError):
@@ -149,10 +161,38 @@ def _uniform_block(comb, responses):
     return [[*map(_fmt, bounds), ""] for bounds in zip(*_bounds(report))]
 
 
-def _optimized_block(comb, responses):
-    """Each point's cells from :func:`optimize_priors` on the comb's letters, bitwise ``make_gaussian_basis``'s."""
-    ensemble = EncodingEnsemble.uniform(map(GaussianAmplitude, comb[0].tolist(), comb[1].tolist()))
-    return [_point_cells(3, lambda r: _bounds(optimize_priors(ensemble, r)[1]), response) for response in responses]
+def _optimized_block(combs, responses):
+    """Each point's cells, comb by comb, from :func:`optimize_priors` on the comb's letters, bitwise
+    ``make_gaussian_basis``'s."""
+    cells = []
+    for center, width in zip(*combs):
+        ensemble = EncodingEnsemble.uniform(map(GaussianAmplitude, center.tolist(), width.tolist()))
+        cells += [
+            _point_cells(3, lambda r: _bounds(optimize_priors(ensemble, r)[1]), response) for response in responses
+        ]
+    return cells
+
+
+def _solve_block(block, responses, priors):
+    """Fill the rows of ``block``, a list of ``(comb, rows)`` of one letter count N, with its solver's cells.
+
+    The solver is :func:`_optimized_block` for ``priors == "optimized"`` and
+    N >= 2, else :func:`_uniform_block`.  The combs are stacked as ``(D,
+    N)`` arrays and solved with all of ``responses`` at once, or, if one comb
+    has more than :func:`_block_points` of them, it alone in chunks of that
+    many.  An empty block fills nothing.
+    """
+    if not block:
+        return
+    combs = tuple(np.stack(arrays) for arrays in zip(*(comb for comb, _ in block)))
+    n = combs[0].shape[-1]
+    solve = _optimized_block if priors == "optimized" and n >= 2 else _uniform_block
+    step = _block_points(n)
+    for start in range(0, len(responses), step):
+        chunk = slice(start, start + step)
+        pending = [row for _, rows in block for row in rows[chunk]]
+        for row, cells in zip(pending, solve(combs, responses[chunk])):
+            row += cells
 
 
 def cmd_sweep(args):
@@ -160,9 +200,12 @@ def cmd_sweep(args):
 
     Each channel value's cells, and its response or validation message, are
     built once per sweep and shared by every comb; no comb is built when no
-    channel value is valid.  Both prior modes take the comb's
-    :func:`gaussian_comb` arrays and its valid points in blocks of up to
-    ``_BLOCK_POINTS`` consecutive points, solved by :func:`_uniform_block`
+    channel value is valid.  A block is a run of valid combs of one letter
+    count and one Gram route (:func:`is_mirror_comb`), crossed with the valid
+    channel values, of at most :func:`_block_points` points; a comb with more
+    valid channel values than that is a block of its own, split in chunks of
+    that size.  Both prior modes take a block as the combs'
+    :func:`gaussian_comb` arrays, stacked, solved by :func:`_uniform_block`
     or, with ``--priors optimized`` and two letters or more, by
     :func:`_optimized_block`.
     """
@@ -185,33 +228,36 @@ def cmd_sweep(args):
         except (ValidationError, ComputationError) as exc:
             channels.append((cells, None, str(exc)))
     _grid_points(n_list, delta_grid, channels)  # only to reject a grid over the point limit
-    any_valid = any(response is not None for _, response, _ in channels)
+    responses = [response for _, response, _ in channels if response is not None]
 
     _check_thread_env()
     rows = []
+    block, route = [], None  # the open block's combs with their rows that await its solver, and its (n, route)
     for n, delta in itertools.product(n_list, delta_grid):
         key = [n, _fmt(delta)]
-        solve_block = _optimized_block if args.priors == "optimized" and n >= 2 else _uniform_block
         comb, comb_error = None, None
-        if any_valid:
+        if responses:
             try:
                 comb = gaussian_comb(n, delta, args.sigma_psi, args.centering)
             except (ValidationError, ComputationError) as exc:
                 comb_error = str(exc)
-        for start in range(0, len(channels), _BLOCK_POINTS):
-            pending, responses = [], []  # rows and channels of the block's points that await its solver
-            for cells, response, message in channels[start : start + _BLOCK_POINTS]:
-                row = [*key, *cells]
-                rows.append(row)
-                message = comb_error if message is None else message
-                if message is None:
-                    responses.append(response)
-                    pending.append(row)
-                else:
-                    row += ["", "", "", message]
-            if responses:
-                for row, cells in zip(pending, solve_block(comb, responses)):
-                    row += cells
+        pending = []  # rows of the comb's valid points
+        for cells, _, message in channels:
+            row = [*key, *cells]
+            rows.append(row)
+            message = comb_error if message is None else message
+            if message is None:
+                pending.append(row)
+            else:
+                row += ["", "", "", message]
+        if comb is None:
+            continue
+        comb_route = (n, is_mirror_comb(comb))
+        if comb_route != route or (len(block) + 1) * len(responses) > _block_points(n):
+            _solve_block(block, responses, args.priors)
+            block, route = [], comb_route
+        block.append((comb, pending))
+    _solve_block(block, responses, args.priors)
     _write_csv(args.out, header, rows)
     return EXIT_OK
 

@@ -35,10 +35,11 @@ from .numerics import mirror_upper
 TRUNCATION_SIGMAS = 10.0
 
 # Most letters a comb may have, checked before any of its arrays is built.  It keeps one sweep
-# block (16 points) within a budget of 512 MB traced by tracemalloc, on either route: the peak
-# grows as the square of the letter count, and at 1024 letters is 306 MB through whole matrices
-# and 223 MB through their distinct entries, so 2048 would take about 1.2 GB.  1024 is the
-# largest power of two within the budget, 8 times the N = 128 the performance target names.
+# block, 16 points from 91 letters on (``cli._block_points``), within a budget of 512 MB traced
+# by tracemalloc, on either route: the peak grows as the square of the letter count, and at 1024
+# letters is 298 MB through whole matrices and 223 MB through their distinct entries, so 2048
+# would take about 1.2 GB.  1024 is the largest power of two within the budget, 8 times the
+# N = 128 the performance target names.
 MAX_LETTERS = 1024
 
 # (2 pi)^(-1/4): a Gaussian amplitude of width w peaks at this over sqrt(w).
@@ -283,45 +284,53 @@ def comb_grams(comb, responses):
     of :func:`numerics.upper_triangle`, and :func:`numerics.mirror_upper` writes
     each pair's value to both ``(i, j)`` and ``(j, i)``, so every member is
     exactly symmetric and float64.  Member ``b`` equals ``gram_matrix(letters,
-    responses[b])`` but where numpy's ``exp`` and libm's round 1 ulp apart.  A
-    symmetric comb's matrices are also exactly centrosymmetric;
-    ``channel.comb_gram_data`` builds only their distinct entries,
-    ``comb_overlaps(comb, responses, numerics.mirror_quarter(N))``, and never
-    this whole stack.
+    responses[b])`` but where numpy's ``exp`` and libm's round 1 ulp apart.
+    ``(D, N)`` arrays, D combs of N letters, give the ``(D, B, N, N)`` stack,
+    each comb's bitwise its own.  A symmetric comb's matrices are also exactly
+    centrosymmetric; ``channel.comb_gram_data`` builds only their distinct
+    entries, ``comb_overlaps(comb, responses, numerics.mirror_quarter(N))``, and
+    never this whole stack.
     """
-    return mirror_upper(comb_overlaps(comb, responses, numerics.upper_triangle(len(comb[0]))))
+    return mirror_upper(comb_overlaps(comb, responses, numerics.upper_triangle(comb[0].shape[-1])))
 
 
 def comb_overlaps(comb, responses, pairs):
     """The real ``(B, P)`` overlaps of the letter pairs ``(rows, cols) = pairs`` of ``comb`` through each response.
 
-    ``comb`` is as :func:`comb_grams` takes it.  Each letter's ``a = 1/(4 width^2)``
+    ``comb`` is as :func:`comb_grams` takes it; ``(D, N)`` arrays give ``(D, B,
+    P)``, each comb's ``(B, P)`` bit for bit.  Each letter's ``a = 1/(4 width^2)``
     and ``a center^2`` take the float operations of ``GaussianAmplitude``'s ``_a``
     and ``_acc``.  One numpy broadcast of :func:`modulated_overlap`'s closed form
     over the ``P`` pairs ``(rows[p], cols[p])``, in its operand order and with its
-    float-limit rules, so a pair's value does not depend on which other pairs are
-    asked for; only the responses' ``(power, k)`` vary along the stack.
+    float-limit rules, so a pair's value does not depend on which other pairs,
+    or combs, are asked for.  The terms of a pair that its comb alone sets are
+    computed once per comb, and only the responses' ``(power, k)`` vary along
+    the stack's response axis.
     """
-    center, width = comb
+    # An axis for the responses: each comb's terms are computed once, for every response.
+    center, width = (array[..., None, :] for array in comb)
     rows, cols = pairs
     power, k = np.reshape([response._power_k for response in responses], (-1, 2, 1)).swapaxes(0, 1)
     with np.errstate(over="ignore"):
         a = 0.25 / (width * width)
         acc = a * center * center  # inf past |center| of about 1e154, as a letter's _acc
         # float_power is libm pow, as ** on a float; np.power and np.square round some squares otherwise.
-        square = np.float_power(center[rows] - center[cols], 2)
+        square = np.float_power(center.take(rows, -1) - center.take(cols, -1), 2)
         # A pair whose square is inf, even where a b underflows to 0, gets an inf exponent: it is orthogonal.
-        spread = np.multiply(a[rows] * a[cols], square, out=np.full_like(square, np.inf), where=square < np.inf)
+        spread = np.multiply(
+            a.take(rows, -1) * a.take(cols, -1), square, out=np.full_like(square, np.inf), where=square < np.inf
+        )
         # The negated exponent: (-k) s - spread is exactly -(k s + spread).  A flat
         # channel (k = 0) adds no k term, so an inf a c^2 meets no 0 * inf.
-        exponent = np.multiply(-k, acc[rows] + acc[cols], out=np.zeros((len(power), rows.size)), where=k > 0)
+        exponent = np.zeros((*center.shape[:-2], len(power), rows.size))
+        np.multiply(-k, acc.take(rows, -1) + acc.take(cols, -1), out=exponent, where=k > 0)
         exponent -= spread
-        gram = a[rows] + a[cols] + k  # quad = a_i + a_j + k; in place, then the prefactor and the entries
+        gram = a.take(rows, -1) + a.take(cols, -1) + k  # quad; in place, then the prefactor and the entries
         exponent /= gram
         # exp of anything below about -745.13 is +0.0; those lanes, a quarter of a README
         # comb's, skip exp, which is many times slower on them.  A NaN lane still takes it.
         exponent = np.exp(exponent, out=np.zeros_like(exponent), where=~(exponent < -745.2))
-        gram *= width[rows] * width[cols]
+        gram *= width.take(rows, -1) * width.take(cols, -1)
         np.sqrt(np.divide(0.5, gram, out=gram), out=gram)
         gram *= power
         gram *= exponent

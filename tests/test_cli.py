@@ -325,7 +325,7 @@ def test_an_optimized_sweep_s_one_letter_rows_are_its_uniform_rows(tmp_path):
 
 @pytest.mark.parametrize("bad", [6, 17])
 def test_an_optimizer_failure_errors_only_its_own_point(tmp_path, monkeypatch, bad):
-    # 19 channel values: blocks of 16 and 3 points of one comb.  The optimizer fails at one of them only.
+    # 19 channel values of one comb, one block.  The optimizer fails at one of them only.
     args = ["sweep", "--mode", "gaussian", "--n", "3", "--delta-omega", "1", "--sigma-eta", "1:10:0.5"]
     args += ["--centering", "zero-start", "--priors", "optimized"]
     clean = tmp_path / "clean.csv"
@@ -507,7 +507,8 @@ def test_readme_sweep_matches_its_golden_csv(tmp_path, name):
 
 def test_blocked_gaussian_sweep_matches_its_golden_csv(tmp_path):
     # 39 points per comb: the golden file was written when every point was
-    # solved on its own, and the sweep now solves them in blocks of 16, 16 and 7.
+    # solved on its own, and the sweep now solves each letter count's two combs
+    # as one block of 78 points.
     out = tmp_path / "sweep.csv"
     args = ["sweep", "--mode", "gaussian", "--n", "2,8,32", "--delta-omega", "0,1.5", "--sigma-eta", "1:20:0.5"]
     assert main([*args, "--out", str(out)]) == EXIT_OK
@@ -541,77 +542,85 @@ def test_a_nan_spacing_errs_as_a_bad_spacing(tmp_path):
     "place, value, error", [(0, 1.5, speccap.ComputationError), (1, np.nan, speccap.ValidationError)]
 )
 def test_a_failure_inside_a_block_errors_only_its_own_point(tmp_path, monkeypatch, centering, bad, place, value, error):
-    # One comb of 15 points: one block.  channel.comb_gram_data gives a symmetric comb's block the distinct
-    # entries of its Gram matrices (comb_overlaps, MirrorGramData), a zero-start comb's the whole matrices
-    # (comb_grams, GramData).  The patched point's entry (0, 0) is 1.5, a survival above 1, or its entry (0, 1) is
-    # NaN; a symmetric comb's also carries it to the places that mirror it.  Its message must be the
-    # one the whole matrix gives on its own.
-    args = ["sweep", "--mode", "gaussian", "--n", "4", "--delta-omega", "1", "--sigma-eta", "1:8:0.5"]
+    # Three combs of 15 points: one block of 45.  channel.comb_gram_data gives a symmetric block the distinct
+    # entries of its Gram matrices (comb_overlaps, MirrorGramData), a zero-start block the whole matrices
+    # (comb_grams, GramData).  The patched point is in the block's second comb, spacing 2; its entry (0, 0)
+    # is 1.5, a survival above 1, or its entry (0, 1) is NaN; a symmetric comb's also carries it to the
+    # places that mirror it.  Its message must be the one the whole matrix gives on its own.
+    args = ["sweep", "--mode", "gaussian", "--n", "4", "--delta-omega", "1,2,3", "--sigma-eta", "1:8:0.5"]
     args += ["--centering", centering]
     clean = tmp_path / "clean.csv"
     assert main([*args, "--out", str(clean)]) == EXIT_OK
     bad_width = 1.0 + 0.5 * bad
     rows, cols = speccap.numerics.mirror_quarter(4)
     i, j = rows[place], cols[place]
-    broken = []
+    second = gaussian_comb(4, 2.0, 1.0, centering)
+    blocks, broken = [], []
 
     def spoil(whole):
         whole[i, j] = whole[j, i] = value
         if centering == "symmetric":
             whole[3 - i, 3 - j] = whole[3 - j, 3 - i] = value
 
-    if centering == "symmetric":
-        comb_overlaps = speccap.channel.comb_overlaps
-
-        def patched(comb, responses, pairs):
-            stack = comb_overlaps(comb, responses, pairs)
-            for entries, response in zip(stack, responses):
-                if response.width == bad_width:
+    def spoiled(comb, responses, stack):
+        """The block's stack with the bad point's entries spoiled, and its whole matrix kept."""
+        blocks.append(stack.shape[:2])
+        assert [array[1].tobytes() for array in comb] == [array.tobytes() for array in second]
+        for entries, response in zip(stack[1], responses):
+            if response.width == bad_width:
+                if centering == "symmetric":
                     entries[place] = value
-                    whole = speccap.spectral.comb_grams(comb, [response])[0]
+                    whole = speccap.spectral.comb_grams(second, [response])[0]
                     spoil(whole)
                     assert np.array_equal(whole[rows, cols], entries, equal_nan=True)
                     broken.append(whole)
-            return stack
-
-        monkeypatch.setattr("speccap.channel.comb_overlaps", patched)
-    else:
-        comb_grams = speccap.channel.comb_grams
-
-        def patched(comb, responses):
-            stack = comb_grams(comb, responses)
-            for entries, response in zip(stack, responses):
-                if response.width == bad_width:
+                else:
                     spoil(entries)
                     broken.append(entries.copy())
-            return stack
+        return stack
 
-        monkeypatch.setattr("speccap.channel.comb_grams", patched)
+    if centering == "symmetric":
+        comb_overlaps = speccap.channel.comb_overlaps
+        monkeypatch.setattr(
+            "speccap.channel.comb_overlaps",
+            lambda comb, responses, pairs: spoiled(comb, responses, comb_overlaps(comb, responses, pairs)),
+        )
+    else:
+        comb_grams = speccap.channel.comb_grams
+        monkeypatch.setattr(
+            "speccap.channel.comb_grams", lambda comb, responses: spoiled(comb, responses, comb_grams(comb, responses))
+        )
     out = tmp_path / "sweep.csv"
     assert main([*args, "--out", str(out)]) == EXIT_OK
+    assert blocks == [(3, 15)]
     [whole] = broken
     with pytest.raises(error, match="survival" if place == 0 else "finite") as alone:
         speccap.holevo_bound(speccap.GramData(whole, np.full(4, 0.25)))
     got, want = out.read_text().splitlines(), clean.read_text().splitlines()
-    assert len(got) == len(want) == 16
-    row = ["4", "1", format(bad_width, "g"), "1", "0", "", "", "", str(alone.value)]
-    assert next(csv.reader([got[1 + bad]])) == row
-    assert got[: 1 + bad] + got[2 + bad :] == want[: 1 + bad] + want[2 + bad :]
+    assert len(got) == len(want) == 46
+    at = 1 + 15 + bad
+    row = ["4", "2", format(bad_width, "g"), "1", "0", "", "", "", str(alone.value)]
+    assert next(csv.reader([got[at]])) == row
+    assert got[:at] + got[at + 1 :] == want[:at] + want[at + 1 :]
 
 
 @pytest.mark.parametrize("name", sorted(README_SWEEPS))
 def test_a_sweep_solves_its_real_gram_stacks_as_real(tmp_path, monkeypatch, name):
+    # --n 1,8 and two spacings: one block of both combs per letter count, solved as even and odd
+    # blocks, real, with N = 1's empty odd one.
+    points = 2 * len(parse_grid(README_SWEEPS[name][-1]))
     solve = np.linalg.eigvalsh
-    dtypes = []
+    solved = []
 
     def recorded(matrix):
-        dtypes.append((matrix.dtype, matrix.ndim))
+        solved.append((matrix.dtype, matrix.shape))
         return solve(matrix)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
     args = ["sweep", "--n", "1,8", "--delta-omega", "0,1.5", *README_SWEEPS[name], "--out", str(tmp_path / name)]
     assert main(args) == EXIT_OK
-    assert dtypes and set(dtypes) == {(np.dtype(np.float64), 3)}
+    shapes = [(points, 1, 1), (points, 0, 0), (points, 4, 4), (points, 4, 4)]
+    assert solved == [(np.dtype(np.float64), shape) for shape in shapes]
 
 
 EDGE_DELTAS = "0,1e155,1e200,1e300"  # gaps whose squares overflow, and centres whose a c^2 does
@@ -664,11 +673,16 @@ def test_a_stacked_sweep_gives_each_point_s_own_bounds(tmp_path, args):
             assert abs(have - want) <= 1e-11 * abs(want) or max(abs(have), abs(want)) < 1e-12, (row, column, want)
 
 
-@pytest.mark.parametrize("name, block", [("readme_flat_sweep.csv", 11), ("readme_gaussian_sweep.csv", 15)])
-def test_readme_sweeps_solve_one_stack_per_comb(tmp_path, monkeypatch, lapack_shapes, name, block):
-    # 21 spacings, each a mirror comb of `block` points: 21 stacked solves of the 272
-    # distinct entries of its 32 x 32 Gram matrices, each one even and one odd
-    # 16 x 16 stack; not one solve per point, and no whole matrix.
+# The README sweeps' blocks: at N = 32 at most 128 points, whole combs of 11 or 15 channel values.
+README_BLOCKS = {"readme_flat_sweep.csv": [121, 110], "readme_gaussian_sweep.csv": [120, 120, 75]}
+
+
+@pytest.mark.parametrize("name", sorted(README_SWEEPS))
+def test_readme_sweeps_solve_one_stack_per_block_of_combs(tmp_path, monkeypatch, lapack_shapes, name):
+    # 21 spacings, each a mirror comb: a stacked solve of the 272 distinct entries of the
+    # 32 x 32 Gram matrices of each block of combs, 11 and 10 combs of 11 points or 8, 8 and 5
+    # of 15, each one even and one odd 16 x 16 stack; not one solve per comb or per point, and
+    # no whole matrix.
     quarters, whole = [], []
     solve_blocks = speccap.channel.centrosymmetric_eigenvalues
     solve_whole = speccap.numerics.hermitian_eigenvalues
@@ -692,8 +706,8 @@ def test_readme_sweeps_solve_one_stack_per_comb(tmp_path, monkeypatch, lapack_sh
     monkeypatch.setattr("speccap.cli.EncodingEnsemble", recorded)
     args = ["sweep", "--n", "32", "--delta-omega", "0:10:0.5", *README_SWEEPS[name], "--out", str(tmp_path / name)]
     assert main(args) == EXIT_OK
-    assert quarters == [(block, 272)] * 21
-    assert lapack_shapes == [(block, 16, 16), (block, 16, 16)] * 21
+    assert quarters == [(points, 272) for points in README_BLOCKS[name]]
+    assert lapack_shapes == [(points, 16, 16) for points in README_BLOCKS[name] for _ in range(2)]
     assert whole == []
     assert ensembles == []
     args = ["sweep", "--n", "2", "--delta-omega", "1", *README_SWEEPS[name][:3], "0.5", "--priors", "optimized"]
@@ -721,22 +735,57 @@ def write_tabulated_inputs(directory, seed, letters=8, points=401):
     return paths, channel
 
 
-@pytest.mark.parametrize("name, block", [("readme_flat_sweep.csv", 11), ("readme_gaussian_sweep.csv", 15)])
-def test_readme_stacks_reach_lapack_as_even_and_odd_halves(tmp_path, lapack_shapes, name, block):
+@pytest.mark.parametrize("name", sorted(README_SWEEPS))
+def test_readme_stacks_reach_lapack_as_even_and_odd_halves(tmp_path, lapack_shapes, name):
     # A symmetric comb through an even channel gives exactly centrosymmetric
-    # Gram matrices, each solved as two 16 x 16 halves.
+    # Gram matrices, each solved as two 16 x 16 halves, a block's at once.
     args = ["sweep", "--n", "32", "--delta-omega", "0:10:0.5", *README_SWEEPS[name], "--out", str(tmp_path / name)]
     assert main(args) == EXIT_OK
-    assert lapack_shapes == [(block, 16, 16)] * 42
+    assert lapack_shapes == [(points, 16, 16) for points in README_BLOCKS[name] for _ in range(2)]
 
 
 def test_symmetric_combs_at_non_dyadic_spacings_reach_lapack_as_even_and_odd_halves(tmp_path, lapack_shapes):
     # Spacings in steps of 0.1 are not binary fractions, yet every symmetric
-    # comb is an exact mirror: 31 spacings each for N = 5 and 32, one block
-    # of 9 points per comb, no matrix solved whole.
+    # comb is an exact mirror: 31 spacings each for N = 5 and 32 of 9 points,
+    # N = 5's in one block of 279 points, N = 32's in blocks of 14, 14 and 3
+    # combs (126, 126 and 27 points), no matrix solved whole.
     args = ["sweep", "--mode", "gaussian", "--n", "5,32", "--delta-omega", "0:3:0.1", "--sigma-eta", "0.7:3.1:0.3"]
     assert main([*args, "--out", str(tmp_path / "sweep.csv")]) == EXIT_OK
-    assert lapack_shapes == [(9, 3, 3), (9, 2, 2)] * 31 + [(9, 16, 16)] * 62
+    assert lapack_shapes == [(279, 3, 3), (279, 2, 2)] + [(126, 16, 16)] * 4 + [(27, 16, 16)] * 2
+
+
+def test_a_zero_start_spacing_0_comb_is_solved_as_halves_in_a_block_of_its_own(tmp_path, monkeypatch, lapack_shapes):
+    # At spacing 0 a zero-start comb's letters coincide, a mirror, and its other combs are not:
+    # the block breaks where the route changes, so spacing 0 between 0.5 and 1 is its own block,
+    # solved as even and odd halves, and the combs on either side are solved whole.
+    quarters = []
+    solve_blocks = speccap.channel.centrosymmetric_eigenvalues
+
+    def counted(quarter, n):
+        quarters.append(np.shape(quarter))
+        return solve_blocks(quarter, n)
+
+    monkeypatch.setattr("speccap.channel.centrosymmetric_eigenvalues", counted)
+    args = ["sweep", "--mode", "gaussian", "--n", "5", "--delta-omega", "0.5,0,1,1.5", "--sigma-eta", "1:4:0.5"]
+    assert main([*args, "--centering", "zero-start", "--out", str(tmp_path / "sweep.csv")]) == EXIT_OK
+    assert quarters == [(7, 9)]
+    assert lapack_shapes == [(7, 5, 5), (7, 3, 3), (7, 2, 2), (14, 5, 5)]
+
+
+@pytest.mark.parametrize(
+    "grid, shapes",
+    [
+        # README's spacings and 15 channel values: every comb a block of its own.
+        (["--delta-omega", "0:10:0.5", "--sigma-eta", "1:8:0.5"], [(15, 64, 64)] * 2 * 21),
+        # 19 channel values: each comb in chunks of 16 and 3 points.
+        (["--delta-omega", "0,1", "--sigma-eta", "1:10:0.5"], ([(16, 64, 64)] * 2 + [(3, 64, 64)] * 2) * 2),
+    ],
+)
+def test_an_n_128_sweep_reaches_lapack_as_one_comb_of_at_most_16_points_per_block(tmp_path, lapack_shapes, grid, shapes):
+    # 2**17 Gram entries hold 8 points of N = 128; the 16-point floor, one comb, keeps blocks from getting smaller.
+    args = ["sweep", "--mode", "gaussian", "--n", "128", *grid, "--out", str(tmp_path / "sweep.csv")]
+    assert main(args) == EXIT_OK
+    assert lapack_shapes == shapes
 
 
 def test_a_tabulated_gram_reaches_lapack_whole(tmp_path, lapack_shapes):

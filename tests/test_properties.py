@@ -28,9 +28,17 @@ from speccap.capacity import (
     erasure_bounds,
     holevo_bound,
 )
-from speccap.channel import EncodingEnsemble, GramData, MirrorGramData, comb_gram_data, compute_gram, output_spectrum
+from speccap.channel import (
+    EncodingEnsemble,
+    GramData,
+    MirrorGramData,
+    comb_gram_data,
+    compute_gram,
+    is_mirror_comb,
+    output_spectrum,
+)
 from speccap.errors import ValidationError
-from speccap.numerics import mirror_quarter
+from speccap.numerics import mirror_quarter, upper_triangle
 from speccap.spectral import (
     TRUNCATION_SIGMAS,
     FlatResponse,
@@ -42,6 +50,7 @@ from speccap.spectral import (
     _parse_lines,
     _parse_table,
     comb_grams,
+    comb_overlaps,
     gaussian_comb,
     gram_matrix,
     make_gaussian_basis,
@@ -341,6 +350,49 @@ def test_a_mirror_comb_s_distinct_entries_give_the_whole_matrices_bounds(n, spac
         alone = holevo_bound(solo_data(solo_stack[0]))
         for field in ("holevo_bits", "post_selected_bits", "mean_loss", "spectrum"):
             assert np.asarray(getattr(alone, field)).tobytes() == getattr(blocks, field)[member].tobytes(), field
+
+
+# A sweep block's spacings: a grid's, 0 among them, and some near where a c^2 (about 1e154) and the end
+# centres (1e308) overflow.
+block_spacings = st.lists(st.one_of(grid_spacings, st.floats(1e153, 1e155)), min_size=2, max_size=5)
+
+
+@given(
+    st.integers(1, 64), block_spacings, st.sampled_from(["symmetric", "zero-start"]), st.floats(0.3, 3.0), sweep_block_channels
+)
+@example(5, [0.5, 0.0, 1.0, 1.5], "zero-start", 1.0, [FlatResponse(0.5), GaussianPeakResponse(1.0, 2.0)])
+@example(64, [1.2e154, 0.0, 1e300, 1e308], "symmetric", 0.3, [GaussianPeakResponse(-0.0, 2.0), FlatResponse(0.0)])
+@example(1, [0.0, 5e-324], "zero-start", 3.0, [FlatResponse(1.0), GaussianPeakResponse(0.8, 0.05)])
+def test_a_block_of_combs_gives_each_point_what_it_gets_alone(n, spacings, centering, width, responses):
+    # A sweep block stacks combs of one Gram route as (D, N) arrays against its channel values.  Each
+    # comb's overlaps in the stack are those of its own call, and each point's bounds and spectrum
+    # those of its comb through its response alone, byte for byte.  A zero-start comb at spacing 0
+    # is a mirror and its others are not, so both routes are met.
+    combs = []
+    for spacing in spacings:
+        try:
+            combs.append(gaussian_comb(n, spacing, width, centering))
+        except ValidationError:
+            pass  # the end letters' centres overflow
+    pairs = upper_triangle(n)
+    for route in (True, False):
+        group = [comb for comb in combs if is_mirror_comb(comb) == route]
+        if not group:
+            continue
+        stacked = tuple(np.stack(arrays) for arrays in zip(*group))
+        assert is_mirror_comb(stacked) == route
+        overlaps = comb_overlaps(stacked, responses, pairs)
+        assert overlaps.shape == (len(group), len(responses), pairs[0].size)
+        stack, gram_data = comb_gram_data(stacked, responses)
+        block = holevo_bound(gram_data(stack))
+        for d, comb in enumerate(group):
+            assert overlaps[d].tobytes() == comb_overlaps(comb, responses, pairs).tobytes()
+            for b, response in enumerate(responses):
+                solo_stack, solo_data = comb_gram_data(comb, [response])
+                assert stack[d, b].tobytes() == solo_stack[0].tobytes()
+                alone = holevo_bound(solo_data(solo_stack[0]))
+                for field in ("holevo_bits", "post_selected_bits", "mean_loss", "spectrum"):
+                    assert np.asarray(getattr(alone, field)).tobytes() == getattr(block, field)[d, b].tobytes(), field
 
 
 @pytest.mark.parametrize("spacing", [0.0, 0.5, 1e200])
