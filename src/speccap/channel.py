@@ -188,7 +188,8 @@ def is_mirror_comb(comb):
 
     That is ``center == -center[::-1]`` and ``width == width[::-1]``, as every
     symmetric comb's are: the rule by which :func:`comb_gram_data` picks a
-    comb's route, and a sweep keeps combs of the two routes apart.
+    comb's route, and a sweep keeps combs of the two routes apart and sizes
+    their blocks.
     """
     center, width = comb
     return np.array_equal(center, -center[..., ::-1]) and np.array_equal(width, width[..., ::-1])

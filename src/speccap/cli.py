@@ -50,17 +50,24 @@ EXIT_IO = 3
 MAX_GRID_POINTS = 10**6
 
 
-def _block_points(n):
-    """Most sweep points of ``n`` letters built and solved as one block: those of 2**17 Gram entries, at least 16.
+def _block_points(n, mirror):
+    """Most sweep points of ``n`` letters built and solved as one block: those of 2**17 entries, at least 16.
 
-    2**17 float64 entries (1 MB) keep a block's arrays in cache.  On the
-    README grid, on one thread of a 2-core host, blocks of 128 points (8
-    combs) took 10-11 ms at N = 32 against 14.5 for one comb per block, and
-    one block of all 315 points made N = 128 take 129 ms against 97-116.
-    The floor, which every N from 91 on gets, keeps large combs' blocks from
-    shrinking: blocks of 4 points made N = 512 take 2.0 s against 1.8.
+    A point's entries are those its eigensolve gets: the ``n**2`` of a whole
+    Gram matrix, or, for a ``mirror`` comb (:func:`is_mirror_comb`), the
+    ``(n**2 + 1) // 2`` of its even and odd halves, so 128 points of 32
+    letters solved whole and 256 solved as halves.  2**17 float64 entries
+    (1 MB) keep a block's arrays in cache.  On the README grid, on one thread
+    of a 2-core host, blocks of 128 points (8 combs) took 10-11 ms at N = 32
+    against 14.5 for one comb per block, and one block of all 315 points made
+    N = 128 take 129 ms against 97-116.  Counting a mirror comb's halves
+    rather than its ``n**2`` entries took the README grid from 10.0 to 9.7 ms
+    at N = 32 (blocks of 255 and 60 points) and from 30.8 to 28.5 ms at N = 64
+    (64 points).  The floor, which every N from 88 on gets solved whole and
+    from 125 on as halves, keeps large combs' blocks from shrinking: blocks
+    of 4 points made N = 512 take 2.0 s against 1.8.
     """
-    return max(16, 2**17 // (n * n))
+    return max(16, 2**17 // ((n * n + 1) // 2 if mirror else n * n))
 
 
 class UsageError(Exception):
@@ -158,7 +165,8 @@ def _uniform_block(combs, responses):
         report = holevo_bound(gram_data(stack))
     except (ValidationError, ComputationError):
         return [_point_cells(3, lambda one: _bounds(holevo_bound(gram_data(one))), member) for member in stack]
-    return [[*map(_fmt, bounds), ""] for bounds in zip(*_bounds(report))]
+    holevo, post_selected, mean_loss = (values.tolist() for values in _bounds(report))  # Python floats, as _fmt's
+    return [[f"{h:.12g}", f"{p:.12g}", f"{m:.12g}", ""] for h, p, m in zip(holevo, post_selected, mean_loss)]
 
 
 def _optimized_block(combs, responses):
@@ -173,8 +181,8 @@ def _optimized_block(combs, responses):
     return cells
 
 
-def _solve_block(block, responses, priors):
-    """Fill the rows of ``block``, a list of ``(comb, rows)`` of one letter count N, with its solver's cells.
+def _solve_block(block, route, responses, priors):
+    """Fill the rows of ``block``, a list of ``(comb, rows)`` of one ``route`` ``(N, mirror)``, with solved cells.
 
     The solver is :func:`_optimized_block` for ``priors == "optimized"`` and
     N >= 2, else :func:`_uniform_block`.  The combs are stacked as ``(D,
@@ -185,9 +193,8 @@ def _solve_block(block, responses, priors):
     if not block:
         return
     combs = tuple(np.stack(arrays) for arrays in zip(*(comb for comb, _ in block)))
-    n = combs[0].shape[-1]
-    solve = _optimized_block if priors == "optimized" and n >= 2 else _uniform_block
-    step = _block_points(n)
+    solve = _optimized_block if priors == "optimized" and route[0] >= 2 else _uniform_block
+    step = _block_points(*route)
     for start in range(0, len(responses), step):
         chunk = slice(start, start + step)
         pending = [row for _, rows in block for row in rows[chunk]]
@@ -253,11 +260,11 @@ def cmd_sweep(args):
         if comb is None:
             continue
         comb_route = (n, is_mirror_comb(comb))
-        if comb_route != route or (len(block) + 1) * len(responses) > _block_points(n):
-            _solve_block(block, responses, args.priors)
+        if comb_route != route or (len(block) + 1) * len(responses) > _block_points(*comb_route):
+            _solve_block(block, route, responses, args.priors)
             block, route = [], comb_route
         block.append((comb, pending))
-    _solve_block(block, responses, args.priors)
+    _solve_block(block, route, responses, args.priors)
     _write_csv(args.out, header, rows)
     return EXIT_OK
 

@@ -155,8 +155,10 @@ def centrosymmetric_eigenvalues(quarter, n):
     centrosymmetric by construction, so nothing else is checked.  With ``k =
     N - N // 2`` and ``m = N // 2``, the top-left ``k x k`` block ``L`` of
     ``A`` and its top-right one with columns reversed, ``R``, are gathered
-    from the quarter.  The even block is ``L + R`` and the odd one ``L - R``
-    of their leading ``m x m`` parts; for odd N the even block's middle row
+    from the quarter, which is then let go, so a stack the caller passes as a
+    temporary is freed before the blocks are formed.  The odd block is ``L -
+    R`` of their leading ``m x m`` parts, and the even one ``L + R``, summed
+    in place of ``L``; for odd N the even block's middle row
     and column are scaled by sqrt(1/2) and its centre by 1/2, undoing the
     sum's doubling.  They are ``A`` in the orthonormal basis of even and odd
     vectors, ``(e_i +- e_{N-1-i}) / sqrt(2)``, so their spectra together are
@@ -167,8 +169,10 @@ def centrosymmetric_eigenvalues(quarter, n):
         raise ValidationError("matrix entries must be finite")
     index, m, k = _quarter_index(n), n // 2, n - n // 2
     left, right = np.take(quarter, index[:k, :k], axis=-1), np.take(quarter, index[:k, : -k - 1 : -1], axis=-1)
-    even = left + right
+    del quarter  # a caller's temporary stack is freed here, before the blocks are formed
     odd = left[..., :m, :m] - right[..., :m, :m]
+    even = np.add(left, right, out=left)
+    del right
     if k > m:  # the sum doubled the middle row, column and centre
         even[..., m, :m] *= math.sqrt(0.5)
         even[..., :m, m] *= math.sqrt(0.5)

@@ -35,9 +35,9 @@ from .numerics import mirror_upper
 TRUNCATION_SIGMAS = 10.0
 
 # Most letters a comb may have, checked before any of its arrays is built.  It keeps one sweep
-# block, 16 points from 91 letters on (``cli._block_points``), within a budget of 512 MB traced
+# block, 16 points from 125 letters on (``cli._block_points``), within a budget of 512 MB traced
 # by tracemalloc, on either route: the peak grows as the square of the letter count, and at 1024
-# letters is 298 MB through whole matrices and 223 MB through their distinct entries, so 2048
+# letters is 307 MB through whole matrices and 158 MB through their distinct entries, so 2048
 # would take about 1.2 GB.  1024 is the largest power of two within the budget, 8 times the
 # N = 128 the performance target names.
 MAX_LETTERS = 1024
@@ -305,36 +305,50 @@ def comb_overlaps(comb, responses, pairs):
     float-limit rules, so a pair's value does not depend on which other pairs,
     or combs, are asked for.  The terms of a pair that its comb alone sets are
     computed once per comb, and only the responses' ``(power, k)`` vary along
-    the stack's response axis.
+    the stack's response axis.  Where every letter has one width, as in every
+    :func:`gaussian_comb`, the width terms (``a_i a_j``, ``A = a_i + a_j + k``
+    and the prefactor ``power sqrt(0.5 / (w_i w_j A))``) are one value per comb
+    and response, the same floats as each pair's; only the exponent is computed
+    per pair, in place.
     """
     # An axis for the responses: each comb's terms are computed once, for every response.
     center, width = (array[..., None, :] for array in comb)
     rows, cols = pairs
+    if np.all(width == width[..., :1]):
+        width = width[..., :1]  # one width per comb, broadcast over its pairs
     power, k = np.reshape([response._power_k for response in responses], (-1, 2, 1)).swapaxes(0, 1)
     with np.errstate(over="ignore"):
         a = 0.25 / (width * width)
         acc = a * center * center  # inf past |center| of about 1e154, as a letter's _acc
+        a_rows, a_cols, width_rows, width_cols = (
+            _at_letters(values, index) for values in (a, width) for index in (rows, cols)
+        )
         # float_power is libm pow, as ** on a float; np.power and np.square round some squares otherwise.
         square = np.float_power(center.take(rows, -1) - center.take(cols, -1), 2)
         # A pair whose square is inf, even where a b underflows to 0, gets an inf exponent: it is orthogonal.
-        spread = np.multiply(
-            a.take(rows, -1) * a.take(cols, -1), square, out=np.full_like(square, np.inf), where=square < np.inf
-        )
+        spread = np.multiply(a_rows * a_cols, square, out=np.full_like(square, np.inf), where=square < np.inf)
         # The negated exponent: (-k) s - spread is exactly -(k s + spread).  A flat
         # channel (k = 0) adds no k term, so an inf a c^2 meets no 0 * inf.
         exponent = np.zeros((*center.shape[:-2], len(power), rows.size))
         np.multiply(-k, acc.take(rows, -1) + acc.take(cols, -1), out=exponent, where=k > 0)
         exponent -= spread
-        gram = a.take(rows, -1) + a.take(cols, -1) + k  # quad; in place, then the prefactor and the entries
-        exponent /= gram
+        prefactor = a_rows + a_cols + k  # quad; in place, then the prefactor
+        exponent /= prefactor
         # exp of anything below about -745.13 is +0.0; those lanes, a quarter of a README
         # comb's, skip exp, which is many times slower on them.  A NaN lane still takes it.
-        exponent = np.exp(exponent, out=np.zeros_like(exponent), where=~(exponent < -745.2))
-        gram *= width.take(rows, -1) * width.take(cols, -1)
-        np.sqrt(np.divide(0.5, gram, out=gram), out=gram)
-        gram *= power
-        gram *= exponent
-    return gram
+        underflow = exponent < -745.2
+        np.exp(exponent, out=exponent, where=~underflow)
+        np.copyto(exponent, 0.0, where=underflow)
+        prefactor *= width_rows * width_cols
+        np.sqrt(np.divide(0.5, prefactor, out=prefactor), out=prefactor)
+        prefactor *= power
+        exponent *= prefactor
+    return exponent
+
+
+def _at_letters(values, index):
+    """``values`` of the letters ``index``, or ``values`` itself where it holds one value for every letter."""
+    return values if values.shape[-1] == 1 else values.take(index, -1)
 
 
 def quadrature_gram(letters, response):

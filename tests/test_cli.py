@@ -673,16 +673,16 @@ def test_a_stacked_sweep_gives_each_point_s_own_bounds(tmp_path, args):
             assert abs(have - want) <= 1e-11 * abs(want) or max(abs(have), abs(want)) < 1e-12, (row, column, want)
 
 
-# The README sweeps' blocks: at N = 32 at most 128 points, whole combs of 11 or 15 channel values.
-README_BLOCKS = {"readme_flat_sweep.csv": [121, 110], "readme_gaussian_sweep.csv": [120, 120, 75]}
+# The README sweeps' blocks: at N = 32, solved as halves, at most 256 points, whole combs of 11 or 15 channel values.
+README_BLOCKS = {"readme_flat_sweep.csv": [231], "readme_gaussian_sweep.csv": [255, 60]}
 
 
 @pytest.mark.parametrize("name", sorted(README_SWEEPS))
 def test_readme_sweeps_solve_one_stack_per_block_of_combs(tmp_path, monkeypatch, lapack_shapes, name):
     # 21 spacings, each a mirror comb: a stacked solve of the 272 distinct entries of the
-    # 32 x 32 Gram matrices of each block of combs, 11 and 10 combs of 11 points or 8, 8 and 5
-    # of 15, each one even and one odd 16 x 16 stack; not one solve per comb or per point, and
-    # no whole matrix.
+    # 32 x 32 Gram matrices of each block of combs, all 21 combs of 11 points or 17 and 4 of 15,
+    # each one even and one odd 16 x 16 stack; not one solve per comb or per point, and no whole
+    # matrix.
     quarters, whole = [], []
     solve_blocks = speccap.channel.centrosymmetric_eigenvalues
     solve_whole = speccap.numerics.hermitian_eigenvalues
@@ -747,11 +747,11 @@ def test_readme_stacks_reach_lapack_as_even_and_odd_halves(tmp_path, lapack_shap
 def test_symmetric_combs_at_non_dyadic_spacings_reach_lapack_as_even_and_odd_halves(tmp_path, lapack_shapes):
     # Spacings in steps of 0.1 are not binary fractions, yet every symmetric
     # comb is an exact mirror: 31 spacings each for N = 5 and 32 of 9 points,
-    # N = 5's in one block of 279 points, N = 32's in blocks of 14, 14 and 3
-    # combs (126, 126 and 27 points), no matrix solved whole.
+    # N = 5's in one block of 279 points, N = 32's in blocks of 28 and 3
+    # combs (252 and 27 points), no matrix solved whole.
     args = ["sweep", "--mode", "gaussian", "--n", "5,32", "--delta-omega", "0:3:0.1", "--sigma-eta", "0.7:3.1:0.3"]
     assert main([*args, "--out", str(tmp_path / "sweep.csv")]) == EXIT_OK
-    assert lapack_shapes == [(279, 3, 3), (279, 2, 2)] + [(126, 16, 16)] * 4 + [(27, 16, 16)] * 2
+    assert lapack_shapes == [(279, 3, 3), (279, 2, 2)] + [(252, 16, 16)] * 2 + [(27, 16, 16)] * 2
 
 
 def test_a_zero_start_spacing_0_comb_is_solved_as_halves_in_a_block_of_its_own(tmp_path, monkeypatch, lapack_shapes):
@@ -782,9 +782,26 @@ def test_a_zero_start_spacing_0_comb_is_solved_as_halves_in_a_block_of_its_own(t
     ],
 )
 def test_an_n_128_sweep_reaches_lapack_as_one_comb_of_at_most_16_points_per_block(tmp_path, lapack_shapes, grid, shapes):
-    # 2**17 Gram entries hold 8 points of N = 128; the 16-point floor, one comb, keeps blocks from getting smaller.
+    # 2**17 entries of 64 x 64 halves hold 16 points of N = 128, the floor: one comb, and blocks no smaller.
     args = ["sweep", "--mode", "gaussian", "--n", "128", *grid, "--out", str(tmp_path / "sweep.csv")]
     assert main(args) == EXIT_OK
+    assert lapack_shapes == shapes
+
+
+@pytest.mark.parametrize(
+    "n, centering, spacings, shapes",
+    [
+        # Mirror combs of 64 letters and 16 channel values: 2**17 entries of 32 x 32 halves are 64
+        # points, 4 combs, so 6 spacings are blocks of 4 and 2 combs, each an even and an odd stack.
+        ("64", "symmetric", "0:5:1", [(64, 32, 32)] * 2 + [(32, 32, 32)] * 2),
+        # Zero-start combs of 32 letters away from spacing 0 are solved whole: 2**17 entries of
+        # 32 x 32 matrices are 128 points, 8 combs, so 9 spacings are blocks of 8 combs and 1.
+        ("32", "zero-start", "0.5:4.5:0.5", [(128, 32, 32), (16, 32, 32)]),
+    ],
+)
+def test_a_sweep_block_holds_2_17_entries_of_what_reaches_lapack(tmp_path, lapack_shapes, n, centering, spacings, shapes):
+    args = ["sweep", "--mode", "gaussian", "--n", n, "--delta-omega", spacings, "--sigma-eta", "1:8.5:0.5"]
+    assert main([*args, "--centering", centering, "--out", str(tmp_path / "sweep.csv")]) == EXIT_OK
     assert lapack_shapes == shapes
 
 

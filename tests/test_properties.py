@@ -189,14 +189,27 @@ def test_closed_form_gram_matches_the_stable_form_for_narrow_letters(letters, re
 
 
 # Combs as a sweep builds them, with spacings from 0 past the 1e154 where
-# the centre gap's square overflows, and widths over four decades.
-gaussian_combs = st.builds(
-    make_gaussian_basis,
-    st.integers(1, 8),
-    st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(1e150, 1e300)),
-    st.floats(math.log(0.01), math.log(100.0)).map(math.exp),
-    st.sampled_from(["symmetric", "zero-start"]),
-)
+# the centre gap's square overflows, and widths over four decades; or those
+# combs' centres with a width drawn for each letter, which no sweep builds and
+# comb_overlaps takes pair by pair instead of once per comb.
+comb_widths = st.floats(math.log(0.01), math.log(100.0)).map(math.exp)
+
+
+@st.composite
+def gaussian_combs(draw):
+    letters = draw(
+        st.builds(
+            make_gaussian_basis,
+            st.integers(1, 8),
+            st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(1e150, 1e300)),
+            comb_widths,
+            st.sampled_from(["symmetric", "zero-start"]),
+        )
+    )
+    if draw(st.booleans()):
+        widths = draw(st.lists(comb_widths, min_size=len(letters), max_size=len(letters)))
+        letters = [GaussianAmplitude(letter.center, width) for letter, width in zip(letters, widths)]
+    return letters
 
 
 def letter_arrays(letters):
@@ -204,7 +217,7 @@ def letter_arrays(letters):
     return np.array([(letter.center, letter.width) for letter in letters]).T
 
 
-@given(gaussian_combs, st.lists(closed_form_channels, min_size=1, max_size=5))
+@given(gaussian_combs(), st.lists(closed_form_channels, min_size=1, max_size=5))
 def test_a_closed_form_stack_holds_each_channel_s_gram_matrix(letters, responses):
     # numpy's exp and libm's round up to 1 ulp apart; a subnormal entry is
     # compared on the scale of the smallest normal float.
@@ -262,6 +275,27 @@ def test_a_comb_s_arrays_are_its_letters_fields_bit_for_bit(arguments, responses
     assert [bits(array) for array in comb] == [bits(array) for array in letter_arrays(letters)]
     assert make_gaussian_basis(*arguments) == letters
     assert bits(comb_grams(comb, responses)) == bits(comb_grams(letter_arrays(letters), responses))
+
+
+@given(
+    comb_arguments,
+    st.floats(-1e308, 1e308),
+    st.one_of(st.floats(1e-78, 1e-77), st.floats(1e153, 1e155), st.floats(0.1, 10.0)),
+    st.lists(closed_form_channels, min_size=1, max_size=3),
+)
+@example((32, 0.5, 1.0, "symmetric"), 0.0, 2.0, [FlatResponse(1.0), GaussianPeakResponse(0.8, 1.5)])
+def test_a_letter_of_another_width_leaves_the_comb_s_overlaps_bit_for_bit(arguments, center, width, responses):
+    # A comb of one width has its width terms computed once per comb and response; one letter of
+    # another width appended makes comb_overlaps compute them for each pair.  Every pair of the
+    # comb's own letters must keep its value, byte for byte.
+    try:
+        comb = gaussian_comb(*arguments)
+    except ValidationError:
+        return
+    assume(width != comb[1][0])
+    longer = tuple(np.append(array, value) for array, value in zip(comb, (center, width)))
+    pairs = upper_triangle(comb[0].size)
+    assert bits(comb_overlaps(longer, responses, pairs)) == bits(comb_overlaps(comb, responses, pairs))
 
 
 # Spacings as a sweep grid in steps of 0.1 makes them, most not binary
