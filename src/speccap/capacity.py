@@ -97,8 +97,8 @@ def holevo_bound(gram_data):
     transmitted-or-lost entropy.  A stack of Gram matrices is solved by one
     eigensolve and one entropy pass, and each matrix gets exactly the bounds
     of a solve of it alone.  A :class:`~speccap.channel.MirrorGramData`
-    stack, the distinct entries of centrosymmetric matrices under uniform
-    priors, has its even and odd blocks built from those entries directly
+    stack, the half blocks of centrosymmetric matrices under uniform
+    priors, has its even and odd blocks built from those blocks directly
     (:func:`~speccap.channel.output_spectrum`); its bounds are those of
     ``GramData`` of the whole matrices to eigensolver roundoff.
     """

@@ -9,8 +9,8 @@ infinite-dimensional diagonalization to an N x N Hermitian one.
 :func:`comb_gram_data` is the one route of a comb given as arrays, or of a
 stack of combs, for the ``sweep`` and the alphabet-size scan alike: a comb
 whose centres and widths are an exact mirror (:func:`is_mirror_comb`) has
-centrosymmetric Gram matrices, kept as their distinct
-entries by :class:`MirrorGramData` and solved as even and odd blocks; any
+centrosymmetric Gram matrices, kept as the upper triangles of their two half
+blocks by :class:`MirrorGramData` and solved as even and odd blocks; any
 other comb's whole matrices are kept by :class:`GramData` and solved whole.
 """
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .numerics import (
     clamp_spectrum,
     hermitian_eigenvalues,
     mirror_diagonal,
-    mirror_quarter,
+    mirror_halves,
 )
 from .spectral import comb_grams, comb_overlaps, gram_matrix, survival_window
 
@@ -134,13 +134,13 @@ class GramData:
 
 
 class MirrorGramData:
-    """Uniform-prior Gram data of real centrosymmetric Gram matrices, ``G = J G J``, kept as their distinct entries.
+    """Uniform-prior Gram data of real centrosymmetric Gram matrices, ``G = J G J``, kept as their two half blocks.
 
     A comb whose centres and widths are an exact mirror, through a flat or
     Gaussian-peak channel, has such matrices (``J`` is the reversal).
-    ``quarter`` is the real ``(..., Q)`` stack of their entries at the
-    :func:`~speccap.numerics.mirror_quarter` places of ``N = len(priors)``,
-    kept read-only as GramData keeps a matrix; a complex ``quarter``, one of
+    ``halves`` is the real ``(..., K (K + 1))`` stack of their entries at the
+    :func:`~speccap.numerics.mirror_halves` places of ``N = len(priors)``,
+    kept read-only as GramData keeps a matrix; a complex ``halves``, one of
     any other length, or priors that are not uniform raise
     ``ValidationError``.  ``priors``, ``survival``, ``loss`` and
     ``mean_loss`` are those of GramData of the whole matrices, bit for bit,
@@ -151,22 +151,22 @@ class MirrorGramData:
     matrices are never formed, so there is no ``gram``.
     """
 
-    __slots__ = ("quarter", "priors", "survival")
+    __slots__ = ("halves", "priors", "survival")
     loss = GramData.loss
     mean_loss = GramData.mean_loss
 
-    def __init__(self, quarter, priors):
+    def __init__(self, halves, priors):
         priors = _validated_priors(priors, np.size(priors))
         if np.any(priors != priors[0]):
             raise ValidationError("priors of MirrorGramData must be uniform")
-        quarter = _read_only(quarter)
-        if np.iscomplexobj(quarter):
-            raise ValidationError("distinct Gram entries of MirrorGramData must be real")
-        places = mirror_quarter(priors.size)[0].size
-        if quarter.ndim < 1 or quarter.shape[-1] != places:
-            raise ValidationError(f"expected {places} distinct Gram entries, got shape {quarter.shape}")
-        self.quarter, self.priors = quarter, priors
-        self.survival = survival_window(mirror_diagonal(quarter, self.n))
+        halves = _read_only(halves)
+        if np.iscomplexobj(halves):
+            raise ValidationError("half-block Gram entries of MirrorGramData must be real")
+        places = mirror_halves(priors.size)[0].size
+        if halves.ndim < 1 or halves.shape[-1] != places:
+            raise ValidationError(f"expected {places} half-block Gram entries, got shape {halves.shape}")
+        self.halves, self.priors = halves, priors
+        self.survival = survival_window(mirror_diagonal(halves, self.n))
 
     @property
     def n(self):
@@ -175,7 +175,7 @@ class MirrorGramData:
     @property
     def weighted(self):
         root = np.sqrt(self.priors[0])
-        weighted = self.quarter * root
+        weighted = self.halves * root
         weighted *= root
         return weighted
 
@@ -207,16 +207,17 @@ def comb_gram_data(comb, responses):
     ``gram_data(member)`` that of one member alone, both with uniform priors
     and sharing the read-only stack.  Combs that
     are all an exact mirror (:func:`is_mirror_comb`), as every symmetric
-    comb is, have centrosymmetric Gram matrices: ``stack`` holds only their
-    distinct entries, :func:`~speccap.spectral.comb_overlaps` at the
-    :func:`~speccap.numerics.mirror_quarter` places, read by
+    comb is, have centrosymmetric Gram matrices: ``stack`` holds only the
+    upper triangles of their two half blocks,
+    :func:`~speccap.spectral.comb_overlaps` at the
+    :func:`~speccap.numerics.mirror_halves` places, read by
     :class:`MirrorGramData`.  Any other ``stack`` is the whole matrices,
     :func:`~speccap.spectral.comb_grams`, read by :class:`GramData`.  Each
     comb's entries are bitwise those it gets alone, on the same route.
     """
     n = comb[0].shape[-1]
     if is_mirror_comb(comb):
-        stack, gram_data = comb_overlaps(comb, responses, mirror_quarter(n)), MirrorGramData
+        stack, gram_data = comb_overlaps(comb, responses, mirror_halves(n)), MirrorGramData
     else:
         stack, gram_data = comb_grams(comb, responses), GramData
     stack.setflags(write=False)  # so the Gram data shares it instead of copying
@@ -243,7 +244,7 @@ def output_spectrum(gram_data):
     eigensolve, bitwise those of each matrix alone.  The eigensolve is that
     of :func:`~speccap.numerics.hermitian_eigenvalues` on the whole weighted
     matrix, or, for :class:`MirrorGramData`, of its even and odd blocks built
-    from its distinct entries, which gives the same values to eigensolver
+    from its half blocks, which gives the same values to eigensolver
     roundoff and the same mean loss bit for bit.  Each spectrum plus its
     vacuum weight must form a probability vector; deviation beyond 1e-10
     means the eigensolve went wrong.

@@ -8,8 +8,9 @@ eigensolve of their Gram matrices, built in one closed-form broadcast (point
 by point where the stack fails), or each point's own prior optimizer on its
 comb's letters.  The Gram data comes from ``channel.comb_gram_data``, which
 ``optimal-n``'s scan shares: of symmetric combs, whose Gram matrices are
-centrosymmetric, only their distinct entries are built and solved as even
-and odd half-size blocks; any other combs' whole matrices are solved whole.
+centrosymmetric, only the upper triangles of their two half blocks are
+built, summed into even and odd blocks and solved; any other combs' whole
+matrices are solved whole.
 ``sweep`` and ``two-state`` reject a SPECCAP_THREADS that is set but not a
 positive integer (exit 1); a valid value schedules nothing, so output never
 depends on it.

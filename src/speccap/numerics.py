@@ -8,9 +8,11 @@ arrays, or stacks of them solved in one call, validated in :func:`hermitian_eige
 in.  A real matrix stays real, so LAPACK solves it as a real symmetric one,
 and a whole matrix is always solved whole.  A caller that knows its real
 matrices are centrosymmetric, as the Gram matrices of a symmetric comb
-through an even channel are, builds only their distinct entries, at the
-:func:`mirror_quarter` places, and :func:`centrosymmetric_eigenvalues`
-solves them as two half-size blocks, even and odd.
+through an even channel are, builds only the packed upper triangles of
+their two half blocks, at the :func:`mirror_halves` places, the layout of
+every other Gram route; :func:`centrosymmetric_eigenvalues` sums them into
+even and odd blocks, unpacks those by :func:`mirror_upper`'s index, and
+solves them.
 """
 from __future__ import annotations
 
@@ -34,41 +36,27 @@ def upper_triangle(n):
 
 
 @functools.lru_cache(maxsize=16)
-def mirror_quarter(n):
-    """The ``(N + 1)^2 // 4`` places ``(i, j)``, ``i <= j`` and ``i + j <= N - 1``, row by row; cached, read-only.
+def mirror_halves(n):
+    """The ``K (K + 1)`` places of the two half blocks of an N x N matrix ``A``, ``K = N - N // 2``; cached, read-only.
 
-    They hold every distinct entry of a Hermitian centrosymmetric matrix,
-    ``A = A^H = J A J`` with ``J`` the reversal: each other entry equals one
-    of them or its conjugate.
+    The :func:`upper_triangle` places of ``L = A[:K, :K]``, then those of
+    ``R``, ``R[i, j] = A[i, N - 1 - j]``: the top-right block with its columns
+    reversed.  Each place ``(i, j)`` has ``i <= j`` and ``i + j <= N - 1``.  Of
+    a real symmetric centrosymmetric ``A``, ``A = A^T = J A J`` with ``J`` the
+    reversal, both blocks are symmetric and hold every entry; for odd N they
+    share the middle column.
     """
-    rows, cols = upper_triangle(n)
-    keep = rows + cols <= n - 1
-    rows, cols = rows[keep], cols[keep]
+    rows, cols = upper_triangle(n - n // 2)
+    rows, cols = np.concatenate([rows, rows]), np.concatenate([cols, n - 1 - cols])
     rows.setflags(write=False)
     cols.setflags(write=False)
     return rows, cols
 
 
-@functools.lru_cache(maxsize=16)
-def _quarter_index(n):
-    """Where each entry of an N x N real symmetric centrosymmetric matrix reads its :func:`mirror_quarter` entries.
-
-    ``(i, j)``, ``(j, i)`` and their mirrors ``(N - 1 - i, N - 1 - j)`` and
-    ``(N - 1 - j, N - 1 - i)`` read place ``p`` of quarter entry ``(i, j)``.
-    Returns the N x N index, read-only.
-    """
-    rows, cols = mirror_quarter(n)
-    places = np.arange(rows.size)
-    index = np.empty((n, n), dtype=np.intp)
-    index[rows, cols] = index[cols, rows] = places
-    index[n - 1 - rows, n - 1 - cols] = index[n - 1 - cols, n - 1 - rows] = places
-    index.setflags(write=False)
-    return index
-
-
-def mirror_diagonal(quarter, n):
-    """The diagonals, C-ordered, of the centrosymmetric N x N matrices whose quarter entries are ``quarter``."""
-    return np.take(quarter, _quarter_index(n).diagonal(), axis=-1)  # np.take orders its result as C
+def mirror_diagonal(halves, n):
+    """The diagonals, C-ordered, of the centrosymmetric N x N matrices with the :func:`mirror_halves` entries ``halves``."""
+    diagonal = _mirror_index(halves.shape[-1] // 2, False)[0].diagonal()  # L's; A[i, i] = A[N-1-i, N-1-i]
+    return np.take(halves, np.concatenate([diagonal, diagonal[: n // 2][::-1]]), axis=-1)  # ordered as C
 
 
 @functools.lru_cache(maxsize=32)
@@ -146,37 +134,37 @@ def hermitian_eigenvalues(matrix, *, vectors=False):
     return _lapack(np.linalg.eigvalsh, arr)[..., ::-1]
 
 
-def centrosymmetric_eigenvalues(quarter, n):
-    """All eigenvalues, descending, of real symmetric centrosymmetric N x N matrices given by their quarter entries.
+def centrosymmetric_eigenvalues(halves, n):
+    """All eigenvalues, descending, of real symmetric centrosymmetric N x N matrices given by their half blocks.
 
-    ``quarter`` is a real ``(..., Q)`` stack: the :func:`mirror_quarter`
-    entries of each matrix ``A``.  Non-finite entries raise ValidationError,
-    as in :func:`hermitian_eigenvalues`; ``A`` is symmetric and
-    centrosymmetric by construction, so nothing else is checked.  With ``k =
-    N - N // 2`` and ``m = N // 2``, the top-left ``k x k`` block ``L`` of
-    ``A`` and its top-right one with columns reversed, ``R``, are gathered
-    from the quarter, which is then let go, so a stack the caller passes as a
-    temporary is freed before the blocks are formed.  The odd block is ``L -
-    R`` of their leading ``m x m`` parts, and the even one ``L + R``, summed
-    in place of ``L``; for odd N the even block's middle row
-    and column are scaled by sqrt(1/2) and its centre by 1/2, undoing the
-    sum's doubling.  They are ``A`` in the orthonormal basis of even and odd
-    vectors, ``(e_i +- e_{N-1-i}) / sqrt(2)``, so their spectra together are
-    ``A``'s (Cantoni & Butler, Linear Algebra Appl. 13, 275, 1976).  Each is
-    solved as one LAPACK stack, even first, and the values merged.
+    ``halves`` is a real ``(..., K (K + 1))`` stack: the :func:`mirror_halves`
+    entries of each matrix ``A``, the packed upper triangles of its blocks
+    ``L`` and ``R``.  Non-finite entries raise ValidationError, as in
+    :func:`hermitian_eigenvalues`; ``A`` is symmetric and centrosymmetric by
+    construction, so nothing else is checked.  With ``m = N // 2``, the even
+    block is ``L + R`` and the odd one the leading ``m x m`` part of ``L -
+    R``, both summed on the packed triangles, after which ``halves`` is let
+    go, so a stack the caller passes as a temporary is freed before the
+    blocks are unpacked by :func:`mirror_upper`'s real index.  For odd N the
+    even block's middle row and column are scaled by sqrt(1/2) and its
+    centre by 1/2, undoing the sum's doubling.  They are ``A`` in the
+    orthonormal basis of even and odd vectors, ``(e_i +- e_{N-1-i}) /
+    sqrt(2)``, so their spectra together are ``A``'s (Cantoni & Butler,
+    Linear Algebra Appl. 13, 275, 1976).  Each is solved as one LAPACK
+    stack, even first, and the values merged.
     """
-    if not np.all(np.isfinite(quarter)):
+    if not np.all(np.isfinite(halves)):
         raise ValidationError("matrix entries must be finite")
-    index, m, k = _quarter_index(n), n // 2, n - n // 2
-    left, right = np.take(quarter, index[:k, :k], axis=-1), np.take(quarter, index[:k, : -k - 1 : -1], axis=-1)
-    del quarter  # a caller's temporary stack is freed here, before the blocks are formed
-    odd = left[..., :m, :m] - right[..., :m, :m]
-    even = np.add(left, right, out=left)
-    del right
-    if k > m:  # the sum doubled the middle row, column and centre
-        even[..., m, :m] *= math.sqrt(0.5)
-        even[..., :m, m] *= math.sqrt(0.5)
-        even[..., m, m] *= 0.5
+    m, size = n // 2, halves.shape[-1] // 2
+    index = _mirror_index(size, False)[0]
+    left, right = halves[..., :size], halves[..., size:]
+    even, odd = left + right, left - right
+    del halves, left, right  # a caller's temporary stack is freed here, before the blocks are unpacked
+    if n % 2:  # the sum doubled the middle row, column and centre
+        even[..., index[:m, m]] *= math.sqrt(0.5)
+        even[..., -1] *= 0.5
+    even = np.take(even, index, axis=-1)
+    odd = np.take(odd, index[:m, :m], axis=-1)
     values = np.concatenate([_lapack(np.linalg.eigvalsh, even), _lapack(np.linalg.eigvalsh, odd)], axis=-1)
     return np.sort(values, axis=-1)[..., ::-1]
 

@@ -13,8 +13,9 @@ every width of each Gaussian factor, out to ``TRUNCATION_SIGMAS`` widths.
 arrays, centres and widths, through many channels as one stack, in one numpy
 broadcast (:func:`comb_overlaps`) over the pairs of one upper triangle, mirrored by
 :func:`numerics.mirror_upper`; ``channel.comb_gram_data``, the route of the sweep
-and of the alphabet-size scan, has :func:`comb_overlaps` build only the distinct
-pairs of :func:`numerics.mirror_quarter` for a symmetric comb.  :func:`gram_matrix`
+and of the alphabet-size scan, has :func:`comb_overlaps` build only the upper
+triangles of the two half blocks of a symmetric comb's matrices, the pairs of
+:func:`numerics.mirror_halves`.  :func:`gram_matrix`
 still builds its closed form pair by pair, because the benchmark's tracer test
 counts those :func:`modulated_overlap` calls; once it no longer does (ROADMAP
 item 2), one matrix becomes a one-member stack and the pair loop goes.
@@ -37,7 +38,7 @@ TRUNCATION_SIGMAS = 10.0
 # Most letters a comb may have, checked before any of its arrays is built.  It keeps one sweep
 # block, 16 points from 125 letters on (``cli._block_points``), within a budget of 512 MB traced
 # by tracemalloc, on either route: the peak grows as the square of the letter count, and at 1024
-# letters is 307 MB through whole matrices and 158 MB through their distinct entries, so 2048
+# letters is 307 MB through whole matrices and 130 MB through their half blocks, so 2048
 # would take about 1.2 GB.  1024 is the largest power of two within the budget, 8 times the
 # N = 128 the performance target names.
 MAX_LETTERS = 1024
@@ -287,9 +288,9 @@ def comb_grams(comb, responses):
     responses[b])`` but where numpy's ``exp`` and libm's round 1 ulp apart.
     ``(D, N)`` arrays, D combs of N letters, give the ``(D, B, N, N)`` stack,
     each comb's bitwise its own.  A symmetric comb's matrices are also exactly
-    centrosymmetric; ``channel.comb_gram_data`` builds only their distinct
-    entries, ``comb_overlaps(comb, responses, numerics.mirror_quarter(N))``, and
-    never this whole stack.
+    centrosymmetric; ``channel.comb_gram_data`` builds only the upper
+    triangles of their two half blocks, ``comb_overlaps(comb, responses,
+    numerics.mirror_halves(N))``, and never this whole stack.
     """
     return mirror_upper(comb_overlaps(comb, responses, numerics.upper_triangle(comb[0].shape[-1])))
 
@@ -298,7 +299,10 @@ def comb_overlaps(comb, responses, pairs):
     """The real ``(B, P)`` overlaps of the letter pairs ``(rows, cols) = pairs`` of ``comb`` through each response.
 
     ``comb`` is as :func:`comb_grams` takes it; ``(D, N)`` arrays give ``(D, B,
-    P)``, each comb's ``(B, P)`` bit for bit.  Each letter's ``a = 1/(4 width^2)``
+    P)``, each comb's ``(B, P)`` bit for bit.  The pairs are packed upper
+    triangles, ``rows <= cols``: those of :func:`numerics.upper_triangle` for
+    whole matrices, or of :func:`numerics.mirror_halves` for a symmetric
+    comb's two half blocks.  Each letter's ``a = 1/(4 width^2)``
     and ``a center^2`` take the float operations of ``GaussianAmplitude``'s ``_a``
     and ``_acc``.  One numpy broadcast of :func:`modulated_overlap`'s closed form
     over the ``P`` pairs ``(rows[p], cols[p])``, in its operand order and with its

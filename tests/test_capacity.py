@@ -417,6 +417,15 @@ def test_optimal_alphabet_rejects_a_channel_without_a_closed_form(monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("n_max", [0, 2.0])
+def test_optimal_alphabet_rejects_a_maximum_size_that_is_not_a_positive_integer(monkeypatch, n_max):
+    built = []
+    monkeypatch.setattr("speccap.capacity.gaussian_comb", lambda *args: built.append(args))
+    with pytest.raises(ValidationError, match="maximum alphabet size must be a positive integer"):
+        optimal_alphabet_size(GaussianPeakResponse(1.0, 2.0), 1.0, 2.0, n_max=n_max)
+    assert built == []
+
+
 def test_flat_channel_post_selection_equality():
     rng = np.random.default_rng(23)
     for _ in range(10):

@@ -14,7 +14,7 @@ from speccap.channel import (
     output_spectrum,
 )
 from speccap.errors import ComputationError, ValidationError
-from speccap.numerics import hermitian_eigenvalues, mirror_quarter
+from speccap.numerics import hermitian_eigenvalues, mirror_halves
 from speccap.spectral import (
     FlatResponse,
     GaussianAmplitude,
@@ -249,10 +249,10 @@ def test_mirror_gram_data_is_gram_data_of_the_whole_matrices(n):
     whole = (symmetric + symmetric[..., ::-1, ::-1] + 16 * n * np.eye(n)) / (32 * n)
     assert np.array_equal(whole, whole[..., ::-1, ::-1]) and np.array_equal(whole, whole.swapaxes(-1, -2))
     priors = np.full(n, 1.0 / n)
-    rows, cols = mirror_quarter(n)
-    quarter = whole[..., rows, cols]
-    dense, mirror = GramData(whole, priors), MirrorGramData(quarter, priors)
-    assert mirror.n == n and mirror.quarter is not quarter and not mirror.quarter.flags.writeable
+    rows, cols = mirror_halves(n)
+    halves = whole[..., rows, cols]
+    dense, mirror = GramData(whole, priors), MirrorGramData(halves, priors)
+    assert mirror.n == n and mirror.halves is not halves and not mirror.halves.flags.writeable
     assert not hasattr(mirror, "gram")  # no GramData consumer can read the entries as a matrix
     for name in ("priors", "survival", "loss", "mean_loss"):
         assert getattr(mirror, name).tobytes() == getattr(dense, name).tobytes(), name
@@ -264,11 +264,11 @@ def test_mirror_gram_data_is_gram_data_of_the_whole_matrices(n):
     if n > 2:
         weights = 1.0 + np.arange(n) * np.arange(n)[::-1]  # a mirror, but not uniform
         with pytest.raises(ValidationError, match="must be uniform"):
-            MirrorGramData(quarter, weights / weights.sum())
-    with pytest.raises(ValidationError, match=f"expected {rows.size} distinct Gram entries"):
-        MirrorGramData(quarter[..., 1:], priors)
+            MirrorGramData(halves, weights / weights.sum())
+    with pytest.raises(ValidationError, match=f"expected {rows.size} half-block Gram entries"):
+        MirrorGramData(halves[..., 1:], priors)
     with pytest.raises(ValidationError, match="must be real"):
-        MirrorGramData(quarter.astype(complex), priors)
+        MirrorGramData(halves.astype(complex), priors)
 
 
 @pytest.mark.parametrize("centering", ["symmetric", "zero-start"])
@@ -281,14 +281,33 @@ def test_comb_gram_data_keeps_a_mirror_comb_s_distinct_entries_and_any_other_s_w
     stack, gram_data = comb_gram_data(comb, responses)
     whole = comb_grams(comb, responses)
     if data_class is MirrorGramData:
-        rows, cols = mirror_quarter(n)
+        rows, cols = mirror_halves(n)
         assert stack.tobytes() == whole[..., rows, cols].tobytes()
     else:
         assert stack.tobytes() == whole.tobytes()
     assert not stack.flags.writeable
     for data in (gram_data(stack), gram_data(stack[1])):
         assert type(data) is data_class and data.priors.tobytes() == np.full(n, 1.0 / n).tobytes()
-        assert np.shares_memory(data.quarter if data_class is MirrorGramData else data.gram, stack)
+        assert np.shares_memory(data.halves if data_class is MirrorGramData else data.gram, stack)
+
+
+def test_a_sweep_block_of_the_most_letters_stays_within_its_memory_budget(monkeypatch):
+    # spectral.MAX_LETTERS promises that one sweep block, 16 points of a comb of that many letters,
+    # peaks within 512 MB in tracemalloc on either route, and the mirror route below the whole one.
+    # LAPACK, whose workspace tracemalloc does not see, is a stub that returns the values' array.
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda matrix: np.zeros(matrix.shape[:-1]))
+    responses = [GaussianPeakResponse(1.0, width) for width in np.arange(1.0, 9.0, 0.5)]
+    peaks = {}
+    for centering in ("symmetric", "zero-start"):
+        comb = gaussian_comb(spectral.MAX_LETTERS, 1.0, 1.0, centering)
+        tracemalloc.start()
+        try:
+            stack, gram_data = comb_gram_data(comb, responses)
+            gram_data(stack)._eigenvalues()
+            _, peaks[centering] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks["symmetric"] < peaks["zero-start"] < 512e6
 
 
 def test_comb_gram_data_reads_a_comb_with_mirror_centres_but_unequal_widths_whole():

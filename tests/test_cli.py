@@ -552,7 +552,7 @@ def test_a_failure_inside_a_block_errors_only_its_own_point(tmp_path, monkeypatc
     clean = tmp_path / "clean.csv"
     assert main([*args, "--out", str(clean)]) == EXIT_OK
     bad_width = 1.0 + 0.5 * bad
-    rows, cols = speccap.numerics.mirror_quarter(4)
+    rows, cols = speccap.numerics.mirror_halves(4)
     i, j = rows[place], cols[place]
     second = gaussian_comb(4, 2.0, 1.0, centering)
     blocks, broken = [], []
@@ -679,17 +679,17 @@ README_BLOCKS = {"readme_flat_sweep.csv": [231], "readme_gaussian_sweep.csv": [2
 
 @pytest.mark.parametrize("name", sorted(README_SWEEPS))
 def test_readme_sweeps_solve_one_stack_per_block_of_combs(tmp_path, monkeypatch, lapack_shapes, name):
-    # 21 spacings, each a mirror comb: a stacked solve of the 272 distinct entries of the
-    # 32 x 32 Gram matrices of each block of combs, all 21 combs of 11 points or 17 and 4 of 15,
-    # each one even and one odd 16 x 16 stack; not one solve per comb or per point, and no whole
-    # matrix.
-    quarters, whole = [], []
+    # 21 spacings, each a mirror comb: a stacked solve of the 272 half-block entries (two packed
+    # 16 x 16 triangles) of the 32 x 32 Gram matrices of each block of combs, all 21 combs of 11
+    # points or 17 and 4 of 15, each one even and one odd 16 x 16 stack; not one solve per comb or
+    # per point, and no whole matrix.
+    halves, whole = [], []
     solve_blocks = speccap.channel.centrosymmetric_eigenvalues
     solve_whole = speccap.numerics.hermitian_eigenvalues
 
-    def counted(quarter, n):
-        quarters.append(np.shape(quarter))
-        return solve_blocks(quarter, n)
+    def counted(packed, n):
+        halves.append(np.shape(packed))
+        return solve_blocks(packed, n)
 
     def refused(matrix, **kwargs):
         whole.append(np.shape(matrix))
@@ -706,7 +706,7 @@ def test_readme_sweeps_solve_one_stack_per_block_of_combs(tmp_path, monkeypatch,
     monkeypatch.setattr("speccap.cli.EncodingEnsemble", recorded)
     args = ["sweep", "--n", "32", "--delta-omega", "0:10:0.5", *README_SWEEPS[name], "--out", str(tmp_path / name)]
     assert main(args) == EXIT_OK
-    assert quarters == [(points, 272) for points in README_BLOCKS[name]]
+    assert halves == [(points, 272) for points in README_BLOCKS[name]]
     assert lapack_shapes == [(points, 16, 16) for points in README_BLOCKS[name] for _ in range(2)]
     assert whole == []
     assert ensembles == []
@@ -757,18 +757,19 @@ def test_symmetric_combs_at_non_dyadic_spacings_reach_lapack_as_even_and_odd_hal
 def test_a_zero_start_spacing_0_comb_is_solved_as_halves_in_a_block_of_its_own(tmp_path, monkeypatch, lapack_shapes):
     # At spacing 0 a zero-start comb's letters coincide, a mirror, and its other combs are not:
     # the block breaks where the route changes, so spacing 0 between 0.5 and 1 is its own block,
-    # solved as even and odd halves, and the combs on either side are solved whole.
-    quarters = []
+    # solved as even and odd halves, from the two packed 3 x 3 triangles of its half blocks (12 entries),
+    # and the combs on either side are solved whole.
+    halves = []
     solve_blocks = speccap.channel.centrosymmetric_eigenvalues
 
-    def counted(quarter, n):
-        quarters.append(np.shape(quarter))
-        return solve_blocks(quarter, n)
+    def counted(packed, n):
+        halves.append(np.shape(packed))
+        return solve_blocks(packed, n)
 
     monkeypatch.setattr("speccap.channel.centrosymmetric_eigenvalues", counted)
     args = ["sweep", "--mode", "gaussian", "--n", "5", "--delta-omega", "0.5,0,1,1.5", "--sigma-eta", "1:4:0.5"]
     assert main([*args, "--centering", "zero-start", "--out", str(tmp_path / "sweep.csv")]) == EXIT_OK
-    assert quarters == [(7, 9)]
+    assert halves == [(7, 12)]
     assert lapack_shapes == [(7, 5, 5), (7, 3, 3), (7, 2, 2), (14, 5, 5)]
 
 
@@ -1063,6 +1064,34 @@ def test_plot_heatmap(tmp_path):
     # Of 7 grid values at most 5 are ticked, the first and last included.
     svg = render_heatmap([(0.0, y, y) for y in range(7)], "x", "y", "v")
     assert re.findall(r'text-anchor="end">(\d+)</text>', svg) == ["0", "2", "3", "4", "6"]
+
+
+def test_plot_line_of_a_constant_column_spans_one_unit_around_it(tmp_path):
+    # A flat range would divide by zero; the axis is widened to [v - 0.5, v + 0.5], so the line runs
+    # through the middle of the plot and the end ticks name those bounds.
+    data = tmp_path / "flat.csv"
+    data.write_text("x,y\n0,2\n1,2\n2,2\n", encoding="utf-8")
+    out = tmp_path / "flat.svg"
+    assert main(["plot", "--in", str(data), "--kind", "line", "--x", "x", "--y", "y", "--out", str(out)]) == EXIT_OK
+    svg = out.read_text(encoding="utf-8")
+    [coords] = re.findall(r'<polyline points="([^"]*)"', svg)
+    assert len({point.split(",")[1] for point in coords.split()}) == 1
+    assert re.findall(r'text-anchor="end">([^<]*)</text>', svg) == ["1.5", "1.75", "2", "2.25", "2.5"]
+
+
+def test_a_heatmap_whose_value_span_overflows_gives_its_top_cell_the_last_colour():
+    # 1e308 - (-1e308) is inf, so the top cell's fraction is inf / inf, NaN, which no colour stop
+    # holds: it falls through to the last stop's colour, as the largest value should.
+    svg = render_heatmap([(0.0, 0.0, -1e308), (1.0, 0.0, 0.0), (2.0, 0.0, 1e308)], "x", "y", "v")
+    cells = re.findall(r'<rect x="[^"]*" y="[^"]*" width="[^"]*" height="[^"]*" fill="(#[0-9a-f]{6})"/>', svg)
+    assert cells == ["#440154", "#440154", "#fde725"]
+
+
+def test_the_cli_module_runs_as_a_script():
+    result = subprocess.run(
+        [sys.executable, "-m", "speccap.cli", "--help"], capture_output=True, text=True, env=child_env()
+    )
+    assert result.returncode == EXIT_OK and "sweep" in result.stdout
 
 
 def test_plot_labels_are_xml_escaped():

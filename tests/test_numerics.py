@@ -12,7 +12,7 @@ from speccap.numerics import (
     clamp_spectrum,
     hermitian_eigenvalues,
     mirror_diagonal,
-    mirror_quarter,
+    mirror_halves,
     mirror_upper,
 )
 
@@ -298,20 +298,34 @@ def _centrosymmetric_stack(count, n, seed):
 def test_a_centrosymmetric_stack_is_solved_by_halves_to_the_dense_spectrum(count, n, seed):
     stack = _centrosymmetric_stack(count, n, seed)
     assert np.array_equal(stack, stack.swapaxes(-1, -2)) and np.array_equal(stack, stack[..., ::-1, ::-1])
-    rows, cols = mirror_quarter(n)
-    assert rows.size == (n + 1) ** 2 // 4
-    quarter = stack[..., rows, cols]
-    values = centrosymmetric_eigenvalues(quarter, n)
+    rows, cols = mirror_halves(n)
+    assert rows.size == (n - n // 2) * (n - n // 2 + 1)
+    halves = stack[..., rows, cols]
+    values = centrosymmetric_eigenvalues(halves, n)
     assert values.shape == (count, n) and np.all(np.diff(values, axis=-1) <= 0.0)
     dense = np.linalg.eigvalsh(stack)[..., ::-1]
     assert np.max(np.abs(values - dense)) <= 1e-13 * np.max(np.abs(stack))
-    assert mirror_diagonal(quarter, n).tobytes() == np.diagonal(stack, axis1=1, axis2=2).tobytes()
+    assert mirror_diagonal(halves, n).tobytes() == np.diagonal(stack, axis1=1, axis2=2).tobytes()
+
+
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_mirror_halves_are_the_upper_triangles_of_the_two_half_blocks(n, seed):
+    # Every place is one of a symmetric centrosymmetric matrix's distinct entries, evaluated as (i, j) with
+    # i <= j; the two packed triangles unpack to the top-left K x K block and the top-right one with its
+    # columns reversed, byte for byte.
+    rows, cols = mirror_halves(n)
+    assert np.all(rows <= cols) and np.all(rows + cols <= n - 1)
+    assert not rows.flags.writeable and not cols.flags.writeable
+    stack, k = _centrosymmetric_stack(2, n, seed), n - n // 2
+    left, right = np.split(stack[..., rows, cols], 2, axis=-1)
+    assert mirror_upper(left).tobytes() == stack[:, :k, :k].tobytes()
+    assert mirror_upper(right).tobytes() == stack[:, :k, ::-1][:, :, :k].tobytes()
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_a_centrosymmetric_matrix_reaches_lapack_as_its_two_halves(lapack_shapes, n):
     # For odd N the even half also takes the middle row and column.
-    rows, cols = mirror_quarter(n)
+    rows, cols = mirror_halves(n)
     centrosymmetric_eigenvalues(_centrosymmetric_stack(2, n, seed=5)[..., rows, cols], n)
     assert lapack_shapes == [(2, n - n // 2, n - n // 2), (2, n // 2, n // 2)]
 
@@ -351,7 +365,7 @@ def test_a_centrosymmetric_matrix_is_checked_before_any_solve(lapack_shapes, mat
     with pytest.raises(ValidationError, match=message):
         hermitian_eigenvalues(matrix)
     if message == "matrix entries must be finite":  # the only check left when only the distinct entries are given
-        rows, cols = mirror_quarter(len(matrix))
+        rows, cols = mirror_halves(len(matrix))
         with pytest.raises(ValidationError, match=message):
             centrosymmetric_eigenvalues(np.asarray(matrix)[rows, cols], len(matrix))
     assert lapack_shapes == []
@@ -359,7 +373,7 @@ def test_a_centrosymmetric_matrix_is_checked_before_any_solve(lapack_shapes, mat
 
 def test_a_failure_on_either_half_is_computation_error(monkeypatch):
     solve = np.linalg.eigvalsh
-    quarter = _centrosymmetric_stack(1, 6, seed=3)[0][mirror_quarter(6)]
+    halves = _centrosymmetric_stack(1, 6, seed=3)[0][mirror_halves(6)]
     for failing in (1, 2):
         calls = []
 
@@ -371,7 +385,7 @@ def test_a_failure_on_either_half_is_computation_error(monkeypatch):
 
         monkeypatch.setattr(np.linalg, "eigvalsh", fail_on_one)
         with pytest.raises(ComputationError, match="did not converge"):
-            centrosymmetric_eigenvalues(quarter, 6)
+            centrosymmetric_eigenvalues(halves, 6)
         assert calls == [(3, 3), (3, 3)][:failing]
 
 

@@ -38,7 +38,7 @@ from speccap.channel import (
     output_spectrum,
 )
 from speccap.errors import ValidationError
-from speccap.numerics import mirror_quarter, upper_triangle
+from speccap.numerics import mirror_halves, upper_triangle
 from speccap.spectral import (
     TRUNCATION_SIGMAS,
     FlatResponse,
@@ -370,7 +370,7 @@ def test_a_mirror_comb_s_distinct_entries_give_the_whole_matrices_bounds(n, spac
     for name in ("priors", "survival", "loss", "mean_loss"):
         assert getattr(mirror, name).tobytes() == getattr(dense, name).tobytes(), name
     # At peak probability -0.0 the entries are -0.0, which the whole stack's mirror turns into 0.0 off the diagonal.
-    rows, cols = mirror_quarter(n)
+    rows, cols = mirror_halves(n)
     assert np.array_equal(mirror.weighted, dense.weighted[..., rows, cols])
     blocks, whole = holevo_bound(mirror), holevo_bound(dense)
     assert blocks.letter_entropies.tobytes() == whole.letter_entropies.tobytes()
