@@ -25,16 +25,19 @@ def _plog2p(x):
     return x * math.log2(x) if x > 0.0 else 0.0
 
 
+def _xlog2x(p):
+    """``p log2 p`` elementwise, ``0 log2 0 = 0``: the array path of :func:`_plog2p`."""
+    return p * np.log2(np.where(p > 0.0, p, 1.0))
+
+
 def _entropy_bits(probabilities):
     """``-sum p log2 p`` over the last axis in bits, ``0 log2 0 = 0``; ``[x, 1 - x]`` rows give ``h(x)``."""
-    p = np.asarray(probabilities, dtype=float)
-    return -np.sum(p * np.log2(np.where(p > 0.0, p, 1.0)), axis=-1)
+    return -np.sum(_xlog2x(np.asarray(probabilities, dtype=float)), axis=-1)
 
 
 def _binary_entropies(loss):
     """``_entropy_bits`` of each ``[loss, 1 - loss]``, unstacked: a loss ``1 - survival`` has no -0.0 term to sum."""
-    kept = 1.0 - loss
-    return -(loss * np.log2(np.where(loss > 0.0, loss, 1.0)) + kept * np.log2(np.where(kept > 0.0, kept, 1.0)))
+    return -(_xlog2x(loss) + _xlog2x(1.0 - loss))
 
 
 def binary_entropy(x):
@@ -106,7 +109,7 @@ def holevo_bound(gram_data):
     loss = gram_data.loss
     letter_entropies = _binary_entropies(loss)
     spectrum_entropy = _entropy_bits(spectrum)
-    vacuum = -mean_loss * np.log2(np.where(mean_loss > 0.0, mean_loss, 1.0))
+    vacuum = -_xlog2x(mean_loss)
     holevo = vacuum + spectrum_entropy - np.vecdot(letter_entropies, gram_data.priors)
     # arrival * H(spectrum / arrival), from the same entropy pass.
     arrival = 1.0 - mean_loss
@@ -136,7 +139,7 @@ def erasure_bounds(sigma_psi, sigma_eta, p_peak, n_letters):
     """
     letter = GaussianAmplitude(0.0, sigma_psi)
     response = GaussianPeakResponse(p_peak, sigma_eta)
-    if not (isinstance(n_letters, (int, np.integer)) and n_letters >= 1):
+    if not (isinstance(n_letters, (int, np.integer)) and not isinstance(n_letters, bool) and n_letters >= 1):
         raise ValidationError("letter count must be a positive integer")
     q_max = response.peak_probability / (letter.width * math.sqrt(letter.width**-2 + response.width**-2))
     return ErasureBounds(
@@ -344,7 +347,7 @@ def optimal_alphabet_size(
     raises the ValidationError a smaller one would, or the letter cap's,
     before any work is done.
     """
-    if not (isinstance(n_max, (int, np.integer)) and n_max >= 1):
+    if not (isinstance(n_max, (int, np.integer)) and not isinstance(n_max, bool) and n_max >= 1):
         raise ValidationError("maximum alphabet size must be a positive integer")
     if not isinstance(response, (FlatResponse, GaussianPeakResponse)):
         raise ValidationError(f"alphabet-size scan needs a flat or Gaussian-peak channel, got {type(response).__name__}")

@@ -4,11 +4,11 @@ Frequencies are dimensionless offsets from a carrier; amplitudes are
 unit-normalized (``integral |psi|^2 = 1``) and channels are amplitude
 transmissions in [0, 1].  :func:`gram_matrix` is the entry point from a set
 of letters to their Gram matrix.  Overlaps of Gaussian amplitudes
-through flat or Gaussian-passband channels have closed forms, and all-tabulated
-inputs an exact 3-point Gauss-Legendre rule between their merged grid points.
-Everything else goes through one fixed 10-point Gauss-Legendre rule for a whole
-set of letters, on the segments between those grid points and a breakpoint at
-every width of each Gaussian factor, out to ``TRUNCATION_SIGMAS`` widths.
+through flat or Gaussian-passband channels have closed forms.  Everything else
+goes through one Gauss-Legendre rule for a whole set of letters, on the segments
+between the merged grid points of its tabulated factors and a breakpoint at every
+width of each Gaussian factor, out to ``TRUNCATION_SIGMAS`` widths: 3 nodes a
+segment, exact, where no factor is Gaussian, and 10 otherwise.
 :func:`comb_grams` builds the closed-form matrices of Gaussian letters given as two
 arrays, centres and widths, through many channels as one stack, in one numpy
 broadcast (:func:`comb_overlaps`) over the pairs of one upper triangle, mirrored by
@@ -135,7 +135,7 @@ class TabulatedAmplitude(_Tabulated):
         parts = values.view(float)  # real and imaginary parts, interleaved
         _, exponent = math.frexp(float(np.abs(parts).max()))
         values = np.ldexp(parts, -exponent - 1).view(complex)
-        nodes, weights = _segment_rule(grid)  # exact for the quadratic |interpolant|^2
+        nodes, weights = _legendre_rule(grid, 3)  # exact for the quadratic |interpolant|^2
         norm_sq = float(weights @ np.abs(np.interp(nodes, grid, values)) ** 2)
         if norm_sq <= 0.0:
             raise ValidationError("tabulated amplitude is identically zero")
@@ -145,38 +145,33 @@ class TabulatedAmplitude(_Tabulated):
         return np.interp(omega, self.grid, self.values, left=0.0, right=0.0)
 
 
-def _segment_rule(grid):
-    """Nodes and weights of the 3-point Gauss-Legendre rule, exact up to degree 5, on every segment of ``grid``."""
-    steps = np.diff(grid)[:, None]
-    nodes = grid[:-1, None] + steps * (0.5 + 0.5 * np.sqrt(0.6) * np.array([-1.0, 0.0, 1.0]))
-    # The weights (steps [5, 8, 5]) / 18 as 8 (steps [5/8, 1, 5/8]) / 18: the same floats
-    # for steps above 6.5e-307, and no product exceeds the step, so a step near the
-    # largest float gives finite weights.
-    return nodes.ravel(), (steps * np.array([0.625, 1.0, 0.625]) / 18.0 * 8.0).ravel()
+# The Gauss-Legendre rules on [-1, 1] with ``order`` nodes, exact up to degree ``2 order - 1``: the non-negative
+# nodes, ascending, and their weights.  The 10-node half is the Gauss half of QUADPACK's dqk21 (Piessens et al., 1983).
+_LEGENDRE_HALVES = {
+    3: (np.array([0.0, math.sqrt(0.6)]), np.array([8.0, 5.0]) / 9.0),
+    10: (
+        np.array([
+            0.148874338981631210884826001129720, 0.433395394129247190799265943165784,
+            0.679409568299024406234327365114874, 0.865063366688984510732096688423493,
+            0.973906528517171720077964012084452,
+        ]),
+        np.array([
+            0.295524224714752870173892994651338, 0.269266719309996355091226921569469,
+            0.219086362515982043995534934228163, 0.149451349150580593145776339657697,
+            0.066671344308688137593568809893332,
+        ]),
+    ),
+}
 
 
-# The 10-point Gauss-Legendre rule on [-1, 1], exact up to degree 19: the nodes
-# +-x_k, ascending, and their weights (the Gauss half of QUADPACK's dqk21,
-# Piessens et al., 1983).
-_GAUSS_X = np.array([
-    0.148874338981631210884826001129720, 0.433395394129247190799265943165784,
-    0.679409568299024406234327365114874, 0.865063366688984510732096688423493,
-    0.973906528517171720077964012084452,
-])
-_GAUSS_W = np.array([
-    0.295524224714752870173892994651338, 0.269266719309996355091226921569469,
-    0.219086362515982043995534934228163, 0.149451349150580593145776339657697,
-    0.066671344308688137593568809893332,
-])
-_GAUSS_NODES = np.concatenate([-_GAUSS_X[::-1], _GAUSS_X])
-_GAUSS_WEIGHTS = np.concatenate([_GAUSS_W[::-1], _GAUSS_W])
-
-
-def _gauss_rule(edges):
-    """Nodes and weights of the 10-point Gauss-Legendre rule on every segment between ``edges``."""
+def _legendre_rule(edges, order):
+    """Nodes and weights of the ``order``-point Gauss-Legendre rule on every segment between ``edges``."""
+    x, w = _LEGENDRE_HALVES[order]
+    # Mirrored to the whole rule; an odd order's middle node, 0, is taken once.
+    x, w = np.concatenate([-x[::-1], x[order % 2:]]), np.concatenate([w[::-1], w[order % 2:]])
     half = 0.5 * np.diff(edges)[:, None]
     middle = 0.5 * edges[:-1, None] + 0.5 * edges[1:, None]  # no sum past the largest float
-    return (middle + half * _GAUSS_NODES).ravel(), (half * _GAUSS_WEIGHTS).ravel()
+    return (middle + half * x).ravel(), (half * w).ravel()
 
 
 @dataclass(frozen=True)
@@ -363,9 +358,9 @@ def quadrature_gram(letters, response):
     grid points of the tabulated factors, where they kink the integrand, and
     ``c + k w`` for ``k = -TRUNCATION_SIGMAS ... TRUNCATION_SIGMAS`` of every
     Gaussian factor (letter or channel) of centre ``c`` and width ``w``.
-    Without a Gaussian factor the integrand is a polynomial of degree at most 4
-    on every segment, which :func:`_segment_rule` integrates exactly; otherwise
-    :func:`_gauss_rule` puts 10 nodes on every segment.
+    The order comes from the inputs: without a Gaussian factor the integrand is
+    a polynomial of degree at most 4 on every segment, which the 3 nodes of
+    :func:`_legendre_rule` integrate exactly; otherwise it takes 10 nodes.
 
     The fixed rule's error is bounded a priori.  On a segment of length ``h``
     the 10-point rule errs by ``h^21 (10!)^4 / (21 (20!)^3) f^(20)(xi)``, about
@@ -403,7 +398,7 @@ def quadrature_gram(letters, response):
     edges = np.unique(np.concatenate([*(center + width * steps for center, width in gaussians), *grids]))
     if not math.isfinite(float(edges[-1]) - float(edges[0])):
         raise ValidationError(f"quadrature breakpoints {edges[0]:g} to {edges[-1]:g} span more than the largest float")
-    nodes, weights = _gauss_rule(edges) if gaussians else _segment_rule(edges)
+    nodes, weights = _legendre_rule(edges, 10 if gaussians else 3)
     # A Gaussian factor far from its centre, next to a much wider one, squares
     # past the largest float: its sample is exp(-inf) = 0, as it should be.
     with np.errstate(over="ignore"):
@@ -476,7 +471,7 @@ def gaussian_comb(n, spacing, width, centering="symmetric"):
     those would.  A letter count above ``MAX_LETTERS`` raises ValidationError before any array is built,
     after the checks of the other arguments.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
         raise ValidationError("letter count must be a positive integer")
     if not spacing >= 0:  # NaN fails too
         raise ValidationError("letter spacing must be non-negative")

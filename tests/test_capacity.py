@@ -140,8 +140,10 @@ def test_erasure_bounds_validation():
         erasure_bounds(0.0, 1.0, 1.0, 4)
     with pytest.raises(ValidationError):
         erasure_bounds(1.0, 1.0, 1.5, 4)
-    with pytest.raises(ValidationError):
-        erasure_bounds(1.0, 1.0, 1.0, 0)
+    # bool is a subclass of int, but True is no letter count: it once gave bound_bits 0.0, as N = 1.
+    for count in (0, True, False):
+        with pytest.raises(ValidationError, match="^letter count must be a positive integer$"):
+            erasure_bounds(1.0, 1.0, 1.0, count)
     # Widths outside the letter's and the channel's closed-form ranges, whose
     # sigma**-2 once overflowed.
     for sigma_psi, sigma_eta in ((1e-200, 1.0), (1e200, 1e-200), (1.0, 1e200), (np.float64(1e-200), 1.0)):
@@ -417,7 +419,7 @@ def test_optimal_alphabet_rejects_a_channel_without_a_closed_form(monkeypatch):
     assert built == []
 
 
-@pytest.mark.parametrize("n_max", [0, 2.0])
+@pytest.mark.parametrize("n_max", [0, 2.0, True, False])
 def test_optimal_alphabet_rejects_a_maximum_size_that_is_not_a_positive_integer(monkeypatch, n_max):
     built = []
     monkeypatch.setattr("speccap.capacity.gaussian_comb", lambda *args: built.append(args))

@@ -367,11 +367,15 @@ class _QuadratureReached(Exception):
 
 
 def test_only_inputs_without_the_closed_form_reach_quadrature(monkeypatch):
-    # Quadrature here is the fixed 10-point rule; all-tabulated inputs take the exact 3-node rule.
-    def refuse(edges):
-        raise _QuadratureReached
+    # Quadrature here is the fixed 10-node rule; all-tabulated inputs take the exact 3-node rule.
+    rule = spectral._legendre_rule
 
-    monkeypatch.setattr("speccap.spectral._gauss_rule", refuse)
+    def refuse(edges, order):
+        if order == 10:
+            raise _QuadratureReached
+        return rule(edges, order)
+
+    monkeypatch.setattr("speccap.spectral._legendre_rule", refuse)
     letters = make_gaussian_basis(3, 1.0, 0.8)
     tabulated = [TabulatedAmplitude([-3.0, 0.0, 3.0], [0.0, 1.0, 0.0]), TabulatedAmplitude([-1.0, 2.0], [1.0, 0.5j])]
     tabulated_channel = TabulatedResponse([-8.0, 8.0], [1.0, 1.0])

@@ -46,7 +46,7 @@ from speccap.spectral import (
     GaussianPeakResponse,
     TabulatedAmplitude,
     TabulatedResponse,
-    _gauss_rule,
+    _legendre_rule,
     _parse_lines,
     _parse_table,
     comb_grams,
@@ -481,12 +481,38 @@ def test_ten_point_rule_agrees_with_the_tabulated_gram(inputs):
     letters, response = inputs
     gram = compute_gram(EncodingEnsemble.uniform(letters), response).gram
     grids = [part.grid for part in (*letters, response) if hasattr(part, "grid")]
-    nodes, weights = _gauss_rule(np.unique(np.concatenate(grids)))
+    nodes, weights = _legendre_rule(np.unique(np.concatenate(grids)), 10)
     columns = np.stack([letter.value(nodes) for letter in letters], axis=-1)
     ten_point = (columns.conj().T * (weights * response.value(nodes) ** 2)) @ columns
     # Both rules are exact for the degree-4 integrand: they differ by roundoff.
     tolerance = np.maximum(1e-13 * np.abs(gram), 1e-14)
     assert np.all(np.abs(ten_point - gram) <= tolerance)
+
+
+@st.composite
+def ascending_edges(draw):
+    """2..6 ascending distinct finite floats spanning a finite width, from subnormal gaps to near the largest float."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    edges = np.unique(draw(st.lists(finite, min_size=2, max_size=6)))
+    assume(edges.size >= 2 and math.isfinite(float(edges[-1]) - float(edges[0])))
+    return edges
+
+
+@given(ascending_edges(), st.sampled_from([3, 10]))
+@example(np.array([-8.98e307, 8.98e307]), 3)  # a span of 1.796e308
+@example(np.array([-1.7976931348623157e308, -1e308, 0.0]), 10)
+@example(np.array([1e308, 1.7976931348623157e308]), 3)
+@example(np.array([0.0, 5e-324, 1e-323]), 10)
+def test_legendre_nodes_lie_in_their_segment_and_weights_sum_to_its_length(edges, order):
+    nodes, weights = _legendre_rule(edges, order)
+    assert nodes.shape == weights.shape == ((edges.size - 1) * order,)
+    nodes, weights = nodes.reshape(-1, order), weights.reshape(-1, order)
+    assert np.all(np.isfinite(nodes)) and np.all(weights >= 0.0)
+    assert np.all((edges[:-1, None] <= nodes) & (nodes <= edges[1:, None]))
+    lengths = np.diff(edges)
+    # A few ulps: 4 eps is 4 to 8 ulps of a length, and a subnormal length may lose its last one.
+    tolerance = 4.0 * np.finfo(float).eps * lengths + np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(weights.sum(axis=1) - lengths) <= tolerance)
 
 
 @given(tabulated_inputs(), st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4))

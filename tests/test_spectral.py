@@ -555,11 +555,19 @@ def test_a_comb_may_have_at_most_max_letters(monkeypatch, centering):
 
 @pytest.mark.parametrize(
     "n,spacing,width,centering",
-    [(0, 1.0, 1.0, "symmetric"), (3, -1.0, 1.0, "symmetric"), (3, 1.0, 0.0, "symmetric"), (3, 1.0, 1.0, "diagonal")],
+    [
+        (0, 1.0, 1.0, "symmetric"),
+        (True, 1.0, 1.0, "symmetric"),  # bool is a subclass of int; True once reached numpy as a count
+        (False, 1.0, 1.0, "zero-start"),
+        (3, -1.0, 1.0, "symmetric"),
+        (3, 1.0, 0.0, "symmetric"),
+        (3, 1.0, 1.0, "diagonal"),
+    ],
 )
 def test_make_gaussian_basis_validation(n, spacing, width, centering):
-    with pytest.raises(ValidationError):
-        make_gaussian_basis(n, spacing, width, centering)
+    for build in (gaussian_comb, make_gaussian_basis):
+        with pytest.raises(ValidationError):
+            build(n, spacing, width, centering)
 
 
 def test_make_gaussian_basis_names_a_nan_spacing():
