@@ -14,7 +14,7 @@ import numpy as np
 from .channel import GramData, comb_gram_data, compute_gram, output_spectrum
 from .errors import ComputationError, ConvergenceError, ValidationError
 from .numerics import clamp_spectrum, hermitian_eigenvalues
-from .spectral import FlatResponse, GaussianAmplitude, GaussianPeakResponse, gaussian_comb
+from .spectral import GaussianAmplitude, GaussianPeakResponse, _check_count, _has_closed_form, gaussian_comb
 
 # Stopping gain in bits and iteration budget of :func:`optimize_priors`, read at call time.
 PRIOR_TOLERANCE = 1e-9
@@ -139,8 +139,7 @@ def erasure_bounds(sigma_psi, sigma_eta, p_peak, n_letters):
     """
     letter = GaussianAmplitude(0.0, sigma_psi)
     response = GaussianPeakResponse(p_peak, sigma_eta)
-    if not (isinstance(n_letters, (int, np.integer)) and not isinstance(n_letters, bool) and n_letters >= 1):
-        raise ValidationError("letter count must be a positive integer")
+    _check_count(n_letters, "letter count")
     q_max = response.peak_probability / (letter.width * math.sqrt(letter.width**-2 + response.width**-2))
     return ErasureBounds(
         q_max=q_max,
@@ -337,7 +336,9 @@ def optimal_alphabet_size(
 
     For band-limited channels the bound peaks at a finite size: extra
     letters eventually sit where the channel is opaque and only dilute the
-    ensemble.  Ties break toward the smaller alphabet.  Returns
+    ensemble.  The first size of the largest float wins, so where the curve
+    is flat, as at spacing 0, whose every exact value is 0, eigensolver
+    roundoff of up to a few 1e-14 bits picks it.  Returns
     ``(best_n, best_bits, curve)`` where curve lists ``(n, bits)``.
     ``response`` must be a ``FlatResponse`` or a ``GaussianPeakResponse``,
     the channels of the closed form; any other raises ValidationError.
@@ -347,9 +348,8 @@ def optimal_alphabet_size(
     raises the ValidationError a smaller one would, or the letter cap's,
     before any work is done.
     """
-    if not (isinstance(n_max, (int, np.integer)) and not isinstance(n_max, bool) and n_max >= 1):
-        raise ValidationError("maximum alphabet size must be a positive integer")
-    if not isinstance(response, (FlatResponse, GaussianPeakResponse)):
+    _check_count(n_max, "maximum alphabet size")
+    if not _has_closed_form((), response):
         raise ValidationError(f"alphabet-size scan needs a flat or Gaussian-peak channel, got {type(response).__name__}")
     gaussian_comb(n_max, spacing, sigma_psi, centering)
     curve = []

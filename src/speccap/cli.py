@@ -321,9 +321,6 @@ def cmd_gram_dump(args):
             raise UsageError("need --letters files or both --n and --delta-omega")
         letters = make_gaussian_basis(args.n, args.delta_omega, args.sigma_psi, args.centering)
 
-    channel_flags = [args.eta is not None, args.sigma_eta is not None, args.channel_file is not None]
-    if sum(channel_flags) != 1:
-        raise UsageError("choose exactly one channel: --eta, --sigma-eta, or --channel-file")
     if args.eta is not None:
         response = FlatResponse(args.eta)
     elif args.sigma_eta is not None:
@@ -346,7 +343,7 @@ def cmd_gram_dump(args):
 
 
 def _read_csv_columns(path):
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -409,62 +406,55 @@ def build_parser():
     """The CLI parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="speccap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    out = _Parser(add_help=False)
+    out.add_argument("--out", required=True)
+    peak = _Parser(add_help=False)
+    peak.add_argument("--p-peak", type=float, default=1.0)
+    letter = _Parser(add_help=False)
+    letter.add_argument("--sigma-psi", type=float, default=1.0)
+    letter.add_argument("--centering", choices=["zero-start", "symmetric"], default="symmetric")
 
-    sweep = sub.add_parser("sweep", help="capacity bounds over a parameter grid")
+    sweep = sub.add_parser("sweep", parents=[letter, peak, out], help="capacity bounds over a parameter grid")
     sweep.add_argument("--mode", choices=["flat", "gaussian"], required=True)
     sweep.add_argument("--n", required=True, help="alphabet sizes, e.g. 32 or 2,4,8")
     sweep.add_argument("--delta-omega", required=True, help="letter spacing grid (min:max:step, list, or value)")
     sweep.add_argument("--eta", help="flat transmission grid (flat mode)")
     sweep.add_argument("--sigma-eta", help="channel width grid (gaussian mode)")
-    sweep.add_argument("--sigma-psi", type=float, default=1.0)
-    sweep.add_argument("--p-peak", type=float, default=1.0)
     sweep.add_argument(
         "--post-select", action="store_true", help="only fills the post_select cell; both bounds are always written"
     )
-    sweep.add_argument("--centering", choices=["zero-start", "symmetric"], default="symmetric")
     sweep.add_argument("--priors", choices=["uniform", "optimized"], default="uniform")
-    sweep.add_argument("--out", required=True)
     sweep.set_defaults(func=cmd_sweep)
 
-    optimal = sub.add_parser("optimal-n", help="best alphabet size for a gaussian channel")
+    optimal = sub.add_parser("optimal-n", parents=[letter, peak, out], help="best alphabet size for a gaussian channel")
     optimal.add_argument("--sigma-eta", type=float, required=True)
-    optimal.add_argument("--p-peak", type=float, default=1.0)
-    optimal.add_argument("--sigma-psi", type=float, default=1.0)
     optimal.add_argument("--delta-omega", type=float, required=True)
     optimal.add_argument("--n-max", type=int, required=True)
     optimal.add_argument("--post-select", action="store_true")
-    optimal.add_argument("--centering", choices=["zero-start", "symmetric"], default="symmetric")
-    optimal.add_argument("--out", required=True)
     optimal.set_defaults(func=cmd_optimal_n)
 
-    two = sub.add_parser("two-state", help="exact two-letter capacity curves")
+    two = sub.add_parser("two-state", parents=[peak, out], help="exact two-letter capacity curves")
     two.add_argument("--lambda", required=True, help="width-ratio grid")
-    two.add_argument("--p-peak", type=float, default=1.0)
     two.add_argument("--emit", choices=["exact-curve", "max-curve"], required=True)
     two.add_argument("--delta", default="0:10:0.1", help="separation grid for exact-curve")
-    two.add_argument("--out", required=True)
     two.set_defaults(func=cmd_two_state)
 
-    gram = sub.add_parser("gram-dump", help="inspect the modulated Gram matrix")
+    gram = sub.add_parser("gram-dump", parents=[letter, peak, out], help="inspect the modulated Gram matrix")
     gram.add_argument("--letters", action="append", help="tabulated amplitude file (repeatable)")
     gram.add_argument("--n", type=int)
     gram.add_argument("--delta-omega", type=float)
-    gram.add_argument("--sigma-psi", type=float, default=1.0)
-    gram.add_argument("--centering", choices=["zero-start", "symmetric"], default="symmetric")
-    gram.add_argument("--eta", type=float, help="flat channel transmission")
-    gram.add_argument("--sigma-eta", type=float, help="gaussian channel width")
-    gram.add_argument("--p-peak", type=float, default=1.0)
-    gram.add_argument("--channel-file", help="tabulated channel response file")
-    gram.add_argument("--out", required=True)
+    channel = gram.add_mutually_exclusive_group(required=True)
+    channel.add_argument("--eta", type=float, help="flat channel transmission")
+    channel.add_argument("--sigma-eta", type=float, help="gaussian channel width")
+    channel.add_argument("--channel-file", help="tabulated channel response file")
     gram.set_defaults(func=cmd_gram_dump)
 
-    plot = sub.add_parser("plot", help="render a CSV produced by this tool to SVG")
+    plot = sub.add_parser("plot", parents=[out], help="render a CSV produced by this tool to SVG")
     plot.add_argument("--in", dest="input", required=True)
     plot.add_argument("--kind", choices=["line", "heatmap"], required=True)
     plot.add_argument("--x", required=True)
     plot.add_argument("--y", required=True)
     plot.add_argument("--value", help="cell value column (heatmap)")
-    plot.add_argument("--out", required=True)
     plot.set_defaults(func=cmd_plot)
 
     return parser

@@ -461,6 +461,12 @@ def survival_probability(amp, response):
     return float(survival_window(modulated_overlap(amp, amp, response).real))
 
 
+def _check_count(count, what):
+    """Raise ValidationError naming ``what`` unless ``count`` is an int or numpy integer, not a bool, of at least 1."""
+    if not (isinstance(count, (int, np.integer)) and not isinstance(count, bool) and count >= 1):
+        raise ValidationError(f"{what} must be a positive integer")
+
+
 def gaussian_comb(n, spacing, width, centering="symmetric"):
     """Equally spaced identical Gaussian letters as the two arrays of :func:`comb_grams`: ``center, width``.
 
@@ -471,8 +477,7 @@ def gaussian_comb(n, spacing, width, centering="symmetric"):
     those would.  A letter count above ``MAX_LETTERS`` raises ValidationError before any array is built,
     after the checks of the other arguments.
     """
-    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
-        raise ValidationError("letter count must be a positive integer")
+    _check_count(n, "letter count")
     if not spacing >= 0:  # NaN fails too
         raise ValidationError("letter spacing must be non-negative")
     if not width > 0:
@@ -499,9 +504,10 @@ def make_gaussian_basis(n, spacing, width, centering="symmetric"):
 def _parse_table(path, columns):
     """Rows of ``columns`` comma-separated floats; blank and ``#`` lines are skipped.
 
-    A file that is not UTF-8 text raises ValidationError naming it.  Lines
-    are counted at newline characters only, as iterating the file does, and
-    stripped.  The data lines (neither blank nor ``#`` comments) go to one
+    A leading UTF-8 byte-order mark is skipped; a file that is not UTF-8 text
+    raises ValidationError naming it.  Lines are counted at newline
+    characters only, as iterating the file does, and stripped.  The data
+    lines (neither blank nor ``#`` comments) go to one
     ``np.loadtxt`` call, whose C parser rounds each field correctly, as
     ``float`` does, and accepts no field that :func:`_parse_lines` rejects.
     A file it rejects, whose table is not ``columns`` wide, or that has fewer
@@ -511,7 +517,7 @@ def _parse_table(path, columns):
     ``1_000`` or Arabic-Indic digits.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except UnicodeDecodeError:
         raise ValidationError(f"{path}: not valid UTF-8 text") from None

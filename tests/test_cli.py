@@ -1023,11 +1023,73 @@ def test_gram_dump_malformed_letter_file(tmp_path):
     assert "bad.csv:2" in result.stderr
 
 
-def test_gram_dump_requires_exactly_one_channel(tmp_path):
-    code = main(
-        ["gram-dump", "--n", "2", "--delta-omega", "1", "--eta", "0.5", "--sigma-eta", "1", "--out", "x.csv"]
-    )
-    assert code == EXIT_USAGE
+CHANNEL_OPTIONS = {"--eta": "0.5", "--sigma-eta": "1", "--channel-file": "channel.csv"}
+
+
+@pytest.mark.parametrize(
+    "given, named",
+    [
+        ([], ["--eta", "--sigma-eta", "--channel-file"]),
+        (["--eta", "--sigma-eta"], ["--eta", "--sigma-eta"]),
+        (["--eta", "--channel-file"], ["--eta", "--channel-file"]),
+        (["--sigma-eta", "--channel-file"], ["--sigma-eta", "--channel-file"]),
+        # argparse stops at the first conflict it meets.
+        (["--eta", "--sigma-eta", "--channel-file"], ["--eta", "--sigma-eta"]),
+    ],
+)
+def test_gram_dump_requires_exactly_one_channel(tmp_path, capsys, given, named):
+    # No channel names all three options; two or three name the two that conflict.
+    channels = [piece for option in given for piece in (option, CHANNEL_OPTIONS[option])]
+    out = tmp_path / "x.csv"
+    assert main(["gram-dump", "--n", "2", "--delta-omega", "1", *channels, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert all(re.search(rf"{option}\b", err) for option in named), err
+    assert len(set(re.findall(r"--[a-z-]+", err))) == len(named), err
+    assert not out.exists()
+
+
+# Each command's arguments without --out, and the shared options it has.
+LETTER_AND_PEAK = ["--sigma-psi", "--centering", "--p-peak"]
+COMMANDS = {
+    "sweep": (["--mode", "flat", "--n", "2", "--delta-omega", "1"], LETTER_AND_PEAK),
+    "optimal-n": (["--sigma-eta", "2", "--delta-omega", "1", "--n-max", "4"], LETTER_AND_PEAK),
+    "two-state": (["--lambda", "1", "--emit", "max-curve"], ["--p-peak"]),
+    "gram-dump": (["--n", "2", "--delta-omega", "1", "--eta", "1"], LETTER_AND_PEAK),
+    "plot": (["--in", "a.csv", "--kind", "line", "--x", "a", "--y", "b"], []),
+}
+# Each shared option's default, a value and what it parses to, and a value it rejects with its message.
+SHARED_OPTIONS = {
+    "--sigma-psi": (1.0, "0.5", 0.5, "x", "invalid float value: 'x'"),
+    "--p-peak": (1.0, "0.5", 0.5, "x", "invalid float value: 'x'"),
+    "--centering": ("symmetric", "zero-start", "zero-start", "mirror", "invalid choice: 'mirror'"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_shared_options_keep_their_type_and_default_in_every_command(command):
+    parse = build_parser().parse_args
+    base, shared = COMMANDS[command]
+    with pytest.raises(UsageError, match=r"the following arguments are required: --out$"):
+        parse([command, *base])
+    args = [command, *base, "--out", "o"]
+    assert parse(args).out == "o"
+    for option, (default, given, parsed, bad, message) in SHARED_OPTIONS.items():
+        dest = option[2:].replace("-", "_")
+        if option in shared:
+            assert getattr(parse(args), dest) == default and getattr(parse([*args, option, given]), dest) == parsed
+            with pytest.raises(UsageError, match=f"argument {option}: {message}"):
+                parse([*args, option, bad])
+        else:
+            with pytest.raises(UsageError, match=f"unrecognized arguments: {option} {given}$"):
+                parse([*args, option, given])
+
+
+@pytest.mark.parametrize("command, option", [("two-state", "--sigma-psi"), ("plot", "--p-peak")])
+def test_a_command_rejects_a_shared_option_it_never_had(tmp_path, capsys, command, option):
+    out = tmp_path / "o"
+    assert main([command, *COMMANDS[command][0], option, "1", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"speccap: unrecognized arguments: {option} 1\n"
+    assert not out.exists()
 
 
 def test_plot_line_deterministic(tmp_path):
@@ -1118,6 +1180,30 @@ def test_star_import_exports_exactly_the_public_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(speccap.__all__)
+
+
+@pytest.mark.parametrize(
+    "source, plot",
+    [
+        (
+            ["two-state", "--lambda", "0.5:2:0.5", "--emit", "max-curve"],
+            ["--kind", "line", "--x", "lambda", "--y", "c_max_bits"],
+        ),
+        (
+            ["sweep", "--mode", "flat", "--n", "2", "--delta-omega", "0:2:1", "--eta", "0.5,1"],
+            ["--kind", "heatmap", "--x", "n", "--y", "eta", "--value", "holevo_bits"],
+        ),
+    ],
+    ids=["line", "heatmap"],
+)
+def test_plot_of_a_csv_with_a_byte_order_mark_is_the_plot_of_its_copy_without_one(tmp_path, source, plot):
+    # The x column is the first, whose header name the mark precedes.
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    assert main([*source, "--out", str(plain)]) == EXIT_OK
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for data in (plain, marked):
+        assert main(["plot", "--in", str(data), *plot, "--out", str(data.with_suffix(".svg"))]) == EXIT_OK
+    assert marked.with_suffix(".svg").read_bytes() == plain.with_suffix(".svg").read_bytes()
 
 
 def test_plot_unknown_column_lists_available(tmp_path, capsys):

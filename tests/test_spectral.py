@@ -650,8 +650,10 @@ def test_tabulated_file_error_names_the_first_bad_line(tmp_path, text, lineno):
         "-0.5,0.25\r\n1e3,1\r\n",
         "# omega,eta\n\n  # indented comment\n -0.5 , 0.25 \n\t\n1e3,\x0c1\n# end",
         "-0.5,\x1c0.25\n1_000,1",
+        "\ufeff-0.5,0.25\n1e3,1\n",
+        "\ufeff# omega,eta\n-0.5,0.25\n1e3,1\n",
     ],
-    ids=["plain", "crlf", "comments-blanks-padding", "float-syntax"],
+    ids=["plain", "crlf", "comments-blanks-padding", "float-syntax", "byte-order-mark", "byte-order-mark-and-comment"],
 )
 def test_tabulated_file_accepted_syntax(tmp_path, text):
     path = tmp_path / "channel.csv"
